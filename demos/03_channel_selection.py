@@ -18,8 +18,7 @@ from sphattn import (
     gen_dataset,
     harmonic_dim,
     make_target,
-    one_step_channel_weights,
-    one_step_second_layer,
+    one_step_updates,
     sample_sphere,
     select_channels,
 )
@@ -29,8 +28,7 @@ target = make_target(d, ell0, [1.0, 1.0], seed=0)
 dataset = gen_dataset(target, n, sigma0, seed=1)
 Q = sample_sphere(m, d, seed=2)
 
-a1 = one_step_second_layer(dataset, Q, L)
-tau_raw = one_step_channel_weights(dataset, Q, a1, L)
+a1, tau_raw = one_step_updates(dataset, Q, L)  # one pass gives both steps
 print(f"d={d}, ell0={ell0}, L={L}, n=m={n}")
 print("raw channel weights: ", np.round(tau_raw, 4))
 print("ideal informative values c_k^2/N(d,k):",
@@ -46,8 +44,7 @@ print("finalized weights:", np.round(result.tau_final, 4))
 print("\nThe redundant-channel bias floor, measured vs predicted:")
 for n_big in (1000, 4000, 16000):
     ds = gen_dataset(target, n_big, sigma0, seed=3)
-    a1 = one_step_second_layer(ds, Q, L)
-    tr = one_step_channel_weights(ds, Q, a1, L)
+    _, tr = one_step_updates(ds, Q, L)
     pred = harmonic_dim(d, L) * np.mean(ds.y**2) / n_big
     print(f"  n = {n_big:6d}: tau_raw[{L}] = {tr[L]:+.4f}   bias prediction = {pred:.4f}")
 print("redundant weights decay like 1/n toward zero, as the theory requires")

@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 from .harmonics import (
     cumulative_dim,
     gegenbauer_all,
-    gegenbauer_matrix,
+    gegenbauer_blocks,
+    gegenbauer_weighted_matrix,
     gegenbauer_weighted_sum,
     harmonic_dim,
     sample_sphere,
@@ -45,6 +46,7 @@ from .selection import (
     SelectionResult,
     one_step_channel_weights,
     one_step_second_layer,
+    one_step_updates,
     select_channels,
     threshold_channels,
 )
@@ -61,7 +63,6 @@ from .training import (
 from .complexity import (
     KernelSpectrum,
     critical_radius,
-    empirical_complexity,
     empirical_loss,
     empirical_spectrum,
     kernel_complexity,

@@ -28,7 +28,6 @@ __all__ = [
     "empirical_spectrum",
     "population_spectrum",
     "kernel_complexity",
-    "empirical_complexity",
     "population_complexity",
     "critical_radius",
     "mc_risk",
@@ -88,11 +87,6 @@ def kernel_complexity(spectrum: KernelSpectrum, eps: float) -> float:
         raise ValueError(f"eps must be positive, got {eps}")
     lam = spectrum.eigenvalues
     return float(np.sqrt(np.sum(np.minimum(lam, eps**2)) / spectrum.n))
-
-
-def empirical_complexity(spectrum: KernelSpectrum, eps: float) -> float:
-    """Complexity of an empirical (gram-matrix) spectrum; alias with a check."""
-    return kernel_complexity(spectrum, eps)
 
 
 def population_complexity(d: int, ell_hat: int, n: int, eps: float) -> float:

@@ -26,10 +26,13 @@ from .complexity import mc_risk
 from .config import ConfigError, ExperimentConfig
 from .harmonics import gegenbauer_weighted_sum, sample_sphere
 from .kernels import oracle_weights
-from .selection import (
+# one_step_second_layer and one_step_channel_weights are not called here; the
+# names stay bound because perfbench/tracer.py wraps them in this module.
+from .selection import (  # noqa: F401
     EmptySelectionError,
     one_step_channel_weights,
     one_step_second_layer,
+    one_step_updates,
     select_channels,
 )
 from .targets import gen_dataset, make_target
@@ -127,15 +130,30 @@ def _fit_loglog_slope(x, y):
     return slope, stderr
 
 
+def _trial_inputs(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int):
+    """Seeds, target, n-sample dataset and m directions of trial (stream, g, k)."""
+    kids = derive_seed(cfg.base_seed, stream, g, k).spawn(4)
+    target = make_target(cfg.d, cfg.ell0, cfg.coeffs, kids[SUB_TARGET])
+    dataset = gen_dataset(target, n, cfg.sigma0, kids[SUB_DATA])
+    Q = sample_sphere(cfg.scalar("m"), cfg.d, kids[SUB_DIRECTIONS])
+    return kids, target, dataset, Q
+
+
+def _channel_split(tau_raw, ell0: int) -> dict:
+    """Smallest informative and largest redundant |raw weight| of one trial."""
+    informative = tau_raw[: ell0 + 1]
+    redundant = tau_raw[ell0 + 1 :]
+    return {
+        "min_informative": float(np.min(informative)),
+        "max_redundant_abs": float(np.max(np.abs(redundant))) if redundant.size else 0.0,
+    }
+
+
 # --- channel selection --------------------------------------------------------
 
 
 def _selection_trial(cfg: ExperimentConfig, stream: int, k: int) -> dict:
-    n, m = cfg.scalar("n"), cfg.scalar("m")
-    kids = derive_seed(cfg.base_seed, stream, 0, k).spawn(4)
-    target = make_target(cfg.d, cfg.ell0, cfg.coeffs, kids[SUB_TARGET])
-    dataset = gen_dataset(target, n, cfg.sigma0, kids[SUB_DATA])
-    Q = sample_sphere(m, cfg.d, kids[SUB_DIRECTIONS])
+    _, _, dataset, Q = _trial_inputs(cfg, stream, 0, k, cfg.scalar("n"))
     rec = {"trial": k}
     try:
         result = select_channels(dataset, Q, cfg.L, cfg.epsilon0)
@@ -155,10 +173,7 @@ def _selection_trial(cfg: ExperimentConfig, stream: int, k: int) -> dict:
             success=False,
         )
         tau_raw = exc.tau_raw
-    informative = tau_raw[: cfg.ell0 + 1]
-    redundant = tau_raw[cfg.ell0 + 1 :]
-    rec["min_informative"] = float(np.min(informative))
-    rec["max_redundant_abs"] = float(np.max(np.abs(redundant))) if redundant.size else 0.0
+    rec.update(_channel_split(tau_raw, cfg.ell0))
     rec["gap"] = rec["min_informative"] - rec["max_redundant_abs"]
     return rec
 
@@ -197,6 +212,14 @@ def run_channel_selection_trials(config: ExperimentConfig) -> RunReport:
     )
 
 
+def _calibration_trial(cfg: ExperimentConfig, k: int) -> dict:
+    _, _, dataset, Q = _trial_inputs(cfg, STREAM_CALIBRATE, 0, k, cfg.scalar("n"))
+    _, tau_raw = one_step_updates(dataset, Q, cfg.L)
+    rec = {"trial": k, "tau_raw": [float(v) for v in tau_raw]}
+    rec.update(_channel_split(tau_raw, cfg.ell0))
+    return rec
+
+
 def calibrate_epsilon0(config: ExperimentConfig) -> RunReport:
     """Measure the informative/redundant gap on a held-out seed stream.
 
@@ -206,25 +229,9 @@ def calibrate_epsilon0(config: ExperimentConfig) -> RunReport:
     so the calibration never sees the evaluation trials.
     """
     t0 = time.perf_counter()
-    records = []
-    for k in range(config.num_seeds):
-        n, m = config.scalar("n"), config.scalar("m")
-        kids = derive_seed(config.base_seed, STREAM_CALIBRATE, 0, k).spawn(4)
-        target = make_target(config.d, config.ell0, config.coeffs, kids[SUB_TARGET])
-        dataset = gen_dataset(target, n, config.sigma0, kids[SUB_DATA])
-        Q = sample_sphere(m, config.d, kids[SUB_DIRECTIONS])
-        a1 = one_step_second_layer(dataset, Q, config.L)
-        tau_raw = one_step_channel_weights(dataset, Q, a1, config.L)
-        informative = tau_raw[: config.ell0 + 1]
-        redundant = tau_raw[config.ell0 + 1 :]
-        records.append(
-            {
-                "trial": k,
-                "tau_raw": [float(v) for v in tau_raw],
-                "min_informative": float(np.min(informative)),
-                "max_redundant_abs": float(np.max(np.abs(redundant))) if redundant.size else 0.0,
-            }
-        )
+    records = _run_trials(
+        lambda k: _calibration_trial(config, k), list(range(config.num_seeds)), config.threads
+    )
     mean_min_inf = float(np.mean([r["min_informative"] for r in records]))
     mean_max_red = float(np.mean([r["max_redundant_abs"] for r in records]))
     usable = mean_min_inf > mean_max_red
@@ -265,12 +272,8 @@ def _kernel_gap(X_a, X_b, Q, tau, ell_hat: int, d: int) -> float:
 
 
 def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) -> dict:
-    m = cfg.scalar("m")
-    kids = derive_seed(cfg.base_seed, stream, g, k).spawn(4)
-    target = make_target(cfg.d, cfg.ell0, cfg.coeffs, kids[SUB_TARGET])
-    dataset = gen_dataset(target, n, cfg.sigma0, kids[SUB_DATA])
-    Q = sample_sphere(m, cfg.d, kids[SUB_DIRECTIONS])
-    rec = {"trial": k, "n": n, "m": m}
+    kids, target, dataset, Q = _trial_inputs(cfg, stream, g, k, n)
+    rec = {"trial": k, "n": n, "m": cfg.scalar("m")}
     try:
         if cfg.channels == "select":
             if cfg.epsilon0 is None:

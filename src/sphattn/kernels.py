@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import gegenbauer_weighted_sum, harmonic_dim
+from .harmonics import gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
 
 # Row-norm slack accepted before an input is rejected as non-unit.
 UNIT_TOL = 1e-8
@@ -77,14 +77,14 @@ def activation(x, x_prime, tau, d: int) -> float:
 def activation_matrix(X, Q, tau) -> np.ndarray:
     """Matrix of activation values sigma_tau(x_i, q_r), shape (n, m).
 
-    The dot-product matrix is formed once; the weighted Gegenbauer sum is
-    evaluated entrywise by the recurrence.
+    The dot products and the recurrence run in cache-sized row blocks; only
+    the output is allocated at full size.
     """
     X = _require_unit_rows(X, "X")
     Q = _require_unit_rows(Q, "Q")
     if X.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: X has d={X.shape[1]}, Q has d={Q.shape[1]}")
-    return gegenbauer_weighted_sum(X @ Q.T, X.shape[1], tau)
+    return gegenbauer_weighted_matrix(X, Q, X.shape[1], tau)
 
 
 def population_gram(X, X_prime, ell_hat: int) -> np.ndarray:
@@ -101,7 +101,7 @@ def population_gram(X, X_prime, ell_hat: int) -> np.ndarray:
     Xp = X if same else _require_unit_rows(X_prime, "X_prime")
     if X.shape[1] != Xp.shape[1]:
         raise ValueError("X and X_prime live in different dimensions")
-    K = gegenbauer_weighted_sum(X @ Xp.T, X.shape[1], np.ones(ell_hat + 1))
+    K = gegenbauer_weighted_matrix(X, Xp, X.shape[1], np.ones(ell_hat + 1))
     if same:
         K = 0.5 * (K + K.T)  # exact symmetry, one triangle decides each pair
     return K

@@ -9,10 +9,17 @@ Gegenbauer sum of dot products:
     channel k      raw_k    = (1/(n*sqrt(m))) * N(d, k)
                               * sum_{i,r} y_i * P_k(<x_i, q_r>) * a1_r.
 
+Both are contractions of the same (L+1) x m array of degree projections
+
+    V[k, r] = sum_i P_k(<q_r, x_i>) * y_i,
+
+namely a1 = (N @ V) / (n*sqrt(m)) and raw = N * (V @ a1) / (n*sqrt(m)) with
+N[k] = N(d, k).  V comes from a single pass of the Gegenbauer recurrence over
+cache-sized row blocks of the m x n dot products, which are never stored.
+
 The raw channel weights are then thresholded: channel k survives when
 raw_k >= 2 * epsilon0 (inclusive), and every surviving channel is rescaled
-to sqrt(N(d, k)).  The n-by-m Gegenbauer values are streamed in fixed-size
-row blocks, never fully materialized.
+to sqrt(N(d, k)).
 """
 
 from __future__ import annotations
@@ -23,22 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import gegenbauer_weighted_sum, harmonic_dim
+# gegenbauer_weighted_sum is not called here; the name stays bound because
+# perfbench/tracer.py wraps it in this module.
+from .harmonics import gegenbauer_blocks, gegenbauer_weighted_sum, harmonic_dim  # noqa: F401
 from .kernels import _require_unit_rows, finalized_weights
 from .targets import LabeledDataset
 
 __all__ = [
     "EmptySelectionError",
     "SelectionResult",
+    "one_step_updates",
     "one_step_second_layer",
     "one_step_channel_weights",
     "threshold_channels",
     "select_channels",
 ]
-
-# Directions processed per pass in the streamed double sums.  Results are
-# bit-stable for a fixed block size.
-BLOCK = 1024
 
 
 class EmptySelectionError(RuntimeError):
@@ -88,21 +94,41 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
     return Q
 
 
+def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
+    """V[k, r] = sum_i P_k(<q_r, x_i>) * y_i for k = 0..L, in one blocked pass."""
+    y = dataset.y
+    V = np.empty((L + 1, Q.shape[0]))
+    V[0] = np.sum(y)  # P_0 = 1
+    for rows, degrees in gegenbauer_blocks(Q, dataset.S, dataset.d, L):
+        for k, P in degrees:
+            V[k, rows] = P @ y
+    return V
+
+
+def _counts(d: int, L: int) -> np.ndarray:
+    return np.array([harmonic_dim(d, k) for k in range(L + 1)], dtype=float)
+
+
+def one_step_updates(dataset: LabeledDataset, Q, L: int):
+    """Both one-step updates from zero, (a1, tau_raw), from one pass over the data.
+
+    a1 is the m-vector of second-layer weights, linear in y; tau_raw holds
+    the raw channel weights for degrees 0..L, quadratic in y.
+    """
+    Q = _check_inputs(dataset, Q, L)
+    V = _degree_projections(dataset, Q, L)
+    N = _counts(dataset.d, L)
+    scale = dataset.n * np.sqrt(Q.shape[0])
+    a1 = (N @ V) / scale
+    return a1, N * (V @ a1) / scale
+
+
 def one_step_second_layer(dataset: LabeledDataset, Q, L: int) -> np.ndarray:
     """One gradient step on the second-layer weights from zero.
 
     Returns the m-vector a1 given above; linear in the responses y.
     """
-    Q = _check_inputs(dataset, Q, L)
-    n, m = dataset.n, Q.shape[0]
-    d = dataset.d
-    counts = np.array([harmonic_dim(d, k) for k in range(L + 1)], dtype=float)
-    a1 = np.empty(m)
-    for lo in range(0, m, BLOCK):
-        hi = min(lo + BLOCK, m)
-        G = Q[lo:hi] @ dataset.S.T  # (b, n)
-        a1[lo:hi] = gegenbauer_weighted_sum(G, d, counts) @ dataset.y
-    return a1 / (n * np.sqrt(m))
+    return one_step_updates(dataset, Q, L)[0]
 
 
 def one_step_channel_weights(dataset: LabeledDataset, Q, a1, L: int) -> np.ndarray:
@@ -113,25 +139,11 @@ def one_step_channel_weights(dataset: LabeledDataset, Q, a1, L: int) -> np.ndarr
     """
     Q = _check_inputs(dataset, Q, L)
     a1 = np.asarray(a1, dtype=float)
-    n, m = dataset.n, Q.shape[0]
+    m = Q.shape[0]
     if a1.shape != (m,):
         raise ValueError(f"a1 has shape {a1.shape}, expected ({m},)")
-    d = dataset.d
-    tau_raw = np.zeros(L + 1)
-    for lo in range(0, m, BLOCK):
-        hi = min(lo + BLOCK, m)
-        G = dataset.S @ Q[lo:hi].T  # (n, b)
-        a_blk = a1[lo:hi]
-        # forward recurrence over degrees, contracting each level immediately
-        prev = np.ones_like(G)
-        tau_raw[0] += (dataset.y @ prev) @ a_blk
-        if L >= 1:
-            cur = G
-            tau_raw[1] += (dataset.y @ cur) @ a_blk * harmonic_dim(d, 1)
-            for k in range(1, L):
-                prev, cur = cur, ((2 * k + d - 2) * G * cur - k * prev) / (k + d - 2)
-                tau_raw[k + 1] += (dataset.y @ cur) @ a_blk * harmonic_dim(d, k + 1)
-    return tau_raw / (n * np.sqrt(m))
+    V = _degree_projections(dataset, Q, L)
+    return _counts(dataset.d, L) * (V @ a1) / (dataset.n * np.sqrt(m))
 
 
 def threshold_channels(tau_raw, epsilon0: float, d: int) -> SelectionResult:
@@ -164,6 +176,5 @@ def threshold_channels(tau_raw, epsilon0: float, d: int) -> SelectionResult:
 
 def select_channels(dataset: LabeledDataset, Q, L: int, epsilon0: float) -> SelectionResult:
     """Full stage one: both one-step updates followed by thresholding."""
-    a1 = one_step_second_layer(dataset, Q, L)
-    tau_raw = one_step_channel_weights(dataset, Q, a1, L)
+    _, tau_raw = one_step_updates(dataset, Q, L)
     return threshold_channels(tau_raw, epsilon0, dataset.d)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import activation_matrix
+from .harmonics import gegenbauer_blocks
+from .kernels import _require_unit_rows, activation_matrix
 from .targets import LabeledDataset
 
 __all__ = [
@@ -44,10 +45,6 @@ __all__ = [
 # aborts training; linear GD only does that when eta * lambda_max >= 2.
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_WINDOW = 5
-
-# Rows of points evaluated per pass when predicting on large point sets.
-PREDICT_BLOCK = 2048
-
 
 class DivergenceError(RuntimeError):
     """Residuals are growing; the learning rate exceeds the stable range."""
@@ -85,26 +82,34 @@ def feature_matrix(X, Q, tau_final) -> np.ndarray:
     Z.T @ Z reproduces the empirical kernel matrix exactly.
     """
     A = activation_matrix(Q, X, tau_final)  # (m, n)
-    return A / np.sqrt(A.shape[0])
+    A /= np.sqrt(A.shape[0])
+    return A
 
 
 def predict(a, X, Q, tau_final) -> np.ndarray:
     """Network values (1/sqrt(m)) * sum_r a_r * sigma_tau(x, q_r) on rows of X.
 
-    Point rows are processed in blocks so fresh evaluation sets of any size
-    never materialize an m-by-n matrix; each output entry is a single
-    m-length contraction, independent of the blocking.
+    Computed as (1/sqrt(m)) * sum_k tau_k * (P_k(X @ Q.T) @ a) over
+    cache-sized row blocks of X, so evaluation sets of any size never
+    materialize an m-by-n matrix; each output entry contracts one full row of
+    m directions, independent of the blocking.
     """
     a = np.asarray(a, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    m = np.asarray(Q).shape[0]
+    X = _require_unit_rows(X, "X")
+    Q = _require_unit_rows(Q, "Q")
+    tau = np.asarray(tau_final, dtype=float)
+    m = Q.shape[0]
     if a.shape != (m,):
         raise ValueError(f"weights have shape {a.shape}, expected ({m},)")
     out = np.empty(X.shape[0])
-    scale = 1.0 / np.sqrt(m)
-    for lo in range(0, X.shape[0], PREDICT_BLOCK):
-        hi = min(lo + PREDICT_BLOCK, X.shape[0])
-        out[lo:hi] = scale * (activation_matrix(X[lo:hi], Q, tau_final) @ a)
+    base = tau[0] * np.sum(a)  # P_0 = 1
+    for rows, degrees in gegenbauer_blocks(X, Q, X.shape[1], tau.size - 1):
+        acc = out[rows]
+        acc[...] = base
+        for k, P in degrees:
+            if tau[k] != 0.0:
+                acc += tau[k] * (P @ a)
+    out /= np.sqrt(m)
     return out
 
 
@@ -213,6 +218,8 @@ def train(
         raise ValueError(f"need at least one step, got T={T}")
     if lowrank not in ("auto", "never", "always"):
         raise ValueError(f"unknown lowrank mode {lowrank!r}")
+    if eta <= 0:
+        raise ValueError(f"learning rate must be positive, got {eta}")
     Z = feature_matrix(dataset.S, Q, tau_final)
     m, n = Z.shape
     y = np.asarray(dataset.y, dtype=float)
@@ -230,22 +237,17 @@ def train(
             if factors is None and lowrank == "always":
                 raise RuntimeError("low-rank factorization failed verification")
 
-    if factors is None:
-        state = TrainerState(a=np.zeros(m), t=0, eta=float(eta), Z=Z)
-        _record(trace, -y, -f_star, state.a, record_weights)  # yhat(0) = 0
-        for _ in range(T):
-            state = gd_step(state, y)
-            yhat = state.Z.T @ state.a
-            _record(trace, yhat - y, yhat - f_star, state.a, record_weights)
-            _check_divergence(trace.residual_norm, state.t)
-        return state, trace
+    # one loop for both paths: a(t) = QL @ c(t) on the factors of Z = QL @ B,
+    # and a(t) = c(t) with B = Z on the plain path
+    QL, B = factors if factors is not None else (None, Z)
 
-    QL, B = factors
-    # same update, evaluated through Z = QL @ B:  a(t) = QL @ c(t)
+    def weights(c):
+        return c if QL is None else QL @ c
+
     c = np.zeros(B.shape[0])
-    _record(trace, -y, -f_star, QL @ c, record_weights)
+    yhat = np.zeros(n)
+    _record(trace, -y, -f_star, weights(c), record_weights)
     for t in range(1, T + 1):
-        yhat = B.T @ c
         resid = yhat - y
         if not np.all(np.isfinite(resid)):
             raise DivergenceError(
@@ -254,9 +256,10 @@ def train(
             )
         c = c - (eta / n) * (B @ resid)
         yhat = B.T @ c
-        _record(trace, yhat - y, yhat - f_star, QL @ c if record_weights else c, record_weights)
+        _record(trace, yhat - y, yhat - f_star, weights(c) if record_weights else None,
+                record_weights)
         _check_divergence(trace.residual_norm, t)
-    state = TrainerState(a=QL @ c, t=T, eta=float(eta), Z=Z)
+    state = TrainerState(a=weights(c), t=T, eta=float(eta), Z=Z)
     return state, trace
 
 

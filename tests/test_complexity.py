@@ -7,7 +7,6 @@ from sphattn import (
     KernelSpectrum,
     critical_radius,
     cumulative_dim,
-    empirical_complexity,
     empirical_loss,
     empirical_spectrum,
     eval_target,
@@ -47,7 +46,7 @@ class TestComplexity:
 
     def test_two_eigenvalues(self):
         spec = KernelSpectrum(eigenvalues=np.array([4.0, 1.0]), n=2)
-        assert empirical_complexity(spec, 1.0) == pytest.approx(1.0)
+        assert kernel_complexity(spec, 1.0) == pytest.approx(1.0)
 
     def test_saturates_at_trace(self):
         rng = np.random.default_rng(0)

@@ -156,6 +156,19 @@ class TestSelectionRuns:
         cfg2 = ExperimentConfig.from_sources({**SELECT_KW, "epsilon0": rec}, {})
         assert run_channel_selection_trials(cfg2).aggregates["success_rate"] == 1.0
 
+    def test_calibration_threads_do_not_change_report(self, tmp_path):
+        kw = {"d": 3, "ell0": 1, "L": 2, "n": 200, "m": 150, "sigma0": 0.1,
+              "num_seeds": 4, "base_seed": 5}
+        paths = []
+        for threads in (1, 2):
+            report = calibrate_epsilon0(
+                ExperimentConfig.from_sources({**kw, "threads": threads}, {})
+            )
+            report.config.pop("threads")  # the echo records the thread count
+            paths.append(tmp_path / f"cal{threads}.json")
+            emit_report(report, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestTrainingRuns:
     def test_training_run_report(self):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphattn.harmonics as harmonics_mod
 from sphattn import (
     cumulative_dim,
     gegenbauer_all,
-    gegenbauer_matrix,
+    gegenbauer_blocks,
+    gegenbauer_weighted_matrix,
     gegenbauer_weighted_sum,
     harmonic_dim,
     sample_sphere,
@@ -154,20 +156,22 @@ class TestGegenbauerAll:
 
 
 class TestGegenbauerMatrix:
+    """gegenbauer_all applied to matrices of pairwise dot products."""
+
     def test_all_ones_input(self):
-        out = gegenbauer_matrix(np.ones((3, 3)), 4, 2)
+        out = gegenbauer_all(np.ones((3, 3)), 4, 2)
         assert out.shape == (3, 3, 3)
         assert np.array_equal(out, np.ones((3, 3, 3)))
 
     def test_single_entry(self):
-        out = gegenbauer_matrix(np.array([[0.5]]), 3, 2)
+        out = gegenbauer_all(np.array([[0.5]]), 3, 2)
         np.testing.assert_allclose(out[:, 0, 0], [1.0, 0.5, -0.125], atol=1e-15)
 
     def test_preserves_symmetry(self):
         rng = np.random.default_rng(2)
         A = rng.uniform(-1, 1, size=(6, 6))
         G = (A + A.T) / 2
-        out = gegenbauer_matrix(G, 5, 4)
+        out = gegenbauer_all(G, 5, 4)
         for sl in out:
             assert np.array_equal(sl, sl.T)
 
@@ -175,7 +179,7 @@ class TestGegenbauerMatrix:
         G = np.zeros((2, 2))
         G[1, 0] = 1.5
         with pytest.raises(ValueError, match=r"\(1, 0\)"):
-            gegenbauer_matrix(G, 3, 2)
+            gegenbauer_all(G, 3, 2)
 
 
 class TestWeightedSum:
@@ -183,13 +187,52 @@ class TestWeightedSum:
         rng = np.random.default_rng(3)
         G = rng.uniform(-1, 1, size=(10, 7))
         w = rng.standard_normal(6)
-        stack = gegenbauer_matrix(G, 5, 5)
+        stack = gegenbauer_all(G, 5, 5)
         expected = np.tensordot(w, stack, axes=1)
         np.testing.assert_allclose(gegenbauer_weighted_sum(G, 5, w), expected, atol=1e-13)
 
     def test_single_degree(self):
         G = np.array([0.3, -0.7])
         np.testing.assert_allclose(gegenbauer_weighted_sum(G, 4, [2.0]), [2.0, 2.0])
+
+
+class TestGegenbauerBlocks:
+    @pytest.mark.parametrize("block_entries", [1, 7 * 40, 1 << 16])
+    def test_matches_stack_for_any_block_size(self, monkeypatch, block_entries):
+        monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", block_entries)
+        A, B = sample_sphere(33, 5, 40), sample_sphere(40, 5, 41)
+        stack = np.zeros((6, 33, 40))
+        seen = np.zeros(33, dtype=int)
+        for rows, degrees in gegenbauer_blocks(A, B, 5, 5):
+            seen[rows] += 1
+            stack[0, rows] = 1.0
+            for k, P in degrees:
+                stack[k, rows] = P
+        assert np.all(seen == 1)
+        np.testing.assert_allclose(stack, gegenbauer_all(A @ B.T, 5, 5), rtol=0, atol=1e-14)
+
+    def test_weighted_matrix_matches_weighted_sum(self, monkeypatch):
+        monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", 3 * 25)
+        A, B = sample_sphere(20, 4, 42), sample_sphere(25, 4, 43)
+        w = [0.5, 0.0, 2.0, -1.0]
+        np.testing.assert_allclose(
+            gegenbauer_weighted_matrix(A, B, 4, w),
+            gegenbauer_weighted_sum(A @ B.T, 4, w),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    def test_reports_offending_index_in_later_block(self, monkeypatch):
+        monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", 2 * 6)
+        A, B = sample_sphere(9, 3, 44), sample_sphere(6, 3, 45)
+        A[7] = B[4] * (1.0 + 5e-9)
+        with pytest.raises(ValueError, match=r"dot product .* at index \(7, 4\)"):
+            for _ in gegenbauer_blocks(A, B, 3, 2):
+                pass
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            gegenbauer_blocks(np.ones((2, 3)), np.ones((2, 4)), 3, 2)
 
 
 class TestSampleSphere:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import d2_explicit
-import sphattn.selection as selection_mod
+import sphattn.harmonics as harmonics_mod
 from sphattn import (
     EmptySelectionError,
     gen_dataset,
     make_target,
     one_step_channel_weights,
     one_step_second_layer,
+    one_step_updates,
     sample_sphere,
     select_channels,
     threshold_channels,
@@ -98,10 +99,56 @@ class TestOneStepChannelWeights:
         Q = sample_sphere(600, 3, 11)
         a1 = one_step_second_layer(ds, Q, 2)
         tau_big = one_step_channel_weights(ds, Q, a1, 2)
-        monkeypatch.setattr(selection_mod, "BLOCK", 64)
+        monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", 64 * ds.n)
         a1_small = one_step_second_layer(ds, Q, 2)
         tau_small = one_step_channel_weights(ds, Q, a1_small, 2)
         np.testing.assert_allclose(tau_small, tau_big, rtol=1e-11)
+
+
+class TestOneStepUpdates:
+    def test_matches_public_wrappers(self):
+        target = make_target(4, 2, [1.0, 0.5, 1.0], 21)
+        ds = gen_dataset(target, 70, 0.2, 22)
+        Q = sample_sphere(90, 4, 23)
+        a1, tau = one_step_updates(ds, Q, 3)
+        a1_ref = one_step_second_layer(ds, Q, 3)
+        np.testing.assert_array_equal(a1, a1_ref)
+        np.testing.assert_array_equal(tau, one_step_channel_weights(ds, Q, a1_ref, 3))
+
+    def test_degree_zero_only(self):
+        ds, q = _single_point_dataset()
+        a1, tau = one_step_updates(ds, q, 0)
+        # a1 = N(2,0) * y = 2, tau_0 = y * a1 = 4
+        np.testing.assert_allclose(a1, [2.0], atol=1e-15)
+        np.testing.assert_allclose(tau, [4.0], atol=1e-15)
+
+    def test_rejects_dot_product_outside_band(self):
+        target = make_target(3, 1, [1.0, 1.0], 24)
+        ds = gen_dataset(target, 40, 0.1, 25)
+        S = ds.S.copy()
+        Q = sample_sphere(30, 3, 26)
+        # both rows pass the 1e-8 unit-norm check, their dot product does not
+        S[5] = Q[7] * (1.0 + 5e-9)
+        bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
+        with pytest.raises(ValueError, match=r"dot product outside .* at index \(7, 5\)"):
+            one_step_updates(bad, Q, 2)
+        with pytest.raises(ValueError, match="dot product outside"):
+            select_channels(bad, Q, 2, epsilon0=0.1)
+
+    def test_allocates_no_m_by_n_array(self):
+        import tracemalloc
+
+        target = make_target(5, 1, [1.0, 1.0], 27)
+        ds = gen_dataset(target, 1500, 0.1, 28)
+        Q = sample_sphere(1200, 5, 29)
+        one_step_updates(ds, Q, 4)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            one_step_updates(ds, Q, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ds.n * Q.shape[0] / 4
 
 
 class TestThreshold:
@@ -150,6 +197,15 @@ class TestMatrixFreeAgainstExplicitBasis:
         a1_ref, tau_ref = d2_explicit.one_step_explicit(ds.S, ds.y, Q, L)
         np.testing.assert_allclose(a1, a1_ref, rtol=1e-10)
         np.testing.assert_allclose(tau, tau_ref, rtol=1e-10, atol=1e-12)
+
+    def test_single_pass_on_circle(self):
+        target = make_target(2, 2, [1.0, 0.5, 1.0], 30)
+        ds = gen_dataset(target, 130, 0.3, 31)
+        Q = sample_sphere(100, 2, 32)
+        a1, tau = one_step_updates(ds, Q, 5)
+        a1_ref, tau_ref = d2_explicit.one_step_explicit(ds.S, ds.y, Q, 5)
+        np.testing.assert_allclose(a1, a1_ref, rtol=1e-10)
+        np.testing.assert_allclose(tau, tau_ref, rtol=1e-10)
 
 
 class TestSelectChannels:

@@ -72,6 +72,16 @@ class TestPredict:
         Z = feature_matrix(ds.S, Q, tau)
         np.testing.assert_allclose(predict(a, ds.S, Q, tau), Z.T @ a, atol=1e-12)
 
+    def test_block_size_independent(self, monkeypatch):
+        import sphattn.harmonics as harmonics_mod
+
+        _, ds, Q, tau = _setup(n=50, m=70)
+        a = np.random.default_rng(5).standard_normal(70)
+        ref = predict(a, ds.S, Q, tau)
+        for entries in (1, 3 * 70, 7 * 70):
+            monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", entries)
+            np.testing.assert_allclose(predict(a, ds.S, Q, tau), ref, rtol=1e-13, atol=1e-15)
+
     def test_training_set_predictions_match_gd_outputs(self):
         _, ds, Q, tau = _setup(n=30, m=60)
         state, trace = train(ds, Q, tau, eta=0.2, T=40, lowrank="never")
@@ -97,11 +107,24 @@ class TestGdStep:
             state = gd_step(state, np.zeros(10))
         assert np.array_equal(state.a, np.zeros(20))
 
+    def test_plain_training_loop_repeats_gd_step_bit_for_bit(self):
+        _, ds, Q, tau = _setup(n=40, m=90)
+        state, trace = train(ds, Q, tau, eta=0.3, T=25, record_weights=True, lowrank="never")
+        ref = TrainerState(a=np.zeros(90), t=0, eta=0.3, Z=feature_matrix(ds.S, Q, tau))
+        for t in range(1, 26):
+            ref = gd_step(ref, ds.y)
+            resid = ref.Z.T @ ref.a - ds.y
+            assert trace.loss[t] == float(resid @ resid) / 40
+            assert np.array_equal(trace.weights[t], ref.a)
+        assert np.array_equal(state.a, ref.a)
+
     def test_rejects_non_positive_eta(self):
         _, ds, Q, tau = _setup(n=10, m=20)
         state = TrainerState(a=np.zeros(20), t=0, eta=0.0, Z=feature_matrix(ds.S, Q, tau))
         with pytest.raises(ValueError):
             gd_step(state, ds.y)
+        with pytest.raises(ValueError, match="learning rate"):
+            train(ds, Q, tau, eta=0.0, T=3, lowrank="always")
 
 
 class TestClosedFormResidual:
