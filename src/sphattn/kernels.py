@@ -49,6 +49,15 @@ def _require_unit_rows(X: np.ndarray, name: str) -> np.ndarray:
     return X
 
 
+def _require_unit_pair(X, Q) -> tuple:
+    """Points X and directions Q as unit-row matrices of the same dimension."""
+    X = _require_unit_rows(X, "X")
+    Q = _require_unit_rows(Q, "Q")
+    if X.shape[1] != Q.shape[1]:
+        raise ValueError(f"dimension mismatch: X has d={X.shape[1]}, Q has d={Q.shape[1]}")
+    return X, Q
+
+
 def finalized_weights(d: int, mask) -> np.ndarray:
     """Channel weights after selection: sqrt(N(d, k)) where mask[k], else 0."""
     mask = np.asarray(mask, dtype=bool)
@@ -80,10 +89,7 @@ def activation_matrix(X, Q, tau) -> np.ndarray:
     The dot products and the recurrence run in cache-sized row blocks; only
     the output is allocated at full size.
     """
-    X = _require_unit_rows(X, "X")
-    Q = _require_unit_rows(Q, "Q")
-    if X.shape[1] != Q.shape[1]:
-        raise ValueError(f"dimension mismatch: X has d={X.shape[1]}, Q has d={Q.shape[1]}")
+    X, Q = _require_unit_pair(X, Q)
     return gegenbauer_weighted_matrix(X, Q, X.shape[1], tau)
 
 

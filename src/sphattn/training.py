@@ -16,17 +16,28 @@ exact closed-form recursion u(t+1) = (I - eta * Khat_n) u(t) with
 Khat_n = Z.T Z / n, i.e. u(t) = (I - eta * Khat_n)^t (-y).  That closed form
 is implemented independently in :func:`closed_form_residual` and serves as
 the strongest correctness oracle for the trainer.
+
+The activation is a polynomial of degree ell_hat in <x, q>, so Z has the
+exact factorization Z = U @ V.T through the monomials of the points and the
+directions, with p columns.  When that costs fewer flops, :func:`train` runs
+the same update on those factors at O((m + n) * p) per step and never
+allocates Z; the factors are verified against the recurrence in a streamed
+pass, and a failed check warns and falls back to the m x n matrix (see the
+exact low-rank fast path below).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .harmonics import gegenbauer_blocks
-from .kernels import _require_unit_rows, activation_matrix
+from .kernels import _require_unit_pair, activation_matrix
 from .targets import LabeledDataset
 
 __all__ = [
@@ -52,12 +63,17 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainerState:
-    """Second-layer weights, step counter, and the frozen feature matrix."""
+    """Second-layer weights, step counter, and the frozen feature matrix.
+
+    Z is the m x n feature matrix on the plain path and None on the factored
+    path of :func:`train`, which never forms it; feature_matrix(X, Q, tau)
+    rebuilds it when needed.
+    """
 
     a: np.ndarray
     t: int
     eta: float
-    Z: np.ndarray
+    Z: np.ndarray | None
 
 
 @dataclass
@@ -89,18 +105,26 @@ def feature_matrix(X, Q, tau_final) -> np.ndarray:
 def predict(a, X, Q, tau_final) -> np.ndarray:
     """Network values (1/sqrt(m)) * sum_r a_r * sigma_tau(x, q_r) on rows of X.
 
-    Computed as (1/sqrt(m)) * sum_k tau_k * (P_k(X @ Q.T) @ a) over
-    cache-sized row blocks of X, so evaluation sets of any size never
-    materialize an m-by-n matrix; each output entry contracts one full row of
-    m directions, independent of the blocking.
+    When tau has no channel above degree 1, sigma_tau(x, q) = tau_0 +
+    tau_1 * <x, q> and the sum is exactly (tau_0 * sum(a) +
+    tau_1 * X @ (Q.T @ a)) / sqrt(m).  Otherwise it is computed as
+    (1/sqrt(m)) * sum_k tau_k * (P_k(X @ Q.T) @ a) over cache-sized row blocks
+    of X, so evaluation sets of any size never materialize an m-by-n matrix;
+    each output entry contracts one full row of m directions, independent of
+    the blocking.
     """
     a = np.asarray(a, dtype=float)
-    X = _require_unit_rows(X, "X")
-    Q = _require_unit_rows(Q, "Q")
+    X, Q = _require_unit_pair(X, Q)
     tau = np.asarray(tau_final, dtype=float)
     m = Q.shape[0]
     if a.shape != (m,):
         raise ValueError(f"weights have shape {a.shape}, expected ({m},)")
+    if not np.any(tau[2:]):
+        out = np.full(X.shape[0], tau[0] * np.sum(a))
+        if tau.size > 1:
+            out += tau[1] * (X @ (Q.T @ a))
+        out /= np.sqrt(m)
+        return out
     out = np.empty(X.shape[0])
     base = tau[0] * np.sum(a)  # P_0 = 1
     for rows, degrees in gegenbauer_blocks(X, Q, X.shape[1], tau.size - 1):
@@ -114,7 +138,16 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
 
 
 def gd_step(state: TrainerState, y) -> TrainerState:
-    """One exact gradient step on the quadratic loss; increments t."""
+    """One exact gradient step on the quadratic loss; increments t.
+
+    Needs the state's feature matrix: a state from the factored path of
+    :func:`train` (Z is None) is rejected.
+    """
+    if state.Z is None:
+        raise ValueError(
+            "gd_step needs the feature matrix, but state.Z is None (a state from "
+            "train's factored path); set state.Z = feature_matrix(X, Q, tau) first"
+        )
     if state.eta <= 0:
         raise ValueError(f"learning rate must be positive, got {state.eta}")
     y = np.asarray(y, dtype=float)
@@ -150,47 +183,164 @@ def _check_divergence(norms: list, t: int) -> None:
 
 # --- exact low-rank fast path -------------------------------------------------
 #
-# The activation keeps only channels of degree <= ell_hat, so every row of Z
-# is a degree-ell_hat polynomial of the sample points and rank(Z) is at most
-# the total harmonic dimension of the kept channels.  A seeded Gaussian
-# sketch captures that range exactly (up to rounding); after verifying the
-# factorization residual, the same GD arithmetic runs on the factors at
-# O((m + n) * rank) per step instead of O(m * n).  Falls back to the plain
-# loop whenever the verification fails.
+# With frozen channels the activation is a polynomial of degree ell_hat in
+# t = <x, q>:  sigma_tau(t) = sum_k tau_k P_k(t) = sum_j g_j t^j,  g = tau @ C,
+# where C[k, j] is the coefficient of t^j in P_k.  Expanding each power by the
+# multinomial theorem, <x, q>^j = sum_{|alpha| = j} w_alpha x^alpha q^alpha,
+# factors the feature matrix exactly as Z = U @ V.T with
+#
+#     U[r, (j, alpha)] = g_j * w_alpha * q_r^alpha / sqrt(m)     (m x p)
+#     V[i, (j, alpha)] = x_i^alpha                               (n x p)
+#
+# over the degrees j with g_j != 0, so p = sum_j C(j + d - 1, d - 1).  A thin
+# QR, U = QL @ R, gives Z = QL @ B with orthonormal QL and B = R @ V.T, and
+# the GD loop runs on (QL, B) at O((m + n) * p) per step.  Z itself is never
+# formed: the factors are verified against the Gegenbauer recurrence in a
+# streamed pass over row blocks, which shares no code with the expansion.
+# The expansion loses digits at high degree; when the relative Frobenius
+# residual exceeds _FACTOR_RTOL, "auto" warns and falls back to the plain
+# loop on the m x n matrix, and "always" raises.
+#
+# "auto" picks the path with the smaller floating-point operation count
+# (_factored_is_cheaper).  Both paths walk the recurrence over all m * n pairs
+# once, the plain path to build Z and the factored path to check its factors,
+# so that term cancels; the model counts flops only and was not fitted to
+# timings.
 
-_SKETCH_SEED = 0x5EED  # fixed: train stays a pure function of its arguments
 _FACTOR_RTOL = 1e-10
-_LOWRANK_MIN_ENTRIES = 1 << 22
-_LOWRANK_MIN_STEPS = 16
 
 
-def _rank_cap(d: int, tau_final) -> int:
-    from .harmonics import harmonic_dim
+def _power_coefficients(d: int, tau: np.ndarray) -> np.ndarray:
+    """g with sum_k tau_k P_k(t) = sum_j g_j t^j, by the recurrence on coefficients."""
+    L = tau.size - 1
+    C = np.zeros((L + 1, L + 1))
+    C[0, 0] = 1.0
+    if L >= 1:
+        C[1, 1] = 1.0
+    for k in range(1, L):
+        # (k + d - 2) * P_{k+1} = (2k + d - 2) * t * P_k - k * P_{k-1}
+        C[k + 1, 1:] = (2 * k + d - 2) * C[k, :-1]
+        C[k + 1] -= k * C[k - 1]
+        C[k + 1] /= k + d - 2
+    return tau @ C
 
-    return int(
-        sum(harmonic_dim(d, k) for k, w in enumerate(np.asarray(tau_final)) if w != 0.0)
+
+def _factor_width(d: int, g: np.ndarray) -> int:
+    """Number of monomials x^alpha over the degrees j with g_j != 0."""
+    return sum(math.comb(int(j) + d - 1, d - 1) for j in np.flatnonzero(g))
+
+
+def _factored_is_cheaper(m: int, n: int, p: int, T: int) -> bool:
+    """Whether T factored steps at width p cost fewer flops than T plain steps.
+
+    Beyond the shared recurrence walk, the factored path pays the check's
+    block products B.T @ QL.T (2 m n p), the QR of U (2 m p^2), B = R @ V.T
+    (2 n p^2) and 4 n p per step; the plain path pays 4 m n per step.
+    """
+    return p * (m * n + (m + n) * p + 2 * T * n) < 2 * T * m * n
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(d: int, j: int) -> tuple:
+    """The degree-j monomials in d variables as (parent, var, weight, alpha).
+
+    Monomial i is alpha[i] = alpha_{j-1}[parent[i]] + e_{var[i]}; var[i] is
+    at least the parent's largest variable, so each exponent vector comes
+    once.  weight[i] = j! / prod(alpha[i]!) is its multinomial coefficient.
+    """
+    if j == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.ones(1), np.zeros((1, d), np.intp)
+    prev = _monomial_table(d, j - 1)[3]
+    pairs = [
+        (i, v)
+        for i, row in enumerate(prev)
+        for v in range(int(np.flatnonzero(row)[-1]) if row.any() else 0, d)
+    ]
+    parent, var = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+    alpha = prev[parent]
+    alpha[np.arange(var.size), var] += 1
+    fact = math.factorial(j)
+    weight = np.array(
+        [fact // math.prod(math.factorial(e) for e in row) for row in alpha.tolist()],
+        dtype=float,
     )
+    return parent, var, weight, alpha
 
 
-def _try_factor(Z: np.ndarray, rank_cap: int):
-    m, n = Z.shape
-    s = min(rank_cap + 8, m, n)
-    rng = np.random.default_rng(_SKETCH_SEED)
-    omega = rng.standard_normal((n, s))
-    QL, _ = np.linalg.qr(Z @ omega)  # (m, s) orthonormal
-    B = QL.T @ Z  # (s, n)
-    # blockwise Frobenius residual of Z - QL @ B, no m-by-n temporary
-    err2 = 0.0
-    ref2 = 0.0
-    step = max(1, (1 << 22) // max(m, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        diff = Z[:, lo:hi] - QL @ B[:, lo:hi]
-        err2 += float(np.sum(diff * diff))
-        ref2 += float(np.sum(Z[:, lo:hi] ** 2))
-    if err2 > (_FACTOR_RTOL**2) * max(ref2, 1e-300):
-        return None
-    return QL, B
+def _monomial_powers(A: np.ndarray, J: int):
+    """Yield (j, A^alpha over the degree-j monomials), shape (len(A), count), j = 0..J."""
+    M = np.ones((A.shape[0], 1))
+    yield 0, M
+    for j in range(1, J + 1):
+        parent, var, _, _ = _monomial_table(A.shape[1], j)
+        M = M[:, parent] * A[:, var]
+        yield j, M
+
+
+def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
+    """(U, V) with U @ V.T = Z, from the monomial expansion of sum_j g_j t^j."""
+    m, d = Q.shape
+    J = int(np.flatnonzero(g)[-1]) if np.any(g) else 0
+    us, vs = [np.zeros((m, 0))], [np.zeros((X.shape[0], 0))]
+    for (j, Mq), (_, Mx) in zip(_monomial_powers(Q, J), _monomial_powers(X, J)):
+        if g[j] != 0.0:
+            us.append(Mq * (g[j] / np.sqrt(m) * _monomial_table(d, j)[2]))
+            vs.append(Mx)
+    return np.concatenate(us, axis=1), np.concatenate(vs, axis=1)
+
+
+def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> float:
+    """Relative Frobenius error of QL @ B against Z, with Z from the recurrence.
+
+    Walks Z.T = sum_k tau_k P_k(X @ Q.T) / sqrt(m) in gegenbauer_blocks row
+    blocks and compares each with the same rows of B.T @ QL.T; besides the
+    walk's own buffers it allocates two blocks.
+    """
+    m = Q.shape[0]
+    err2 = ref2 = 0.0
+    zbuf = pbuf = None
+    for rows, degrees in gegenbauer_blocks(X, Q, X.shape[1], tau.size - 1):
+        h = rows.stop - rows.start
+        if zbuf is None:
+            zbuf, pbuf = np.empty((h, m)), np.empty((h, m))
+        z, pred = zbuf[:h], pbuf[:h]
+        z[...] = tau[0]
+        for k, P in degrees:
+            if tau[k] != 0.0:
+                np.multiply(P, tau[k], out=pred)
+                z += pred
+        z /= np.sqrt(m)
+        np.matmul(B[:, rows].T, QL.T, out=pred)
+        ref2 += float(np.vdot(z, z))
+        z -= pred
+        err2 += float(np.vdot(z, z))
+    if ref2 > 0.0:
+        return math.sqrt(err2 / ref2)
+    return 0.0 if err2 == 0.0 else math.inf
+
+
+def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray,
+                strict: bool = False):
+    """Verified exact factors (QL, B) of Z, or None after a RuntimeWarning.
+
+    g = _power_coefficients(d, tau) are the power coefficients of sigma_tau.
+    With strict, a failed verification raises RuntimeError instead.
+    """
+    U, V = _exact_factors(X, Q, g)
+    QL, R = np.linalg.qr(U)
+    B = R @ V.T
+    resid = _factor_residual(X, Q, tau, QL, B)
+    if resid <= _FACTOR_RTOL:
+        return QL, B
+    msg = (
+        f"exact low-rank factors failed verification: relative residual "
+        f"{resid:.3e} > {_FACTOR_RTOL:g} at factor width p = {U.shape[1]}"
+    )
+    if strict:
+        raise RuntimeError(msg)
+    warnings.warn(msg + "; falling back to the m x n feature matrix", RuntimeWarning,
+                  stacklevel=3)
+    return None
 
 
 def train(
@@ -206,13 +356,17 @@ def train(
 
     Parameters
     ----------
-    lowrank : "auto" uses the verified factored evaluation of the same update
-        when the feature matrix is large and provably low rank; "never"
-        forces the plain per-step matrix products; "always" requires the
-        factored path and raises if verification fails.
+    lowrank : "auto" runs the same update on verified exact factors of the
+        feature matrix when that costs fewer flops for these m, n, T and
+        factor width p (the number of monomials in the expansion of
+        sigma_tau), and otherwise, or with a RuntimeWarning when
+        verification fails, on the m x n matrix itself; "never" forces the
+        plain matrix; "always" requires the factored path and raises
+        RuntimeError if verification fails.
 
-    Returns (TrainerState, TrainingTrace).  Raises DivergenceError when the
-    residuals blow up (learning rate beyond the stable range).
+    Returns (TrainerState, TrainingTrace); the state's Z is None on the
+    factored path.  Raises DivergenceError when the residuals blow up
+    (learning rate beyond the stable range).
     """
     if T < 1:
         raise ValueError(f"need at least one step, got T={T}")
@@ -220,25 +374,23 @@ def train(
         raise ValueError(f"unknown lowrank mode {lowrank!r}")
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
-    Z = feature_matrix(dataset.S, Q, tau_final)
-    m, n = Z.shape
+    X, Q = _require_unit_pair(dataset.S, Q)
+    tau = np.asarray(tau_final, dtype=float)
+    m, n = Q.shape[0], X.shape[0]
     y = np.asarray(dataset.y, dtype=float)
     f_star = np.asarray(dataset.f_star_S, dtype=float)
     trace = TrainingTrace(weights=[] if record_weights else None)
 
     factors = None
     if lowrank != "never":
-        cap = _rank_cap(dataset.d, tau_final)
-        # worthwhile once the factorization passes (a handful of sweeps over
-        # Z) cost less than T plain steps (two sweeps each)
-        big = m * n >= _LOWRANK_MIN_ENTRIES and T >= _LOWRANK_MIN_STEPS
-        if lowrank == "always" or (big and cap + 8 < min(m, n) // 4):
-            factors = _try_factor(Z, cap)
-            if factors is None and lowrank == "always":
-                raise RuntimeError("low-rank factorization failed verification")
+        d = X.shape[1]
+        g = _power_coefficients(d, tau)
+        if lowrank == "always" or _factored_is_cheaper(m, n, _factor_width(d, g), T):
+            factors = _try_factor(X, Q, tau, g, strict=lowrank == "always")
 
     # one loop for both paths: a(t) = QL @ c(t) on the factors of Z = QL @ B,
     # and a(t) = c(t) with B = Z on the plain path
+    Z = feature_matrix(X, Q, tau) if factors is None else None
     QL, B = factors if factors is not None else (None, Z)
 
     def weights(c):

@@ -11,6 +11,7 @@ from sphattn import (
     closed_form_residual,
     empirical_gram,
     feature_matrix,
+    finalized_weights,
     gd_step,
     gen_dataset,
     gram_spectrum,
@@ -21,6 +22,7 @@ from sphattn import (
     sample_sphere,
     train,
 )
+from sphattn import training
 from sphattn.training import trace_to_csv
 
 
@@ -71,6 +73,27 @@ class TestPredict:
         a = rng.standard_normal(35)
         Z = feature_matrix(ds.S, Q, tau)
         np.testing.assert_allclose(predict(a, ds.S, Q, tau), Z.T @ a, atol=1e-12)
+
+    def test_degree_one_closed_form_matches_feature_matrix(self):
+        _, ds, Q, tau = _setup(d=5, ell0=1, n=40, m=70)
+        a = np.random.default_rng(6).standard_normal(70)
+        Z = feature_matrix(ds.S, Q, tau)
+        np.testing.assert_allclose(predict(a, ds.S, Q, tau), Z.T @ a, rtol=0, atol=1e-12)
+        # zero-padded higher channels take the same closed form
+        padded = np.concatenate([tau, [0.0, 0.0]])
+        np.testing.assert_allclose(predict(a, ds.S, Q, padded), Z.T @ a, rtol=0, atol=1e-12)
+
+    def test_degree_one_closed_form_rejects_non_unit_rows(self):
+        _, ds, Q, tau = _setup(d=4, ell0=1, n=10, m=20)
+        a = np.ones(20)
+        X = ds.S.copy()
+        X[3] *= 1.01
+        with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+            predict(a, X, Q, tau)
+        Qb = Q.copy()
+        Qb[5] *= 0.99
+        with pytest.raises(ValueError, match="Q row 5 is not unit-norm"):
+            predict(a, ds.S, Qb, tau)
 
     def test_block_size_independent(self, monkeypatch):
         import sphattn.harmonics as harmonics_mod
@@ -125,6 +148,13 @@ class TestGdStep:
             gd_step(state, ds.y)
         with pytest.raises(ValueError, match="learning rate"):
             train(ds, Q, tau, eta=0.0, T=3, lowrank="always")
+
+    def test_rejects_factored_state(self):
+        _, ds, Q, tau = _setup(n=60, m=200)
+        state, _ = train(ds, Q, tau, eta=0.3, T=3, lowrank="always")
+        assert state.Z is None
+        with pytest.raises(ValueError, match="state.Z is None"):
+            gd_step(state, ds.y)
 
 
 class TestClosedFormResidual:
@@ -214,12 +244,69 @@ class TestTrain:
             train(ds, Q, tau, eta=0.1, T=0)
 
     def test_lowrank_path_matches_plain(self):
+        # oracle channels at ell0 = 2 and 1, and the gapped mask [1, 0, 1]
+        for ell0, mask in ((2, None), (1, None), (2, [1, 0, 1])):
+            _, ds, Q, tau = _setup(ell0=ell0, n=60, m=200, seed=15)
+            if mask is not None:
+                tau = finalized_weights(3, mask)
+            s1, t1 = train(ds, Q, tau, eta=0.3, T=80, lowrank="never")
+            s2, t2 = train(ds, Q, tau, eta=0.3, T=80, lowrank="always")
+            assert s1.Z is not None and s2.Z is None
+            np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
+            np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
+            np.testing.assert_allclose(t2.clean_loss, t1.clean_loss, rtol=1e-9, atol=1e-14)
+
+    def test_auto_takes_the_cheaper_path(self):
+        # d = 3, ell0 = 2: factor width p = 1 + 3 + 6 = 10.  Over 80 steps
+        # the factors cost fewer flops than the 200 x 60 matrix
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
-        s1, t1 = train(ds, Q, tau, eta=0.3, T=80, lowrank="never")
-        s2, t2 = train(ds, Q, tau, eta=0.3, T=80, lowrank="always")
-        np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
-        np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
-        np.testing.assert_allclose(t2.clean_loss, t1.clean_loss, rtol=1e-9, atol=1e-14)
+        assert training._factored_is_cheaper(200, 60, 10, 80)
+        state, _ = train(ds, Q, tau, eta=0.3, T=80)
+        assert state.Z is None
+        # over 5 steps the check and the QR outweigh the saving
+        assert not training._factored_is_cheaper(200, 60, 10, 5)
+        state, _ = train(ds, Q, tau, eta=0.3, T=5)
+        assert state.Z is not None and state.Z.shape == (200, 60)
+
+    def test_cost_rule_weighs_width_and_steps(self):
+        # the flop counts cross where p * (m n + (m + n) p + 2 T n) = 2 T m n
+        m = n = 2000
+        assert training._factored_is_cheaper(m, n, 7, 62)
+        # d = 8, channels 0..4: p = 495 monomials cost more than 62 plain steps
+        assert not training._factored_is_cheaper(m, n, 495, 62)
+        # a width at or above m never pays, however many steps
+        assert not training._factored_is_cheaper(m, n, m, 10**6)
+        assert training._factored_is_cheaper(m, n, 0, 1)
+
+    def test_failed_verification_warns_and_falls_back(self, monkeypatch):
+        _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, lowrank="never")
+        monkeypatch.setattr(training, "_FACTOR_RTOL", 0.0)
+        with pytest.warns(RuntimeWarning, match=r"relative residual .* factor width p = 10"):
+            state, trace = train(ds, Q, tau, eta=0.3, T=30, lowrank="auto")
+        assert state.Z is not None
+        assert np.array_equal(state.a, ref_state.a)
+        assert trace.loss == ref_trace.loss
+        assert trace.clean_loss == ref_trace.clean_loss
+        with pytest.raises(RuntimeError, match="failed verification"):
+            train(ds, Q, tau, eta=0.3, T=30, lowrank="always")
+
+    def test_factored_train_allocates_no_feature_matrix(self):
+        import tracemalloc
+
+        target = make_target(5, 1, [1.0, 1.0], 27)
+        ds = gen_dataset(target, 1500, 0.1, 28)
+        Q = sample_sphere(1200, 5, 29)
+        tau = oracle_weights(5, 1)
+        train(ds, Q, tau, eta=0.5, T=20)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            state, _ = train(ds, Q, tau, eta=0.5, T=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.Z is None
+        assert peak < 8 * ds.n * Q.shape[0] / 4
 
     def test_divergence_detected(self):
         _, ds, Q, tau = _setup(n=40, m=60, seed=16)
@@ -252,3 +339,31 @@ class TestTrain:
         assert rows[0] == ["t", "loss", "residual_norm"]
         assert len(rows) == 7
         assert float(rows[1][1]) == pytest.approx(trace.loss[0])
+
+
+class TestExactFactors:
+    """QL @ B from the monomial expansion against the recurrence-built Z."""
+
+    @pytest.mark.parametrize("d, L", [(2, 3), (3, 2), (6, 1), (8, 4)])
+    def test_factors_reproduce_feature_matrix(self, d, L):
+        X = sample_sphere(70, d, 31)
+        Q = sample_sphere(90, d, 32)
+        for tau in (oracle_weights(d, L), finalized_weights(d, [1, 0, 1]), np.array([0.7, 0, 0])):
+            factors = training._try_factor(X, Q, tau, training._power_coefficients(d, tau))
+            assert factors is not None
+            QL, B = factors
+            np.testing.assert_allclose(QL.T @ QL, np.eye(QL.shape[1]), atol=1e-12)
+            Z = feature_matrix(X, Q, tau)
+            assert np.linalg.norm(QL @ B - Z) <= 1e-12 * np.linalg.norm(Z)
+
+    def test_factor_width_counts_monomials(self):
+        # oracle channels 0..2 in d = 4: 1 + 4 + 10 monomials
+        X, Q = sample_sphere(5, 4, 33), sample_sphere(6, 4, 34)
+        g = training._power_coefficients(4, oracle_weights(4, 2))
+        assert training._factor_width(4, g) == 15
+        assert training._exact_factors(X, Q, g)[0].shape == (6, 15)
+        # the gapped mask [1, 0, 1] has no degree-1 term: 1 + 10
+        g = training._power_coefficients(4, finalized_weights(4, [1, 0, 1]))
+        assert g[1] == 0.0
+        assert training._factor_width(4, g) == 11
+        assert training._exact_factors(X, Q, g)[0].shape == (6, 11)
