@@ -28,7 +28,7 @@ target = make_target(d, ell0, [1.0, 1.0], seed=0)
 dataset = gen_dataset(target, n, sigma0, seed=1)
 Q = sample_sphere(m, d, seed=2)
 
-a1, tau_raw = one_step_updates(dataset, Q, L)  # one pass gives both steps
+a1, tau_raw = one_step_updates(dataset, Q, L)  # both steps from one monomial expansion
 print(f"d={d}, ell0={ell0}, L={L}, n=m={n}")
 print("raw channel weights: ", np.round(tau_raw, 4))
 print("ideal informative values c_k^2/N(d,k):",

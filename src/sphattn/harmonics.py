@@ -10,16 +10,26 @@ recurrence
 numerically stable without renormalization.  For d = 3 these are the classical
 Legendre polynomials, for d = 2 the Chebyshev polynomials cos(k * arccos t).
 
-The recurrence is written once, in :func:`gegenbauer_blocks`' walk: rows of a
-dot-product matrix are taken in blocks of about BLOCK_ENTRIES entries, and
-each degree slice is computed in place in preallocated buffers that fit in
-L2 cache and handed to the caller, who contracts it before the next one.
-The full stack, weighted sums, activation matrices, both one-step selection
-updates and network predictions are all reductions over that walk.
+Two evaluation routes share this module.  The walk, :func:`gegenbauer_blocks`,
+holds the one copy of the recurrence on values: rows of a dot-product matrix
+are taken in blocks of about BLOCK_ENTRIES entries, and each degree slice is
+computed in place in preallocated buffers that fit in L2 cache and handed to
+the caller, who contracts it before the next one.  The full stack, weighted
+sums, activation matrices and network predictions reduce over that walk.
+
+The monomial expansion runs the same recurrence on coefficient vectors
+(:func:`_gegenbauer_coefficients`), so that P_k(t) = sum_j C[k, j] t^j, and
+expands each power of a dot product by the multinomial theorem,
+<a, b>^j = sum_{|alpha| = j} w_alpha a^alpha b^alpha.  Sums over pairs then
+split into sums over the rows of each side, at O((len(A) + len(B)) * p) for
+p monomials: both one-step selection updates (:func:`_power_sums`) and the
+exact stage-two factors are built on it.  :func:`_screen_dots` gives that
+route the walk's domain check without forming the dot products it can clear.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -133,13 +143,18 @@ def _degrees(t: np.ndarray, bufs: list, d: int, L: int):
         yield k + 1, cur
 
 
+def _block_rows(nrows: int, ncols: int) -> int:
+    """Rows per block of a walk over an nrows x ncols matrix."""
+    return min(max(1, BLOCK_ENTRIES // max(ncols, 1)), max(nrows, 1))
+
+
 def _walk(nrows: int, ncols: int, fill, d: int, L: int):
     """Row blocks of an nrows x ncols dot-product matrix with their degree slices.
 
     fill(lo, hi, out) returns the clamped dot products of rows lo:hi, either
     written into `out` or as a view of a matrix the caller holds.
     """
-    rows = min(max(1, BLOCK_ENTRIES // max(ncols, 1)), max(nrows, 1))
+    rows = _block_rows(nrows, ncols)
     t_buf = np.empty((rows, ncols))
     bufs = [np.empty((rows, ncols)) for _ in range(0 if L < 2 else 1 if L == 2 else 3)]
     for lo in range(0, nrows, rows):
@@ -151,6 +166,24 @@ def _walk(nrows: int, ncols: int, fill, d: int, L: int):
 def _check_degree(L: int) -> None:
     if L != int(L) or L < 0:
         raise ValueError(f"maximum degree must be a non-negative integer, got {L}")
+
+
+def _as_pair(A, B) -> tuple:
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError(f"need two matrices with equal row length, got {A.shape} and {B.shape}")
+    return A, B
+
+
+def _dot_fill(A: np.ndarray, B: np.ndarray):
+    """fill(lo, hi, out) for the walk: A[lo:hi] @ B.T in `out`, band-checked and clamped."""
+
+    def fill(lo, hi, out):
+        np.matmul(A[lo:hi], B.T, out=out)
+        return _clamp_domain(out, "dot product", row0=lo, out=out)
+
+    return fill
 
 
 def gegenbauer_blocks(A, B, d: int, L: int):
@@ -165,16 +198,8 @@ def gegenbauer_blocks(A, B, d: int, L: int):
     """
     _check_dim(d)
     _check_degree(L)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise ValueError(f"need two matrices with equal row length, got {A.shape} and {B.shape}")
-
-    def fill(lo, hi, out):
-        np.matmul(A[lo:hi], B.T, out=out)
-        return _clamp_domain(out, "dot product", row0=lo, out=out)
-
-    return _walk(A.shape[0], B.shape[0], fill, d, L)
+    A, B = _as_pair(A, B)
+    return _walk(A.shape[0], B.shape[0], _dot_fill(A, B), d, L)
 
 
 def _given_blocks(t: np.ndarray, d: int, L: int):
@@ -258,6 +283,147 @@ def gegenbauer_weighted_matrix(A, B, d: int, weights) -> np.ndarray:
     w = _check_weights(weights)
     blocks = gegenbauer_blocks(A, B, d, w.size - 1)
     return _weighted_sum(blocks, np.empty((len(A), len(B))), w)
+
+
+def _screen_dots(A, B) -> float:
+    """Check A @ B.T against the band as gegenbauer_blocks(A, B, ...) would.
+
+    Returns max_r |a_r| * max_i |b_i|.  By Cauchy-Schwarz, |<a_r, b_i>| <=
+    |a_r| * max_i |b_i|, so a row of A whose bound lies inside the band can
+    hold no rejected entry.  The rounding of the two norms, of their product
+    and of a computed dot product adds up to about (2d + 4) unit roundoffs;
+    the margin 4 * (d + 2) * eps is four times that.  A NaN bound clears
+    nothing.  Only the walk's row blocks that hold an uncleared row are
+    formed, by the walk's own product and check, so a rejection names the
+    same first (row, col) in row-major order, and the same value, as the walk.
+    """
+    A, B = _as_pair(A, B)
+    bound = np.linalg.norm(A, axis=1) * np.max(np.linalg.norm(B, axis=1))
+    margin = 4 * (A.shape[1] + 2) * np.finfo(float).eps
+    uncleared = ~(bound * (1.0 + margin) <= 1.0 + DOT_TOL)
+    if np.any(uncleared):
+        rows = _block_rows(len(A), len(B))
+        fill, buf = _dot_fill(A, B), np.empty((rows, len(B)))
+        for lo in range(0, len(A), rows):
+            if np.any(uncleared[lo : lo + rows]):
+                hi = min(lo + rows, len(A))
+                fill(lo, hi, buf[: hi - lo])
+    return float(np.max(bound))
+
+
+def _gegenbauer_coefficients(d: int, L: int) -> np.ndarray:
+    """C[k, j], the coefficient of t^j in P_k(t), for k, j = 0..L.
+
+    The three-term recurrence run on coefficient vectors; C is lower
+    triangular and P_k has only powers of the parity of k.
+    """
+    C = np.zeros((L + 1, L + 1))
+    C[0, 0] = 1.0
+    if L >= 1:
+        C[1, 1] = 1.0
+    for k in range(1, L):
+        # (k + d - 2) * P_{k+1} = (2k + d - 2) * t * P_k - k * P_{k-1}
+        C[k + 1, 1:] = (2 * k + d - 2) * C[k, :-1]
+        C[k + 1] -= k * C[k - 1]
+        C[k + 1] /= k + d - 2
+    return C
+
+
+def _power_coefficients(d: int, tau: np.ndarray) -> np.ndarray:
+    """g with sum_k tau_k P_k(t) = sum_j g_j t^j."""
+    return tau @ _gegenbauer_coefficients(d, tau.size - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(d: int, j: int) -> tuple:
+    """The degree-j monomials in d variables as (weight, alpha), one per row.
+
+    For v = 0..d-1 in turn, the degree-(j-1) monomials in the variables 0..v,
+    which are the first C(j - 1 + v, v) of their own order, each times x_v.
+    So the monomials in the variables 0..v again come first, and each
+    exponent vector comes once.  weight = j! / prod(alpha!) is the
+    multinomial coefficient.
+    """
+    if j == 0:
+        return np.ones(1), np.zeros((1, d), np.intp)
+    prev = _monomial_table(d, j - 1)[1]
+    parts = []
+    for v in range(d):
+        part = prev[: math.comb(j - 1 + v, v)].copy()
+        part[:, v] += 1
+        parts.append(part)
+    alpha = np.concatenate(parts)
+    fact = math.factorial(j)
+    weight = np.array(
+        [fact // math.prod(math.factorial(e) for e in row) for row in alpha.tolist()],
+        dtype=float,
+    )
+    return weight, alpha
+
+
+def _monomial_powers(At: np.ndarray, J: int, scratch=None):
+    """Yield (j, M_j) for j = 0..J, M_j[i] = prod_l At[l] ** alpha_i[l].
+
+    At holds one point per column (d x cols); M_j has one row per degree-j
+    monomial alpha_i, in _monomial_table's order, so the block of rows that
+    ends in x_v is a leading slice of M_{j-1} times the row At[v].  With
+    `scratch`, two flat arrays of at least count_J * cols entries, each M_j
+    is written into them in turn and is valid only until the walk resumes.
+    """
+    d, cols = At.shape
+    if scratch is None:
+        M = np.ones((1, cols))
+    else:
+        M = scratch[0][:cols].reshape(1, cols)
+        M[...] = 1.0
+    yield 0, M
+    for j in range(1, J + 1):
+        count = math.comb(j + d - 1, d - 1)
+        if scratch is None:
+            nxt = np.empty((count, cols))
+        else:
+            nxt = scratch[j % 2][: count * cols].reshape(count, cols)
+        lo = 0
+        for v in range(d):
+            hi = lo + math.comb(j - 1 + v, v)
+            np.multiply(M[: hi - lo], At[v], out=nxt[lo:hi])
+            lo = hi
+        M = nxt
+        yield j, M
+
+
+def _power_sums(A, B, y, L: int) -> np.ndarray:
+    """u[j, r] = sum_i <a_r, b_i>^j * y_i for j = 0..L, without forming A @ B.T.
+
+    With <a, b>^j = sum_{|alpha| = j} w_alpha a^alpha b^alpha, one pass over
+    blocks of B's rows gives s_alpha = sum_i y_i b_i^alpha, and one over
+    blocks of A's rows gives u[j, r] = sum_{|alpha| = j} w_alpha s_alpha
+    a_r^alpha.  Each block holds about BLOCK_ENTRIES monomial values, in
+    two buffers reused in place, so memory grows with neither len(A) nor
+    len(B).  The caller checks the domain (:func:`_screen_dots`).
+    """
+    A, B = _as_pair(A, B)
+    d = A.shape[1]
+    counts = [math.comb(j + d - 1, d - 1) for j in range(L + 1)]
+    width = max(1, BLOCK_ENTRIES // counts[-1])
+    scratch = [np.empty(counts[-1] * width) for _ in range(2)]
+
+    def blocks(P):
+        for lo in range(0, len(P), width):
+            yield slice(lo, lo + width), _monomial_powers(
+                np.ascontiguousarray(P[lo : lo + width].T), L, scratch)
+
+    s = [np.zeros(c) for c in counts]
+    for cols, powers in blocks(B):
+        y_cols = y[cols]
+        for j, M in powers:
+            s[j] += M @ y_cols
+    ws = [_monomial_table(d, j)[0] * s[j] for j in range(L + 1)]
+    u = np.empty((L + 1, len(A)))
+    for cols, powers in blocks(A):
+        for j, M in powers:
+            np.matmul(ws[j], M, out=u[j, cols])
+    return u
 
 
 def sample_sphere(n: int, d: int, seed) -> np.ndarray:

@@ -43,7 +43,8 @@ def _require_unit_rows(X: np.ndarray, name: str) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     norms = np.linalg.norm(X, axis=1)
     off = np.abs(norms - 1.0)
-    if np.any(off > UNIT_TOL):
+    # NaN compares false, so rows with a NaN or infinite norm are caught too
+    if not np.all(off <= UNIT_TOL):
         i = int(np.argmax(off))
         raise ValueError(f"{name} row {i} is not unit-norm (|norm - 1| = {off[i]:.3e})")
     return X

@@ -14,8 +14,19 @@ Both are contractions of the same (L+1) x m array of degree projections
     V[k, r] = sum_i P_k(<q_r, x_i>) * y_i,
 
 namely a1 = (N @ V) / (n*sqrt(m)) and raw = N * (V @ a1) / (n*sqrt(m)) with
-N[k] = N(d, k).  V comes from a single pass of the Gegenbauer recurrence over
-cache-sized row blocks of the m x n dot products, which are never stored.
+N[k] = N(d, k).  V comes from the exact monomial expansion of P_k: with
+C[k, j] the coefficient of t^j in P_k and w_alpha the multinomial weights,
+
+    s_alpha = sum_i y_i x_i^alpha,   u[j, r] = sum_{|alpha|=j} w_alpha s_alpha q_r^alpha,
+    V = C @ u,
+
+two streamed passes, over the points and over the directions, at
+O((m + n) * p) for the p = C(L + d, d) monomials of degree <= L.  Where
+that is not cheaper than the Gegenbauer recurrence over the m x n dot
+products, or its a-priori rounding bound is too loose, V comes from one
+blocked pass of that recurrence instead (see _degree_projections).
+Neither route stores an m x n array, and both reject a dot product outside
+the [-1, 1] band with the same message and index.
 
 The raw channel weights are then thresholded: channel k survives when
 raw_k >= 2 * epsilon0 (inclusive), and every surviving channel is rescaled
@@ -25,6 +36,7 @@ to sqrt(N(d, k)).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,9 +44,17 @@ import numpy as np
 
 # gegenbauer_weighted_sum is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
-from .harmonics import gegenbauer_blocks, gegenbauer_weighted_sum, harmonic_dim  # noqa: F401
+from .harmonics import (  # noqa: F401
+    _gegenbauer_coefficients,
+    _power_sums,
+    _screen_dots,
+    gegenbauer_blocks,
+    gegenbauer_weighted_sum,
+    harmonic_dim,
+)
 from .kernels import _require_unit_rows, finalized_weights
 from .targets import LabeledDataset
+from .training import _FACTOR_RTOL
 
 __all__ = [
     "EmptySelectionError",
@@ -94,12 +114,58 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
     return Q
 
 
+# --- which route computes V ----------------------------------------------------
+#
+# The expansion costs (m + n) * p monomial values, p = C(L + d, d); the walk
+# costs m * n * (d + L) (a dot product and L recurrence steps per pair).  The
+# expansion is taken when it is cheaper and its a-priori forward error bound
+# is at most _FACTOR_RTOL relative to ||y||_1, which bounds |V[k, r]| since
+# |P_k| <= 1 on [-1, 1].  The bound: u[j, r] is a sum of products
+# w_alpha y_i x_i^alpha q_r^alpha whose absolute values add up to
+#
+#     sum_i |y_i| * (sum_l |q_rl| |x_il|)^j  <=  ||y||_1 * rho^j,
+#
+# rho = max_r |q_r| * max_i |x_i| by Cauchy-Schwarz (1 for unit rows).  Its
+# summation runs through at most n + p additions, so to first order
+# |fl(u[j, r]) - u[j, r]| <= (n + p) * eps * ||y||_1 * rho^j, where eps is
+# twice the unit roundoff and its factor two covers the O(L) further roundings
+# of the monomial products and of C.  Then V[k] = sum_j C[k, j] u[j] is off by
+# at most (n + p) * eps * sum_j |C[k, j]| rho^j * ||y||_1.  At unit rows this is
+# (n + p) * eps * max_k ||C[k]||_1: about 3e-12 at the criterion-5 shape
+# (d = 8, L = 4, n = 4000), but the Chebyshev coefficients of d = 2 grow like
+# (1 + sqrt(2))^L, so d = 2 at L = 12 stays on the walk.
+
+
+def _expansion_is_cheaper(m: int, n: int, d: int, L: int) -> bool:
+    """Whether (m + n) * p monomial values cost less than m * n * (d + L) walk steps."""
+    return L >= 1 and (m + n) * math.comb(L + d, d) < m * n * (d + L)
+
+
+def _expansion_error(C: np.ndarray, n: int, d: int, rho: float) -> float:
+    """A-priori bound on the expansion's error in V, relative to ||y||_1."""
+    L = C.shape[0] - 1
+    p = math.comb(L + d, d)
+    return (n + p) * np.finfo(float).eps * float(np.max(np.abs(C) @ rho ** np.arange(L + 1)))
+
+
 def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
-    """V[k, r] = sum_i P_k(<q_r, x_i>) * y_i for k = 0..L, in one blocked pass."""
-    y = dataset.y
-    V = np.empty((L + 1, Q.shape[0]))
+    """V[k, r] = sum_i P_k(<q_r, x_i>) * y_i for k = 0..L.
+
+    From the monomial expansion when it is cheaper and accurate (see above),
+    otherwise in one blocked pass of the recurrence.
+    """
+    X = np.asarray(dataset.S, dtype=float)
+    y = np.asarray(dataset.y, dtype=float)
+    (m, d), n = Q.shape, y.size
+    if _expansion_is_cheaper(m, n, d, L):
+        rho = _screen_dots(Q, X)  # raises where the walk would
+        C = _gegenbauer_coefficients(d, L)
+        # NaN compares false and keeps the walk
+        if _expansion_error(C, n, d, rho) <= _FACTOR_RTOL:
+            return C @ _power_sums(Q, X, y, L)
+    V = np.empty((L + 1, m))
     V[0] = np.sum(y)  # P_0 = 1
-    for rows, degrees in gegenbauer_blocks(Q, dataset.S, dataset.d, L):
+    for rows, degrees in gegenbauer_blocks(Q, X, d, L):
         for k, P in degrees:
             V[k, rows] = P @ y
     return V
@@ -110,7 +176,7 @@ def _counts(d: int, L: int) -> np.ndarray:
 
 
 def one_step_updates(dataset: LabeledDataset, Q, L: int):
-    """Both one-step updates from zero, (a1, tau_raw), from one pass over the data.
+    """Both one-step updates from zero, (a1, tau_raw), from one computation of V.
 
     a1 is the m-vector of second-layer weights, linear in y; tau_raw holds
     the raw channel weights for degrees 0..L, quadratic in y.

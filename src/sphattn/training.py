@@ -29,14 +29,18 @@ exact low-rank fast path below).
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import gegenbauer_blocks
+from .harmonics import (
+    _monomial_powers,
+    _monomial_table,
+    _power_coefficients,
+    gegenbauer_blocks,
+)
 from .kernels import _require_unit_pair, activation_matrix
 from .targets import LabeledDataset
 
@@ -192,7 +196,8 @@ def _check_divergence(norms: list, t: int) -> None:
 #     U[r, (j, alpha)] = g_j * w_alpha * q_r^alpha / sqrt(m)     (m x p)
 #     V[i, (j, alpha)] = x_i^alpha                               (n x p)
 #
-# over the degrees j with g_j != 0, so p = sum_j C(j + d - 1, d - 1).  A thin
+# over the degrees j with g_j != 0, so p = sum_j C(j + d - 1, d - 1).  (The
+# expansion lives in harmonics; stage one uses it too.)  A thin
 # QR, U = QL @ R, gives Z = QL @ B with orthonormal QL and B = R @ V.T, and
 # the GD loop runs on (QL, B) at O((m + n) * p) per step.  Z itself is never
 # formed: the factors are verified against the Gegenbauer recurrence in a
@@ -207,22 +212,8 @@ def _check_divergence(norms: list, t: int) -> None:
 # so that term cancels; the model counts flops only and was not fitted to
 # timings.
 
+# Also the error bar that stage one's expansion must meet a priori (selection).
 _FACTOR_RTOL = 1e-10
-
-
-def _power_coefficients(d: int, tau: np.ndarray) -> np.ndarray:
-    """g with sum_k tau_k P_k(t) = sum_j g_j t^j, by the recurrence on coefficients."""
-    L = tau.size - 1
-    C = np.zeros((L + 1, L + 1))
-    C[0, 0] = 1.0
-    if L >= 1:
-        C[1, 1] = 1.0
-    for k in range(1, L):
-        # (k + d - 2) * P_{k+1} = (2k + d - 2) * t * P_k - k * P_{k-1}
-        C[k + 1, 1:] = (2 * k + d - 2) * C[k, :-1]
-        C[k + 1] -= k * C[k - 1]
-        C[k + 1] /= k + d - 2
-    return tau @ C
 
 
 def _factor_width(d: int, g: np.ndarray) -> int:
@@ -240,53 +231,19 @@ def _factored_is_cheaper(m: int, n: int, p: int, T: int) -> bool:
     return p * (m * n + (m + n) * p + 2 * T * n) < 2 * T * m * n
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_table(d: int, j: int) -> tuple:
-    """The degree-j monomials in d variables as (parent, var, weight, alpha).
-
-    Monomial i is alpha[i] = alpha_{j-1}[parent[i]] + e_{var[i]}; var[i] is
-    at least the parent's largest variable, so each exponent vector comes
-    once.  weight[i] = j! / prod(alpha[i]!) is its multinomial coefficient.
-    """
-    if j == 0:
-        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.ones(1), np.zeros((1, d), np.intp)
-    prev = _monomial_table(d, j - 1)[3]
-    pairs = [
-        (i, v)
-        for i, row in enumerate(prev)
-        for v in range(int(np.flatnonzero(row)[-1]) if row.any() else 0, d)
-    ]
-    parent, var = (np.array(c, dtype=np.intp) for c in zip(*pairs))
-    alpha = prev[parent]
-    alpha[np.arange(var.size), var] += 1
-    fact = math.factorial(j)
-    weight = np.array(
-        [fact // math.prod(math.factorial(e) for e in row) for row in alpha.tolist()],
-        dtype=float,
-    )
-    return parent, var, weight, alpha
-
-
-def _monomial_powers(A: np.ndarray, J: int):
-    """Yield (j, A^alpha over the degree-j monomials), shape (len(A), count), j = 0..J."""
-    M = np.ones((A.shape[0], 1))
-    yield 0, M
-    for j in range(1, J + 1):
-        parent, var, _, _ = _monomial_table(A.shape[1], j)
-        M = M[:, parent] * A[:, var]
-        yield j, M
-
-
 def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
-    """(U, V) with U @ V.T = Z, from the monomial expansion of sum_j g_j t^j."""
+    """(U, Vt) with U @ Vt = Z, from the monomial expansion of sum_j g_j t^j.
+
+    U is m x p and Vt is p x n; both are built one monomial per row.
+    """
     m, d = Q.shape
     J = int(np.flatnonzero(g)[-1]) if np.any(g) else 0
-    us, vs = [np.zeros((m, 0))], [np.zeros((X.shape[0], 0))]
-    for (j, Mq), (_, Mx) in zip(_monomial_powers(Q, J), _monomial_powers(X, J)):
+    us, vs = [np.zeros((0, m))], [np.zeros((0, X.shape[0]))]
+    for (j, Mq), (_, Mx) in zip(_monomial_powers(Q.T, J), _monomial_powers(X.T, J)):
         if g[j] != 0.0:
-            us.append(Mq * (g[j] / np.sqrt(m) * _monomial_table(d, j)[2]))
+            us.append(Mq * (g[j] / np.sqrt(m) * _monomial_table(d, j)[0])[:, None])
             vs.append(Mx)
-    return np.concatenate(us, axis=1), np.concatenate(vs, axis=1)
+    return np.concatenate(us).T, np.concatenate(vs)
 
 
 def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> float:
@@ -326,9 +283,9 @@ def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray,
     g = _power_coefficients(d, tau) are the power coefficients of sigma_tau.
     With strict, a failed verification raises RuntimeError instead.
     """
-    U, V = _exact_factors(X, Q, g)
+    U, Vt = _exact_factors(X, Q, g)
     QL, R = np.linalg.qr(U)
-    B = R @ V.T
+    B = R @ Vt
     resid = _factor_residual(X, Q, tau, QL, B)
     if resid <= _FACTOR_RTOL:
         return QL, B

@@ -5,6 +5,7 @@ import pytest
 
 import d2_explicit
 import sphattn.harmonics as harmonics_mod
+import sphattn.selection as selection_mod
 from sphattn import (
     EmptySelectionError,
     gen_dataset,
@@ -149,6 +150,127 @@ class TestOneStepUpdates:
         finally:
             tracemalloc.stop()
         assert peak < 8 * ds.n * Q.shape[0] / 4
+
+
+def _no_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the Gegenbauer walk was called")
+
+    monkeypatch.setattr(selection_mod, "gegenbauer_blocks", walk)
+
+
+def _no_expansion(monkeypatch):
+    def expansion(*args, **kwargs):
+        raise AssertionError("the monomial expansion was called")
+
+    monkeypatch.setattr(selection_mod, "_power_sums", expansion)
+
+
+def _walk_only(monkeypatch):
+    monkeypatch.setattr(selection_mod, "_expansion_is_cheaper", lambda *args: False)
+
+
+def _walk_error(Q, S, d, L) -> str:
+    with pytest.raises(ValueError) as err:
+        for _ in harmonics_mod.gegenbauer_blocks(Q, S, d, L):
+            pass
+    return str(err.value)
+
+
+class TestMonomialExpansion:
+    """V, a1 and tau_raw from the monomial expansion against the recurrence walk."""
+
+    @pytest.mark.parametrize("d, L", [(2, 6), (3, 5), (4, 3), (8, 4)])
+    def test_matches_walk(self, d, L, monkeypatch):
+        target = make_target(d, 2, [1.0, 1.0, 1.0], 40 + d)
+        ds = gen_dataset(target, 300, 0.2, 41 + d)
+        Q = sample_sphere(250, d, 42 + d)
+        with monkeypatch.context() as mp:
+            _no_walk(mp)
+            V = selection_mod._degree_projections(ds, Q, L)
+            a1, tau = one_step_updates(ds, Q, L)
+        _walk_only(monkeypatch)
+        V_ref = selection_mod._degree_projections(ds, Q, L)
+        a1_ref, tau_ref = one_step_updates(ds, Q, L)
+        # entries that cancel to near zero are compared at the array's scale
+        for got, ref in [(V, V_ref), (a1, a1_ref), (tau, tau_ref)]:
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-11 * np.max(np.abs(ref)))
+
+    def test_matches_explicit_basis_on_circle(self, monkeypatch):
+        target = make_target(2, 2, [1.0, 0.5, 1.0], 43)
+        ds = gen_dataset(target, 150, 0.3, 44)
+        Q = sample_sphere(140, 2, 45)
+        _no_walk(monkeypatch)
+        a1, tau = one_step_updates(ds, Q, 8)
+        a1_ref, tau_ref = d2_explicit.one_step_explicit(ds.S, ds.y, Q, 8)
+        np.testing.assert_allclose(a1, a1_ref, rtol=1e-10)
+        np.testing.assert_allclose(tau, tau_ref, rtol=1e-10)
+
+    def test_path_rule(self, monkeypatch):
+        C = harmonics_mod._gegenbauer_coefficients
+        # the criterion-5 shape: cheaper, and the error bound clears the bar
+        assert selection_mod._expansion_is_cheaper(4000, 4000, 8, 4)
+        assert selection_mod._expansion_error(C(8, 4), 4000, 8, 1.0) <= 1e-10
+        # Chebyshev coefficients at degree 12 are too large for the bound
+        assert selection_mod._expansion_is_cheaper(400, 400, 2, 12)
+        assert selection_mod._expansion_error(C(2, 12), 400, 2, 1.0) > 1e-10
+        # too few pairs to pay for 495 monomials, and nothing to expand at L = 0
+        assert not selection_mod._expansion_is_cheaper(6, 5, 8, 4)
+        assert not selection_mod._expansion_is_cheaper(4000, 4000, 8, 0)
+        _no_expansion(monkeypatch)
+        for d, L, n, m in [(2, 12, 400, 400), (8, 4, 6, 5), (3, 0, 50, 40)]:
+            target = make_target(d, 0, [1.0], 46)
+            one_step_updates(gen_dataset(target, n, 0.1, 47), sample_sphere(m, d, 48), L)
+
+    def test_uncleared_rows_in_band_keep_the_expansion(self, monkeypatch):
+        # rows 1e-9 longer than unit pass the norm check but not the screen's
+        # bound; their dot products are formed, found in band, and used
+        target = make_target(4, 1, [1.0, 1.0], 49)
+        ds = gen_dataset(target, 200, 0.1, 50)
+        Q = sample_sphere(150, 4, 51)
+        Q[::7] *= 1.0 + 1e-9
+        with monkeypatch.context() as mp:
+            _no_walk(mp)
+            a1, tau = one_step_updates(ds, Q, 3)
+        _walk_only(monkeypatch)
+        a1_ref, tau_ref = one_step_updates(ds, Q, 3)
+        np.testing.assert_allclose(a1, a1_ref, rtol=1e-11)
+        np.testing.assert_allclose(tau, tau_ref, rtol=1e-11)
+
+    def test_allocates_no_m_by_p_array(self, monkeypatch):
+        import tracemalloc
+
+        # d = 8, L = 4: p = 495 monomials, so m x p would be 12 MB here
+        ds = gen_dataset(make_target(8, 2, [1.0, 1.0, 1.0], 55), 3000, 0.1, 56)
+        Q = sample_sphere(3000, 8, 57)
+        _no_walk(monkeypatch)
+        one_step_updates(ds, Q, 4)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            one_step_updates(ds, Q, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * Q.shape[0] * 495 / 4
+
+    @pytest.mark.parametrize("row", ["nan", "long"])
+    def test_screen_rejects_like_the_walk(self, row, monkeypatch):
+        d, L = 5, 3
+        target = make_target(d, 1, [1.0, 1.0], 52)
+        ds = gen_dataset(target, 120, 0.1, 53)
+        Q = sample_sphere(100, d, 54)
+        S = ds.S.copy()
+        if row == "nan":
+            S[17, 2] = np.nan
+        else:
+            S[17] *= 1.5
+        expected = _walk_error(Q, S, d, L)
+        bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
+        _no_walk(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            one_step_updates(bad, Q, L)
+        assert str(err.value) == expected
+        assert ", 17)" in expected
 
 
 class TestThreshold:

@@ -8,6 +8,7 @@ import pytest
 from sphattn import (
     DivergenceError,
     TrainerState,
+    activation_matrix,
     closed_form_residual,
     empirical_gram,
     feature_matrix,
@@ -23,6 +24,7 @@ from sphattn import (
     train,
 )
 from sphattn import training
+from sphattn.targets import LabeledDataset
 from sphattn.training import trace_to_csv
 
 
@@ -94,6 +96,25 @@ class TestPredict:
         Qb[5] *= 0.99
         with pytest.raises(ValueError, match="Q row 5 is not unit-norm"):
             predict(a, ds.S, Qb, tau)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        # degree <= 1 forms no dot product, so only the norm check can catch these
+        _, ds, Q, tau = _setup(d=4, ell0=1, n=10, m=20)
+        X = ds.S.copy()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+            predict(np.ones(20), X, Q, tau)
+        with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+            activation_matrix(X, Q, tau)
+        bad_ds = LabeledDataset(S=X, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
+        for lowrank in ("never", "always"):
+            with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+                train(bad_ds, Q, tau, eta=0.2, T=3, lowrank=lowrank)
+        Qb = Q.copy()
+        Qb[5, 0] = bad
+        with pytest.raises(ValueError, match="Q row 5 is not unit-norm"):
+            predict(np.ones(20), ds.S, Qb, tau)
 
     def test_block_size_independent(self, monkeypatch):
         import sphattn.harmonics as harmonics_mod
