@@ -392,6 +392,11 @@ def _monomial_powers(At: np.ndarray, J: int, scratch=None):
         yield j, M
 
 
+def _expansion_width(d: int, L: int) -> int:
+    """Points per block of :func:`_power_sums`: about BLOCK_ENTRIES monomial values."""
+    return max(1, BLOCK_ENTRIES // math.comb(L + d - 1, d - 1))
+
+
 def _power_sums(A, B, y, L: int) -> np.ndarray:
     """u[j, r] = sum_i <a_r, b_i>^j * y_i for j = 0..L, without forming A @ B.T.
 
@@ -405,7 +410,7 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     A, B = _as_pair(A, B)
     d = A.shape[1]
     counts = [math.comb(j + d - 1, d - 1) for j in range(L + 1)]
-    width = max(1, BLOCK_ENTRIES // counts[-1])
+    width = _expansion_width(d, L)
     scratch = [np.empty(counts[-1] * width) for _ in range(2)]
 
     def blocks(P):

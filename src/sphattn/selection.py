@@ -24,7 +24,7 @@ two streamed passes, over the points and over the directions, at
 O((m + n) * p) for the p = C(L + d, d) monomials of degree <= L.  Where
 that is not cheaper than the Gegenbauer recurrence over the m x n dot
 products, or its a-priori rounding bound is too loose, V comes from one
-blocked pass of that recurrence instead (see _degree_projections).
+blocked pass of that recurrence instead (see the path rule below).
 Neither route stores an m x n array, and both reject a dot product outside
 the [-1, 1] band with the same message and index.
 
@@ -45,6 +45,7 @@ import numpy as np
 # gegenbauer_weighted_sum is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
 from .harmonics import (  # noqa: F401
+    _expansion_width,
     _gegenbauer_coefficients,
     _power_sums,
     _screen_dots,
@@ -116,36 +117,57 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
 
 # --- which route computes V ----------------------------------------------------
 #
-# The expansion costs (m + n) * p monomial values, p = C(L + d, d); the walk
-# costs m * n * (d + L) (a dot product and L recurrence steps per pair).  The
-# expansion is taken when it is cheaper and its a-priori forward error bound
-# is at most _FACTOR_RTOL relative to ||y||_1, which bounds |V[k, r]| since
-# |P_k| <= 1 on [-1, 1].  The bound: u[j, r] is a sum of products
-# w_alpha y_i x_i^alpha q_r^alpha whose absolute values add up to
+# Speed.  Both routes are priced in entries of elementwise work on one core.
+# The walk costs L + 1 per dot product: the product itself, a BLAS dot whose
+# cost barely moves with d, then L recurrence steps and sums against y.  The
+# expansion costs one per monomial value, p = C(L + d, d) per point, plus
+# _CALL_ENTRIES per numpy call; _power_sums makes about (d + 2) * L + 3 calls
+# per block of _expansion_width(d, L) points in each pass, and the set-up
+# (the screen, C, the per-degree sums) about one block's worth more.  The
+# call term is what keeps small inputs and high d on the walk: at d = 30,
+# L = 4 a block holds one point.  The weights are measured (best of 3, one
+# BLAS thread; the timings are in CHANGES.md): about 2 ns per dot product and
+# degree for the walk, 2 ns per monomial value and 2 us per call for the
+# expansion.  The walk's own calls (about 6 L per block of BLOCK_ENTRIES dot
+# products) add at most a tenth and are left out.
+#
+# Accuracy.  |P_k| <= 1 on [-1, 1], so ||y||_1 bounds |V[k, r]|, and the
+# walk's sum over the n points rounds to within about n * eps * ||y||_1.  In
+# the expansion the terms of u[j, r] are w_alpha y_i x_i^alpha q_r^alpha,
+# whose absolute values add up to
 #
 #     sum_i |y_i| * (sum_l |q_rl| |x_il|)^j  <=  ||y||_1 * rho^j,
 #
-# rho = max_r |q_r| * max_i |x_i| by Cauchy-Schwarz (1 for unit rows).  Its
-# summation runs through at most n + p additions, so to first order
-# |fl(u[j, r]) - u[j, r]| <= (n + p) * eps * ||y||_1 * rho^j, where eps is
-# twice the unit roundoff and its factor two covers the O(L) further roundings
-# of the monomial products and of C.  Then V[k] = sum_j C[k, j] u[j] is off by
-# at most (n + p) * eps * sum_j |C[k, j]| rho^j * ||y||_1.  At unit rows this is
-# (n + p) * eps * max_k ||C[k]||_1: about 3e-12 at the criterion-5 shape
-# (d = 8, L = 4, n = 4000), but the Chebyshev coefficients of d = 2 grow like
-# (1 + sqrt(2))^L, so d = 2 at L = 12 stays on the walk.
+# rho = max_r |q_r| * max_i |x_i| by Cauchy-Schwarz (1 for unit rows).  They
+# pass through the same n-point sum and then p more additions, so V[k] =
+# sum_j C[k, j] u[j] is off by at most (n + p) * eps * G * ||y||_1 to first
+# order, with G = max_k sum_j |C[k, j]| rho^j; eps is twice the unit roundoff,
+# and its factor two covers the O(L) products.  Against the walk, the
+# expansion scales the rounding of the n-point sum that both routes make by
+# G and adds p further additions, so the rule counts that sum as one term:
+# the expansion is taken when (1 + p) * eps * G <= _FACTOR_RTOL, whatever n.
+# That is 3.2e-13 at the criterion-5 shape (d = 8, L = 4, G = 2.9).  The
+# Chebyshev coefficients of d = 2 grow like (1 + sqrt(2))^L, so d = 2 from
+# L = 11 on (1.4e-10) stays on the walk.
+
+# A numpy call on a small block, with the Python loop around it, costs about
+# as much as this many entries of elementwise work (2 us against 2 ns).
+_CALL_ENTRIES = 1000
 
 
 def _expansion_is_cheaper(m: int, n: int, d: int, L: int) -> bool:
-    """Whether (m + n) * p monomial values cost less than m * n * (d + L) walk steps."""
-    return L >= 1 and (m + n) * math.comb(L + d, d) < m * n * (d + L)
+    """Whether the expansion's monomial values and calls cost less than the walk."""
+    width = _expansion_width(d, L)
+    blocks = -(-m // width) + -(-n // width)
+    calls = (blocks + 1) * ((d + 2) * L + 3)
+    return (m + n) * math.comb(L + d, d) + _CALL_ENTRIES * calls < m * n * (L + 1)
 
 
-def _expansion_error(C: np.ndarray, n: int, d: int, rho: float) -> float:
-    """A-priori bound on the expansion's error in V, relative to ||y||_1."""
+def _expansion_error(C: np.ndarray, d: int, rho: float) -> float:
+    """The expansion's a-priori error bound, its n-point sum counted as one term (see above)."""
     L = C.shape[0] - 1
     p = math.comb(L + d, d)
-    return (n + p) * np.finfo(float).eps * float(np.max(np.abs(C) @ rho ** np.arange(L + 1)))
+    return (1 + p) * np.finfo(float).eps * float(np.max(np.abs(C) @ rho ** np.arange(L + 1)))
 
 
 def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
@@ -161,7 +183,7 @@ def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.nd
         rho = _screen_dots(Q, X)  # raises where the walk would
         C = _gegenbauer_coefficients(d, L)
         # NaN compares false and keeps the walk
-        if _expansion_error(C, n, d, rho) <= _FACTOR_RTOL:
+        if _expansion_error(C, d, rho) <= _FACTOR_RTOL:
             return C @ _power_sums(Q, X, y, L)
     V = np.empty((L + 1, m))
     V[0] = np.sum(y)  # P_0 = 1

@@ -180,11 +180,20 @@ def _walk_error(Q, S, d, L) -> str:
 class TestMonomialExpansion:
     """V, a1 and tau_raw from the monomial expansion against the recurrence walk."""
 
-    @pytest.mark.parametrize("d, L", [(2, 6), (3, 5), (4, 3), (8, 4)])
-    def test_matches_walk(self, d, L, monkeypatch):
+    # d = 8, L = 4 is the select-d8 benchmark's degree pair: with the walk
+    # patched to raise, a change that sends it back to the walk fails here
+    # too.  L = 0 has nothing to expand but the band check and sum(y).  The
+    # error bound does not grow with n: at 1e5 points (n + p) * eps *
+    # max_k ||C[k]||_1 would read 1.9e-10 and send d = 3, L = 4 to the walk.
+    @pytest.mark.parametrize(
+        "d, L, n, m",
+        [(2, 6, 400, 400), (3, 5, 400, 400), (4, 3, 400, 400), (8, 4, 400, 400),
+         (3, 0, 400, 400), (3, 4, 10**5, 100)],
+    )
+    def test_matches_walk(self, d, L, n, m, monkeypatch):
         target = make_target(d, 2, [1.0, 1.0, 1.0], 40 + d)
-        ds = gen_dataset(target, 300, 0.2, 41 + d)
-        Q = sample_sphere(250, d, 42 + d)
+        ds = gen_dataset(target, n, 0.2, 41 + d)
+        Q = sample_sphere(m, d, 42 + d)
         with monkeypatch.context() as mp:
             _no_walk(mp)
             V = selection_mod._degree_projections(ds, Q, L)
@@ -208,17 +217,22 @@ class TestMonomialExpansion:
 
     def test_path_rule(self, monkeypatch):
         C = harmonics_mod._gegenbauer_coefficients
+        cheaper, error = selection_mod._expansion_is_cheaper, selection_mod._expansion_error
         # the criterion-5 shape: cheaper, and the error bound clears the bar
-        assert selection_mod._expansion_is_cheaper(4000, 4000, 8, 4)
-        assert selection_mod._expansion_error(C(8, 4), 4000, 8, 1.0) <= 1e-10
+        assert cheaper(4000, 4000, 8, 4)
+        assert error(C(8, 4), 8, 1.0) <= 1e-10
+        assert cheaper(4000, 4000, 8, 0)
         # Chebyshev coefficients at degree 12 are too large for the bound
-        assert selection_mod._expansion_is_cheaper(400, 400, 2, 12)
-        assert selection_mod._expansion_error(C(2, 12), 400, 2, 1.0) > 1e-10
-        # too few pairs to pay for 495 monomials, and nothing to expand at L = 0
-        assert not selection_mod._expansion_is_cheaper(6, 5, 8, 4)
-        assert not selection_mod._expansion_is_cheaper(4000, 4000, 8, 0)
+        assert cheaper(400, 400, 2, 12)
+        assert error(C(2, 12), 2, 1.0) > 1e-10
+        # too few pairs to pay for the expansion's calls, and blocks of a few
+        # points at high d (each timed slower than the walk)
+        assert not cheaper(6, 5, 8, 4)
+        assert not cheaper(100, 100, 2, 6)
+        assert not cheaper(2000, 2000, 16, 4)
+        assert not cheaper(4000, 4000, 30, 4)
         _no_expansion(monkeypatch)
-        for d, L, n, m in [(2, 12, 400, 400), (8, 4, 6, 5), (3, 0, 50, 40)]:
+        for d, L, n, m in [(2, 12, 400, 400), (8, 4, 6, 5), (30, 4, 300, 300)]:
             target = make_target(d, 0, [1.0], 46)
             one_step_updates(gen_dataset(target, n, 0.1, 47), sample_sphere(m, d, 48), L)
 
@@ -257,8 +271,8 @@ class TestMonomialExpansion:
     def test_screen_rejects_like_the_walk(self, row, monkeypatch):
         d, L = 5, 3
         target = make_target(d, 1, [1.0, 1.0], 52)
-        ds = gen_dataset(target, 120, 0.1, 53)
-        Q = sample_sphere(100, d, 54)
+        ds = gen_dataset(target, 400, 0.1, 53)
+        Q = sample_sphere(300, d, 54)
         S = ds.S.copy()
         if row == "nan":
             S[17, 2] = np.nan
