@@ -41,7 +41,8 @@ __all__ = [
 
 def _require_unit_rows(X: np.ndarray, name: str) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    norms = np.linalg.norm(X, axis=1)
+    # row sums of squares without an n x d temporary, which would raise peak memory
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     off = np.abs(norms - 1.0)
     # NaN compares false, so rows with a NaN or infinite norm are caught too
     if not np.all(off <= UNIT_TOL):

@@ -107,6 +107,7 @@ class SelectionResult:
 def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
     if L != int(L) or L < 0:
         raise ValueError(f"maximum channel degree must be a non-negative integer, got {L}")
+    _require_unit_rows(dataset.S, "X")
     Q = _require_unit_rows(Q, "Q")
     if dataset.n == 0 or Q.shape[0] == 0:
         raise ValueError("need at least one sample and one direction")

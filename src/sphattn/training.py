@@ -19,11 +19,13 @@ the strongest correctness oracle for the trainer.
 
 The activation is a polynomial of degree ell_hat in <x, q>, so Z has the
 exact factorization Z = U @ V.T through the monomials of the points and the
-directions, with p columns.  When that costs fewer flops, :func:`train` runs
-the same update on those factors at O((m + n) * p) per step and never
-allocates Z; the factors are verified against the recurrence in a streamed
-pass, and a failed check warns and falls back to the m x n matrix (see the
-exact low-rank fast path below).
+directions, with p columns.  When that is expected to take less time (a rule
+priced from timings), :func:`train` runs the same update on those factors at
+O((m + n) * p) per step and never allocates Z.  The factors are accepted on
+an a-priori rounding bound that costs O((m + n) * p); only when that bound is
+too loose are they checked against the recurrence in a streamed pass over Z,
+and a failed check warns and falls back to the m x n matrix (see the exact
+low-rank fast path below).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import (
+    _gegenbauer_coefficients,
     _monomial_powers,
     _monomial_table,
     _power_coefficients,
@@ -200,17 +203,68 @@ def _check_divergence(norms: list, t: int) -> None:
 # expansion lives in harmonics; stage one uses it too.)  A thin
 # QR, U = QL @ R, gives Z = QL @ B with orthonormal QL and B = R @ V.T, and
 # the GD loop runs on (QL, B) at O((m + n) * p) per step.  Z itself is never
-# formed: the factors are verified against the Gegenbauer recurrence in a
-# streamed pass over row blocks, which shares no code with the expansion.
-# The expansion loses digits at high degree; when the relative Frobenius
-# residual exceeds _FACTOR_RTOL, "auto" warns and falls back to the plain
-# loop on the m x n matrix, and "always" raises.
+# formed.
 #
-# "auto" picks the path with the smaller floating-point operation count
-# (_factored_is_cheaper).  Both paths walk the recurrence over all m * n pairs
-# once, the plain path to build Z and the factored path to check its factors,
-# so that term cancels; the model counts flops only and was not fitted to
-# timings.
+# Certificate.  The factors are accepted on an a-priori bound on the relative
+# error ||QL @ B - Z||_F / ||Z||_F that costs O((m + n) * p) (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and
+# 19).  With u = eps / 2 the unit roundoff, hats on computed quantities and
+# ||Z||_F = ||B||_F (QL is orthonormal), split
+#
+#     QL^ B^ - Z = QL^ (B^ - R^ Vt^) + (QL^ R^ - U^) Vt^ + (U^ Vt^ - U Vt)
+#
+# and bound each term to first order in u, using || |U| |Vt| ||_F <=
+# ||U||_F ||Vt||_F:
+# - the expansion.  C comes from a three-term recurrence whose two terms
+#   have the same sign in every coefficient (that of t^(k+1-2i) is
+#   (-1)^i in both), so nothing cancels, three roundings per step leave each
+#   C[k, j] within 3 ell_hat u of itself, and g = tau @ C
+#   is within (4 ell_hat + 1) u * Gbar_j, Gbar = |tau| @ |C|.  An entry of U
+#   takes ell_hat + 3 more roundings (the monomial's j - 1 products, sqrt(m),
+#   the quotient and the two products), an entry of Vt at most ell_hat - 1.
+#   With Ubar, U with Gbar_j in place of g_j, the last term is at most
+#   (6 ell_hat + 3) u ||Ubar||_F ||Vt||_F;
+# - the thin QR.  Householder QR (LAPACK geqrf/orgqr) gives
+#   ||U^ - QL^ R^||_F <= gamma(m p) ||U||_F in the worst case, but its
+#   rounding errors do not add up like that: for d = 2..20, ell_hat up to
+#   14, p up to 495 and m from 500 to 2000, the computed residual stayed
+#   below 5 eps ||U||_F.  The bound takes p u for it, an estimate of the
+#   observed size and not a worst case, so the middle term is at most
+#   p u ||U||_F ||Vt||_F;
+# - B = R @ V.T.  Inner products of length p: |B^ - R^ Vt^| <= p u |R| |Vt|
+#   entrywise, and ||R||_F = ||U||_F, so the first term is at most
+#   p u ||U||_F ||Vt||_F.
+#
+# Since ||U||_F <= ||Ubar||_F the sum is (2 p + 6 ell_hat + 3) u, rounded up to
+#
+#     bound = (p + 3 ell_hat + 2) * eps * ||Ubar||_F * ||Vt||_F / ||B||_F .
+#
+# It runs 20 to 10^4 times above the walk's measured residual (the test
+# grid asserts it is never below): 7e-15 at the sweep shape (d = 6,
+# ell_hat = 1), 1e-11 at d = 8, ell_hat = 4, 2e-10 at d = 2, ell_hat = 10.
+# When it exceeds _FACTOR_RTOL the factors are checked against the
+# Gegenbauer recurrence in a streamed pass over row blocks, which shares no
+# code with the expansion (_factor_residual); that costs an m x n walk, and
+# only ill-conditioned expansions pay it (with oracle channels, from degree
+# 10 at d = 2, 9 at d = 3 and 8 at d = 4).  When the walk's relative
+# Frobenius residual exceeds _FACTOR_RTOL too, "auto" warns and falls back
+# to the plain loop on the m x n matrix, and "always" raises.
+#
+# Speed.  "auto" prices both paths in nanoseconds on one core, from timings
+# (best of 3, one BLAS thread; the grid and the fit are in CHANGES.md):
+# - plain: the recurrence walk that builds Z, about 3 ns per entry and
+#   degree, m n (L + 1) with L = len(tau) - 1, then 0.65 ns per entry of Z
+#   for each step's two matrix-vector products;
+# - factored: 200 us for the set-up's numpy calls; per monomial value,
+#   20 + 0.1 w ns in U (the expansion and the thin QR) and 5 + 0.05 w ns in
+#   Vt (the expansion and B = R @ V.T), with w = min(p, m) the width of QL;
+#   then 0.65 ns per entry of B (w x n) per step.
+# The loop's own per-step work (the residual, the record, the calls) is the
+# same on both paths and cancels.  The certificate costs O((m + n) p) and is
+# inside the set-up; a certificate that fails adds the walk, which the rule
+# does not foresee, since only ill-conditioned expansions fail it.  With
+# p >= m the factored steps cost as much as the plain ones, so only the plain
+# path is taken.
 
 # Also the error bar that stage one's expansion must meet a priori (selection).
 _FACTOR_RTOL = 1e-10
@@ -221,14 +275,16 @@ def _factor_width(d: int, g: np.ndarray) -> int:
     return sum(math.comb(int(j) + d - 1, d - 1) for j in np.flatnonzero(g))
 
 
-def _factored_is_cheaper(m: int, n: int, p: int, T: int) -> bool:
-    """Whether T factored steps at width p cost fewer flops than T plain steps.
+def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
+    """Whether T factored steps at width p take less time than T plain steps.
 
-    Beyond the shared recurrence walk, the factored path pays the check's
-    block products B.T @ QL.T (2 m n p), the QR of U (2 m p^2), B = R @ V.T
-    (2 n p^2) and 4 n p per step; the plain path pays 4 m n per step.
+    L is the top degree of tau (len(tau) - 1), which the plain walk runs to;
+    the per-entry costs are measured (see above).
     """
-    return p * (m * n + (m + n) * p + 2 * T * n) < 2 * T * m * n
+    w = min(p, m)
+    plain = m * n * (3.0 * (L + 1) + 0.65 * T)
+    factored = 2e5 + p * (m * (20 + 0.1 * w) + n * (5 + 0.05 * w)) + 0.65 * T * n * w
+    return factored < plain
 
 
 def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
@@ -276,22 +332,45 @@ def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> fl
     return 0.0 if err2 == 0.0 else math.inf
 
 
+def _certificate(d: int, tau: np.ndarray, g: np.ndarray, U, Vt, B) -> float:
+    """The a-priori bound on ||QL @ B - Z||_F / ||Z||_F derived above, in O((m + n) p)."""
+    J = np.flatnonzero(g)
+    if J.size == 0:
+        return 0.0  # tau == 0: Z and QL @ B are both exactly 0
+    ref = float(np.linalg.norm(B))
+    if not ref > 0.0:
+        return math.inf
+    # ||Ubar||_F from the column norms of U, each degree's block scaled by Gbar_j / |g_j|
+    Gbar = np.abs(tau) @ np.abs(_gegenbauer_coefficients(d, tau.size - 1))
+    scale = np.repeat(Gbar[J] / np.abs(g[J]), [math.comb(int(j) + d - 1, d - 1) for j in J])
+    ubar = math.sqrt(float(scale**2 @ np.einsum("rc,rc->c", U, U)))
+    eps = np.finfo(float).eps
+    return (U.shape[1] + 3 * int(J[-1]) + 2) * eps * ubar * float(np.linalg.norm(Vt)) / ref
+
+
 def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray,
                 strict: bool = False):
-    """Verified exact factors (QL, B) of Z, or None after a RuntimeWarning.
+    """Certified exact factors (QL, B) of Z, or None after a RuntimeWarning.
 
     g = _power_coefficients(d, tau) are the power coefficients of sigma_tau.
-    With strict, a failed verification raises RuntimeError instead.
+    The factors are accepted on the a-priori bound (_certificate) and, only
+    when that exceeds _FACTOR_RTOL, on the walk's residual
+    (_factor_residual).  With strict, failing both raises RuntimeError.
     """
     U, Vt = _exact_factors(X, Q, g)
     QL, R = np.linalg.qr(U)
     B = R @ Vt
+    bound = _certificate(X.shape[1], tau, g, U, Vt, B)
+    # NaN compares false and goes to the walk
+    if bound <= _FACTOR_RTOL:
+        return QL, B
     resid = _factor_residual(X, Q, tau, QL, B)
     if resid <= _FACTOR_RTOL:
         return QL, B
     msg = (
         f"exact low-rank factors failed verification: relative residual "
-        f"{resid:.3e} > {_FACTOR_RTOL:g} at factor width p = {U.shape[1]}"
+        f"{resid:.3e} > {_FACTOR_RTOL:g} at factor width p = {U.shape[1]} "
+        f"(a-priori bound {bound:.3e})"
     )
     if strict:
         raise RuntimeError(msg)
@@ -313,13 +392,16 @@ def train(
 
     Parameters
     ----------
-    lowrank : "auto" runs the same update on verified exact factors of the
-        feature matrix when that costs fewer flops for these m, n, T and
-        factor width p (the number of monomials in the expansion of
-        sigma_tau), and otherwise, or with a RuntimeWarning when
-        verification fails, on the m x n matrix itself; "never" forces the
-        plain matrix; "always" requires the factored path and raises
-        RuntimeError if verification fails.
+    lowrank : "auto" runs the same update on exact factors of the feature
+        matrix when that is expected to take less time for these m, n, T,
+        degrees and factor width p (the number of monomials in the
+        expansion of sigma_tau), and otherwise on the m x n matrix itself.
+        The factors are accepted on an a-priori rounding bound, or, where
+        that bound exceeds 1e-10, on a streamed check against the
+        recurrence; when both fail, "auto" warns (RuntimeWarning, naming
+        the residual, the bound and p) and falls back to the m x n matrix.
+        "never" forces the plain matrix; "always" requires the factored
+        path and raises RuntimeError when both checks fail.
 
     Returns (TrainerState, TrainingTrace); the state's Z is None on the
     factored path.  Raises DivergenceError when the residuals blow up
@@ -342,7 +424,8 @@ def train(
     if lowrank != "never":
         d = X.shape[1]
         g = _power_coefficients(d, tau)
-        if lowrank == "always" or _factored_is_cheaper(m, n, _factor_width(d, g), T):
+        if lowrank == "always" or _factored_is_cheaper(m, n, _factor_width(d, g), T,
+                                                         tau.size - 1):
             factors = _try_factor(X, Q, tau, g, strict=lowrank == "always")
 
     # one loop for both paths: a(t) = QL @ c(t) on the factors of Z = QL @ B,
@@ -353,11 +436,11 @@ def train(
     def weights(c):
         return c if QL is None else QL @ c
 
+    # resid = yhat - y, formed once per step for the check, the record and the gradient
     c = np.zeros(B.shape[0])
-    yhat = np.zeros(n)
-    _record(trace, -y, -f_star, weights(c), record_weights)
+    resid = -y
+    _record(trace, resid, -f_star, weights(c), record_weights)
     for t in range(1, T + 1):
-        resid = yhat - y
         if not np.all(np.isfinite(resid)):
             raise DivergenceError(
                 f"non-finite residual at step {t - 1}; "
@@ -365,7 +448,8 @@ def train(
             )
         c = c - (eta / n) * (B @ resid)
         yhat = B.T @ c
-        _record(trace, yhat - y, yhat - f_star, weights(c) if record_weights else None,
+        resid = yhat - y
+        _record(trace, resid, yhat - f_star, weights(c) if record_weights else None,
                 record_weights)
         _check_divergence(trace.residual_norm, t)
     state = TrainerState(a=weights(c), t=T, eta=float(eta), Z=Z)

@@ -136,6 +136,21 @@ class TestOneStepUpdates:
         with pytest.raises(ValueError, match="dot product outside"):
             select_channels(bad, Q, 2, epsilon0=0.1)
 
+    def test_rejects_non_unit_point(self):
+        # a halved row keeps every dot product inside the band; train rejects it too
+        target = make_target(4, 1, [1.0, 1.0], 24)
+        ds = gen_dataset(target, 50, 0.1, 25)
+        Q = sample_sphere(40, 4, 26)
+        S = ds.S.copy()
+        S[3] *= 0.5
+        bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
+        with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+            one_step_updates(bad, Q, 2)
+        with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+            one_step_channel_weights(bad, Q, np.zeros(40), 2)
+        with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+            select_channels(bad, Q, 2, epsilon0=0.1)
+
     def test_allocates_no_m_by_n_array(self):
         import tracemalloc
 
@@ -274,17 +289,25 @@ class TestMonomialExpansion:
         ds = gen_dataset(target, 400, 0.1, 53)
         Q = sample_sphere(300, d, 54)
         S = ds.S.copy()
+        # a NaN or a 1.5x row of X fails the unit-norm check before any dot product
         if row == "nan":
             S[17, 2] = np.nan
         else:
             S[17] *= 1.5
+        bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
+        with pytest.raises(ValueError, match="X row 17 is not unit-norm"):
+            one_step_updates(bad, Q, L)
+        # a row inside the unit tolerance whose dot product leaves the band
+        # meets the walk's own error, at the walk's index
+        j = {"nan": 40, "long": 123}[row]
+        S[17] = Q[j] * (1.0 + 5e-9)
         expected = _walk_error(Q, S, d, L)
         bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
         _no_walk(monkeypatch)
         with pytest.raises(ValueError) as err:
             one_step_updates(bad, Q, L)
         assert str(err.value) == expected
-        assert ", 17)" in expected
+        assert f"({j}, 17)" in expected
 
 
 class TestThreshold:

@@ -1,6 +1,7 @@
 """Gradient-descent dynamics against the exact linear-recursion oracle."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ def _setup(d=3, ell0=2, n=120, m=600, sigma0=0.3, seed=0):
     Q = sample_sphere(m, d, seed + 2)
     tau = oracle_weights(d, ell0)
     return target, ds, Q, tau
+
+
+def _no_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the factor check walked Z")
+
+    monkeypatch.setattr(training, "_factor_residual", walk)
 
 
 class TestFeatureMatrix:
@@ -278,26 +286,30 @@ class TestTrain:
             np.testing.assert_allclose(t2.clean_loss, t1.clean_loss, rtol=1e-9, atol=1e-14)
 
     def test_auto_takes_the_cheaper_path(self):
-        # d = 3, ell0 = 2: factor width p = 1 + 3 + 6 = 10.  Over 80 steps
-        # the factors cost fewer flops than the 200 x 60 matrix
+        # d = 3, ell0 = 2: factor width p = 1 + 3 + 6 = 10.  Over 80 steps the
+        # factors take less time than the 200 x 60 matrix
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
-        assert training._factored_is_cheaper(200, 60, 10, 80)
+        assert training._factored_is_cheaper(200, 60, 10, 80, 2)
         state, _ = train(ds, Q, tau, eta=0.3, T=80)
         assert state.Z is None
-        # over 5 steps the check and the QR outweigh the saving
-        assert not training._factored_is_cheaper(200, 60, 10, 5)
+        # over 5 steps the expansion's calls and the QR outweigh the saving
+        assert not training._factored_is_cheaper(200, 60, 10, 5, 2)
         state, _ = train(ds, Q, tau, eta=0.3, T=5)
         assert state.Z is not None and state.Z.shape == (200, 60)
 
     def test_cost_rule_weighs_width_and_steps(self):
-        # the flop counts cross where p * (m n + (m + n) p + 2 T n) = 2 T m n
+        # measured costs: plain m n (3 (L + 1) + 0.65 T) ns, factored 200 us +
+        # p (m (20 + 0.1 w) + n (5 + 0.05 w)) + 0.65 T n w ns, w = min(p, m)
         m = n = 2000
-        assert training._factored_is_cheaper(m, n, 7, 62)
-        # d = 8, channels 0..4: p = 495 monomials cost more than 62 plain steps
-        assert not training._factored_is_cheaper(m, n, 495, 62)
+        assert training._factored_is_cheaper(m, n, 7, 62, 1)
+        # d = 8, channels 0..4: p = 495 pays for its QR after about 20 steps
+        assert training._factored_is_cheaper(m, n, 495, 62, 4)
+        assert not training._factored_is_cheaper(m, n, 495, 10, 4)
+        # d = 8, channels 0..5: p = 1287 costs more than 62 plain steps
+        assert not training._factored_is_cheaper(m, n, 1287, 62, 5)
         # a width at or above m never pays, however many steps
-        assert not training._factored_is_cheaper(m, n, m, 10**6)
-        assert training._factored_is_cheaper(m, n, 0, 1)
+        assert not training._factored_is_cheaper(m, n, m, 10**6, 4)
+        assert training._factored_is_cheaper(m, n, 0, 1, 0)
 
     def test_failed_verification_warns_and_falls_back(self, monkeypatch):
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
@@ -311,6 +323,17 @@ class TestTrain:
         assert trace.clean_loss == ref_trace.clean_loss
         with pytest.raises(RuntimeError, match="failed verification"):
             train(ds, Q, tau, eta=0.3, T=30, lowrank="always")
+
+    def test_sweep_shape_is_certified_without_the_walk(self, monkeypatch):
+        # d = 6, ell0 = 1 is the sweep-d6 benchmark's degree pair: with the
+        # walk patched to raise, a change that sends its factors back to the
+        # m x n check fails here
+        target = make_target(6, 1, [1.0, 4.0], 69)
+        ds = gen_dataset(target, 500, 0.5, 70)
+        Q = sample_sphere(2000, 6, 71)
+        _no_walk(monkeypatch)
+        state, _ = train(ds, Q, oracle_weights(6, 1), eta=0.8, T=100, lowrank="auto")
+        assert state.Z is None
 
     def test_factored_train_allocates_no_feature_matrix(self):
         import tracemalloc
@@ -388,3 +411,63 @@ class TestExactFactors:
         assert g[1] == 0.0
         assert training._factor_width(4, g) == 11
         assert training._exact_factors(X, Q, g)[0].shape == (6, 11)
+
+
+class TestCertificate:
+    """The a-priori bound on the factors' error against the walk's residual."""
+
+    @staticmethod
+    def _bound_and_walk(X, Q, tau):
+        d = X.shape[1]
+        g = training._power_coefficients(d, tau)
+        U, Vt = training._exact_factors(X, Q, g)
+        QL, R = np.linalg.qr(U)
+        B = R @ Vt
+        return (training._certificate(d, tau, g, U, Vt, B),
+                training._factor_residual(X, Q, tau, QL, B))
+
+    @pytest.mark.parametrize("d, L", [(2, 10), (2, 14), (3, 8), (8, 4), (6, 1)])
+    def test_bound_is_never_below_the_walk(self, d, L):
+        X = sample_sphere(300, d, 61)
+        Q = sample_sphere(600, d, 62)
+        gapped = [1] + [0] * (L - 1) + [1] if L > 1 else [0, 1]
+        rng = np.random.default_rng(63 + 20 * d + L)
+        for tau in (oracle_weights(d, L), finalized_weights(d, gapped), rng.standard_normal(L + 1)):
+            bound, resid = self._bound_and_walk(X, Q, tau)
+            assert resid <= bound
+
+    def test_zero_weights_certify_as_zero(self, monkeypatch):
+        X, Q = sample_sphere(20, 4, 64), sample_sphere(30, 4, 65)
+        assert self._bound_and_walk(X, Q, np.zeros(3)) == (0.0, 0.0)
+        # p = 0: Z is exactly 0, and train needs no walk to accept that
+        _no_walk(monkeypatch)
+        ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
+        state, trace = train(ds, Q, np.zeros(3), eta=0.3, T=4, lowrank="always")
+        assert state.Z is None and np.array_equal(state.a, np.zeros(30))
+        assert trace.loss == [1.0] * 5
+
+    def test_failed_bound_with_passing_walk_stays_factored(self, monkeypatch):
+        # d = 2 at degree 10: the bound exceeds _FACTOR_RTOL, the walk's
+        # residual does not, so the factors are kept without a warning
+        target = make_target(2, 2, [1.0, 1.0, 1.0], 66)
+        ds = gen_dataset(target, 300, 0.2, 67)
+        Q = sample_sphere(600, 2, 68)
+        tau = oracle_weights(2, 10)
+        bound, resid = self._bound_and_walk(ds.S, Q, tau)
+        assert resid <= training._FACTOR_RTOL < bound
+        walks = []
+        walk = training._factor_residual
+        monkeypatch.setattr(training, "_factor_residual",
+                            lambda *args: walks.append(args) or walk(*args))
+        assert training._factored_is_cheaper(600, 300, 66, 50, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, _ = train(ds, Q, tau, eta=1e-3, T=50)
+        assert state.Z is None and len(walks) == 1
+
+    def test_failure_names_the_residual_and_the_bound(self, monkeypatch):
+        _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        monkeypatch.setattr(training, "_FACTOR_RTOL", 0.0)
+        with pytest.raises(RuntimeError, match=r"relative residual \S+ > 0 at factor width "
+                           r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\)"):
+            train(ds, Q, tau, eta=0.3, T=30, lowrank="always")
