@@ -20,12 +20,22 @@ the strongest correctness oracle for the trainer.
 The activation is a polynomial of degree ell_hat in <x, q>, so Z has the
 exact factorization Z = U @ V.T through the monomials of the points and the
 directions, with p columns.  When that is expected to take less time (a rule
-priced from timings), :func:`train` runs the same update on those factors at
-O((m + n) * p) per step and never allocates Z.  The factors are accepted on
-an a-priori rounding bound that costs O((m + n) * p); only when that bound is
-too loose are they checked against the recurrence in a streamed pass over Z,
-and a failed check warns and falls back to the m x n matrix (see the exact
-low-rank fast path below).
+priced from timings), :func:`train` never allocates Z: it runs on the thin
+QR factors Z = QL @ B.  The factors are accepted on an a-priori rounding
+bound that costs O((m + n) * p); only when that bound is too loose are they
+checked against the recurrence in a streamed pass over Z, and a failed check
+warns and falls back to the m x n matrix (see the exact low-rank fast path
+below).
+
+On the factors, GD is a spectral filter of B.  With the thin SVD
+B.T = H diag(s) W.T (w = min(p, m, n) columns), beta = H.T @ y and
+rho = 1 - eta * s^2 / n, the residual's component along H is
+e(t) = -beta * rho^t and the rest of y is never fitted, so every step's
+loss, clean loss and weights have a closed form.  When T >= w the whole
+trace comes from one SVD at O(n * w^2) plus O(T * w), in blocks of t, and no
+step is taken; fewer steps run the same loop as the plain path on (QL, B).
+A step that is not stable (some |rho_i| > 1) also runs the loop, which
+raises DivergenceError where it always has.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import (
+    _block_rows,
     _gegenbauer_coefficients,
     _monomial_powers,
     _monomial_table,
@@ -201,9 +212,28 @@ def _check_divergence(norms: list, t: int) -> None:
 #
 # over the degrees j with g_j != 0, so p = sum_j C(j + d - 1, d - 1).  (The
 # expansion lives in harmonics; stage one uses it too.)  A thin
-# QR, U = QL @ R, gives Z = QL @ B with orthonormal QL and B = R @ V.T, and
-# the GD loop runs on (QL, B) at O((m + n) * p) per step.  Z itself is never
-# formed.
+# QR, U = QL @ R, gives Z = QL @ B with orthonormal QL and B = R @ V.T.  Z
+# itself is never formed.  With T >= w = min(p, m, n) the trace comes in
+# closed form from the thin SVD of B (_spectral_trace); fewer steps run the
+# GD loop on (QL, B) at O((m + n) * p) per step.
+#
+# Closed form.  With B.T = H diag(s) Wt, c(t) = Wt.T @ z(t) and a(t) = QL @
+# c(t), one step maps s z - beta to rho (s z - beta), so from z(0) = 0
+#
+#     e(t) = s z(t) - beta = -beta rho^t,       z(t) = beta (1 - rho^t) / s,
+#
+# with z_i = 0 where s_i = 0.  The residual yhat - y is H e(t) - y_perp,
+# y_perp = y - H beta, and yhat - f* is H (e(t) + delta) - f_perp, with
+# delta = H.T (y - f*) and f_perp = f* - H H.T f*.  Hence
+#
+#     n loss(t) = ||e(t)||^2 + ||y_perp||^2,
+#     n clean_loss(t) = ||e(t) + delta||^2 + ||f_perp||^2,
+#
+# sums of non-negative terms, so nothing cancels.  rho^t is the power, not
+# exp(t log1p(-eta s^2 / n)): rho < 0 is stable for 1 < eta s^2 / n < 2.
+# Rows of t go in blocks of about BLOCK_ENTRIES // w, so the extra memory is
+# O(BLOCK_ENTRIES) whatever T; only the recorded weights, T + 1 vectors of
+# m, grow with T, as on the loop.
 #
 # Certificate.  The factors are accepted on an a-priori bound on the relative
 # error ||QL @ B - Z||_F / ||Z||_F that costs O((m + n) * p) (Higham,
@@ -265,6 +295,19 @@ def _check_divergence(norms: list, t: int) -> None:
 # does not foresee, since only ill-conditioned expansions fail it.  With
 # p >= m the factored steps cost as much as the plain ones, so only the plain
 # path is taken.
+#
+# The rule prices the factored loop, not the closed-form trace that replaces
+# it when T >= w = min(p, m, n), so it now leans toward the plain path: the
+# factored path then costs one SVD of B.T, about n w^2, where the rule counts
+# T steps.  Re-pricing it needs its own timings.  The switch to the closed
+# form at T >= w is measured too (best of 3-5, one BLAS thread, n = 60..8000
+# crossed with w = 3..495; CHANGES.md): a loop step costs 20-80 us of calls
+# and vector work plus about 0.8 ns per entry of B, the SVD of B.T 0.05 ms at
+# n = 1000, w = 3, 0.8 ms at n = 8000, w = 7 and 160 ms at n = 1000, w = 495.
+# The break-even lies between 0.35 w steps (w = 495) and 2.1 w steps (w <= 7,
+# n = 8000): at T = w the closed form is at most 2.1x slower than the loop
+# (0.65 ms at n = 8000, w = 7), and at T = w / 2 the loop is at most 1.7x
+# slower than the closed form (n = 1000, w = 495).
 
 # Also the error bar that stage one's expansion must meet a priori (selection).
 _FACTOR_RTOL = 1e-10
@@ -401,7 +444,9 @@ def train(
         recurrence; when both fail, "auto" warns (RuntimeWarning, naming
         the residual, the bound and p) and falls back to the m x n matrix.
         "never" forces the plain matrix; "always" requires the factored
-        path and raises RuntimeError when both checks fail.
+        path and raises RuntimeError when both checks fail.  On the
+        factors with T >= min(p, m, n), no step is taken: the trace comes
+        in closed form from the SVD of the factors (see above).
 
     Returns (TrainerState, TrainingTrace); the state's Z is None on the
     factored path.  Raises DivergenceError when the residuals blow up
@@ -428,10 +473,22 @@ def train(
                                                          tau.size - 1):
             factors = _try_factor(X, Q, tau, g, strict=lowrank == "always")
 
-    # one loop for both paths: a(t) = QL @ c(t) on the factors of Z = QL @ B,
-    # and a(t) = c(t) with B = Z on the plain path
+    # a(t) = QL @ c(t) on the factors of Z = QL @ B, and a(t) = c(t) with B = Z
+    # on the plain path
     Z = feature_matrix(X, Q, tau) if factors is None else None
     QL, B = factors if factors is not None else (None, Z)
+    a = None
+    if QL is not None and T >= min(B.shape):
+        a = _spectral_trace(QL, B, y, f_star, eta, T, trace)
+    if a is None:
+        a = _gd_loop(QL, B, y, f_star, eta, T, trace)
+    return TrainerState(a=a, t=T, eta=float(eta), Z=Z), trace
+
+
+def _gd_loop(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
+    """T gradient steps on c, a = QL @ c (a = c when QL is None); returns a(T)."""
+    n = y.size
+    keep = trace.weights is not None
 
     def weights(c):
         return c if QL is None else QL @ c
@@ -439,7 +496,7 @@ def train(
     # resid = yhat - y, formed once per step for the check, the record and the gradient
     c = np.zeros(B.shape[0])
     resid = -y
-    _record(trace, resid, -f_star, weights(c), record_weights)
+    _record(trace, resid, -f_star, weights(c), keep)
     for t in range(1, T + 1):
         if not np.all(np.isfinite(resid)):
             raise DivergenceError(
@@ -449,11 +506,42 @@ def train(
         c = c - (eta / n) * (B @ resid)
         yhat = B.T @ c
         resid = yhat - y
-        _record(trace, resid, yhat - f_star, weights(c) if record_weights else None,
-                record_weights)
+        _record(trace, resid, yhat - f_star, weights(c) if keep else None, keep)
         _check_divergence(trace.residual_norm, t)
-    state = TrainerState(a=weights(c), t=T, eta=float(eta), Z=Z)
-    return state, trace
+    return weights(c)
+
+
+def _spectral_trace(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace):
+    """The loop's whole trace in closed form on the thin SVD of B; returns a(T).
+
+    Returns None, recording nothing, when a step is unstable (|rho_i| > 1)
+    or y is not finite; the loop then runs and raises where it does.
+    """
+    n = y.size
+    H, s, Wt = np.linalg.svd(B.T, full_matrices=False)  # B.T = H diag(s) Wt
+    rho = 1.0 - (eta / n) * s**2
+    if not (np.all(np.abs(rho) <= 1.0) and np.all(np.isfinite(y))):
+        return None
+    beta, beta_f = H.T @ y, H.T @ f_star
+    delta = beta - beta_f
+    y_perp = y - H @ beta
+    f_perp = f_star - H @ beta_f
+    y_perp2, f_perp2 = float(y_perp @ y_perp), float(f_perp @ f_perp)
+    # z(t) = beta (1 - rho^t) / s, and 0 where s = 0; c(t) = Wt.T @ z(t)
+    gain = np.divide(beta, s, out=np.zeros_like(s), where=s > 0)
+    rows = _block_rows(T + 1, s.size)
+    for lo in range(0, T + 1, rows):
+        P = rho ** np.arange(lo, min(lo + rows, T + 1))[:, None]  # rho^t, one row per t
+        if trace.weights is not None:
+            trace.weights.extend(((gain * (1.0 - P)) @ Wt) @ QL.T)
+        P *= beta  # -e(t)
+        nloss = np.einsum("tw,tw->t", P, P) + y_perp2
+        np.subtract(delta, P, out=P)  # e(t) + delta
+        nclean = np.einsum("tw,tw->t", P, P) + f_perp2
+        trace.loss.extend((nloss / n).tolist())
+        trace.residual_norm.extend(np.sqrt(nloss).tolist())
+        trace.clean_loss.extend((nclean / n).tolist())
+    return QL @ (Wt.T @ (gain * (1.0 - rho**T)))
 
 
 def closed_form_residual(K_hat_n, y, eta: float, t: int, method: str = "auto") -> np.ndarray:

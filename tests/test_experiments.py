@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from sphattn import experiments, finalized_weights, oracle_weights, sample_sphere
 from sphattn.cli import main
 from sphattn.config import ConfigError, ExperimentConfig, auto_steps, parse_config_file
 from sphattn.experiments import (
@@ -20,6 +21,7 @@ from sphattn.experiments import (
     run_risk_sweep,
     run_training_run,
 )
+from sphattn.harmonics import _power_coefficients, gegenbauer_weighted_sum
 
 SELECT_KW = {
     "d": 4,
@@ -277,6 +279,61 @@ class TestTrainingRuns:
         r1 = run_training_run(cfg1)
         r2 = run_training_run(cfg2)
         assert json.dumps(r1.per_seed, sort_keys=True) == json.dumps(r2.per_seed, sort_keys=True)
+
+
+class TestEmpiricalKernel:
+    """The kernel gap's Gram route on the stage-two factors against the walk."""
+
+    @staticmethod
+    def _walk(X_a, X_b, Q, tau, d):
+        dots_a = gegenbauer_weighted_sum(X_a @ Q.T, d, tau)
+        dots_b = gegenbauer_weighted_sum(X_b @ Q.T, d, tau)
+        return np.sum(dots_a * dots_b, axis=1) / Q.shape[0]
+
+    @staticmethod
+    def _population_only(G, *args):
+        # k_pop walks one dot product per pair; the Gram route walks nothing
+        assert np.ndim(G) == 1, "the kernel gap walked the m directions"
+        return gegenbauer_weighted_sum(G, *args)
+
+    @pytest.mark.parametrize("d, L", [(3, 2), (6, 1), (8, 4)])
+    def test_gram_route_matches_the_walk(self, d, L, monkeypatch):
+        pairs = sample_sphere(128, d, 41)
+        X_a, X_b = pairs[:64], pairs[64:]
+        Q = sample_sphere(600, d, 42)
+        gapped = finalized_weights(d, [1] + [0] * (L - 1) + [1] if L > 1 else [0, 1])
+        for tau in (oracle_weights(d, L), gapped):
+            ref = self._walk(X_a, X_b, Q, tau, d)
+            k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, np.ones(L + 1))
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "gegenbauer_weighted_sum", self._population_only)
+                k_hat = experiments._empirical_kernel(X_a, X_b, Q, tau, d)
+                gap = experiments._kernel_gap(X_a, X_b, Q, tau, L, d)
+            np.testing.assert_allclose(k_hat, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+            assert gap == pytest.approx(float(np.max(np.abs(ref - k_pop))), rel=1e-12)
+
+    def test_ill_conditioned_expansion_takes_the_walk(self, monkeypatch):
+        # d = 2, degree 14: the Chebyshev coefficients grow like (1 + sqrt 2)^14
+        d, L = 2, 14
+        tau = oracle_weights(d, L)
+        bound = experiments._kernel_error(d, tau, _power_coefficients(d, tau))
+        assert bound > experiments._FACTOR_RTOL
+        pairs = sample_sphere(40, d, 43)
+        Q = sample_sphere(300, d, 44)
+        calls = []
+        walk = experiments.gegenbauer_weighted_sum
+        monkeypatch.setattr(experiments, "gegenbauer_weighted_sum",
+                            lambda *args: calls.append(args) or walk(*args))
+        k_hat = experiments._empirical_kernel(pairs[:20], pairs[20:], Q, tau, d)
+        assert len(calls) == 2
+        assert np.array_equal(k_hat, self._walk(pairs[:20], pairs[20:], Q, tau, d))
+
+    def test_zero_weights(self):
+        pairs = sample_sphere(20, 4, 45)
+        Q = sample_sphere(30, 4, 46)
+        k_hat = experiments._empirical_kernel(pairs[:10], pairs[10:], Q, np.zeros(3), 4)
+        assert np.array_equal(k_hat, np.zeros(10))
 
 
 class TestKernelConvergence:

@@ -471,3 +471,161 @@ class TestCertificate:
         with pytest.raises(RuntimeError, match=r"relative residual \S+ > 0 at factor width "
                            r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\)"):
             train(ds, Q, tau, eta=0.3, T=30, lowrank="always")
+
+
+class TestSpectralTrace:
+    """The factored path's closed-form trace against the plain loop on Z."""
+
+    @staticmethod
+    def _paths(monkeypatch):
+        # records "spectral" or "loop" per factored train, "plain" otherwise
+        taken = []
+        spectral, loop = training._spectral_trace, training._gd_loop
+
+        def spy_spectral(*args):
+            out = spectral(*args)
+            if out is not None:
+                taken.append("spectral")
+            return out
+
+        def spy_loop(QL, *args):
+            taken.append("plain" if QL is None else "loop")
+            return loop(QL, *args)
+
+        monkeypatch.setattr(training, "_spectral_trace", spy_spectral)
+        monkeypatch.setattr(training, "_gd_loop", spy_loop)
+        return taken
+
+    @staticmethod
+    def _assert_matches_plain(ds, Q, tau, eta, T, record_weights=False):
+        s1, t1 = train(ds, Q, tau, eta, T, record_weights=record_weights, lowrank="never")
+        s2, t2 = train(ds, Q, tau, eta, T, record_weights=record_weights, lowrank="always")
+        assert s2.Z is None and s2.t == T and s2.eta == eta
+        np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
+        np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(t2.clean_loss, t1.clean_loss, rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(t2.residual_norm, t1.residual_norm, rtol=1e-9, atol=1e-14)
+        assert len(t2.loss) == len(t2.clean_loss) == len(t2.residual_norm) == T + 1
+        return t1, t2
+
+    def test_negative_rho_over_many_steps(self, monkeypatch):
+        # eta * lambda_max = 1.6: the top mode flips sign every step (rho = -0.6)
+        _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        lam_max = gram_spectrum(normalized_gram(empirical_gram(ds.S, None, Q, tau), 60))[0]
+        taken = self._paths(monkeypatch)
+        self._assert_matches_plain(ds, Q, tau, 1.6 / lam_max, 1000)
+        assert taken == ["plain", "spectral"]
+
+    def test_fewer_steps_than_width_take_the_loop(self, monkeypatch):
+        # d = 3, ell0 = 2: w = p = 10, so T = 9 steps run the factored loop
+        _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        taken = self._paths(monkeypatch)
+        self._assert_matches_plain(ds, Q, tau, 0.3, 9)
+        self._assert_matches_plain(ds, Q, tau, 0.3, 10)
+        assert taken == ["plain", "loop", "plain", "spectral"]
+
+    def test_width_above_sample_count(self, monkeypatch):
+        # p = 10 monomials on n = 6 points: the SVD has min(p, n) = 6 columns
+        _, ds, Q, tau = _setup(n=6, m=200, seed=18)
+        taken = self._paths(monkeypatch)
+        self._assert_matches_plain(ds, Q, tau, 0.3, 50)
+        assert taken == ["plain", "spectral"]
+
+    def test_rank_deficient_factors(self, monkeypatch):
+        # 4 distinct points, each 15 times: B has rank 4 < w = 10
+        target, ds, Q, tau = _setup(n=4, m=200, seed=19)
+        X = np.repeat(ds.S, 15, axis=0)
+        f_star = np.repeat(ds.f_star_S, 15)
+        y = f_star + 0.3 * np.random.default_rng(20).standard_normal(60)
+        dup = LabeledDataset(S=X, f_star_S=f_star, y=y, sigma0=0.3)
+        taken = self._paths(monkeypatch)
+        _, t2 = self._assert_matches_plain(dup, Q, tau, 0.5, 200)
+        assert taken == ["plain", "spectral"]
+        # the part of y off the 4 distinct points is never fitted
+        resid = y - np.repeat(y.reshape(4, 15).mean(axis=1), 15)
+        assert t2.loss[-1] >= float(resid @ resid) / 60 * (1 - 1e-12)
+
+    def test_exactly_zero_singular_values(self, monkeypatch):
+        # directions in the plane x_3 = 0: the monomials with q_3 vanish, so
+        # U has zero columns and B rows that are exactly 0
+        _, ds, _, tau = _setup(n=60, seed=26)
+        Q = np.concatenate([sample_sphere(200, 2, 27), np.zeros((200, 1))], axis=1)
+        g = training._power_coefficients(3, tau)
+        QL, B = training._try_factor(ds.S, Q, tau, g)
+        assert np.any(np.linalg.svd(B.T, compute_uv=False) == 0.0)
+        taken = self._paths(monkeypatch)
+        self._assert_matches_plain(ds, Q, tau, 0.5, 100, record_weights=True)
+        assert taken == ["plain", "spectral"]
+
+    def test_zero_weights(self, monkeypatch):
+        _, ds, Q, _ = _setup(n=30, m=50, seed=21)
+        taken = self._paths(monkeypatch)
+        t1, t2 = self._assert_matches_plain(ds, Q, np.zeros(3), 0.3, 6)
+        assert taken == ["plain", "spectral"]
+        assert t2.loss == t1.loss and t2.residual_norm == t1.residual_norm
+
+    def test_weight_snapshots_across_blocks(self, monkeypatch):
+        import sphattn.harmonics as harmonics_mod
+
+        _, ds, Q, tau = _setup(n=40, m=90, seed=22)
+        _, t1 = train(ds, Q, tau, 0.3, 25, record_weights=True, lowrank="never")
+        ref_state, ref = train(ds, Q, tau, 0.3, 25, record_weights=True, lowrank="always")
+        # 3 rows of t per block: the trace crosses 9 block boundaries
+        monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", 3 * 10)
+        taken = self._paths(monkeypatch)
+        state, t2 = train(ds, Q, tau, 0.3, 25, record_weights=True, lowrank="always")
+        assert taken == ["spectral"]
+        assert len(t2.weights) == 26
+        assert np.array_equal(t2.weights[0], np.zeros(90))
+        for w_plain, w_block, w_ref in zip(t1.weights, t2.weights, ref.weights):
+            np.testing.assert_allclose(w_block, w_plain, atol=1e-10)
+            np.testing.assert_allclose(w_block, w_ref, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(state.a, t2.weights[-1], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(t2.loss, ref.loss, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(state.a, ref_state.a, rtol=1e-13, atol=1e-15)
+
+    def test_divergence_raises_like_the_plain_loop(self, monkeypatch):
+        _, ds, Q, tau = _setup(n=40, m=60, seed=16)
+        messages = {}
+        taken = self._paths(monkeypatch)
+        for lowrank in ("never", "always"):
+            with pytest.raises(DivergenceError) as err:
+                train(ds, Q, tau, eta=50.0, T=200, lowrank=lowrank)
+            messages[lowrank] = str(err.value)
+        assert messages["always"] == messages["never"]
+        assert "over 5 steps at step" in messages["never"]
+        # the unstable step sends the factors back to the loop, which raises
+        assert taken == ["plain", "loop"]
+
+    def test_non_finite_response_raises_like_the_plain_loop(self):
+        _, ds, Q, tau = _setup(n=40, m=60, seed=16)
+        y = ds.y.copy()
+        y[7] = np.nan
+        bad = LabeledDataset(S=ds.S, f_star_S=ds.f_star_S, y=y, sigma0=ds.sigma0)
+        for lowrank in ("never", "always"):
+            with pytest.raises(DivergenceError, match="non-finite residual at step 0"):
+                train(bad, Q, tau, eta=0.3, T=50, lowrank=lowrank)
+
+    def test_memory_does_not_grow_with_steps(self):
+        import sys
+        import tracemalloc
+
+        # d = 6, ell0 = 1: w = p = 7
+        target = make_target(6, 1, [1.0, 4.0], 23)
+        ds = gen_dataset(target, 300, 0.5, 24)
+        Q = sample_sphere(400, 6, 25)
+        tau = oracle_weights(6, 1)
+        T, w = 20_000, 7
+        train(ds, Q, tau, eta=0.8, T=T, lowrank="always")  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            state, trace = train(ds, Q, tau, eta=0.8, T=T, lowrank="always")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lists = sum(
+            sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values)
+            for values in (trace.loss, trace.residual_norm, trace.clean_loss)
+        )
+        assert state.Z is None and len(trace.loss) == T + 1
+        assert peak < (T + 1) * w * 8 + lists
