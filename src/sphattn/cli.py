@@ -10,6 +10,7 @@ command line winning.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -119,7 +120,9 @@ def _complexity_curve(config: ExperimentConfig) -> tuple[RunReport, list]:
     return report, rows
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sphattn",
         description="Channel-attention kernel experiments on the unit sphere",
@@ -134,7 +137,11 @@ def main(argv=None) -> int:
         ("complexity-curve", "complexity curves and critical radii"),
     ]:
         _add_common(subs.add_parser(name, help=hlp))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = _build_config(args)

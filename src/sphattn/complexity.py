@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 MC_CHUNKS = 32  # fixed chunk count keeps estimates independent of parallelism
+# Rows per predictor call in mc_risk: 20000 samples are one batch, and at
+# 1e6 samples each 31250-row chunk is its own, so the samples are never all
+# in memory at once.
+MC_BATCH_ROWS = 1 << 15
 
 
 @dataclass
@@ -149,24 +153,41 @@ def mc_risk(predictor, target: ZonalTarget, num_samples: int, seed):
     """Monte Carlo estimate of E[(predictor(x) - f*(x))^2] on fresh uniform points.
 
     Returns (estimate, standard_error).  Sampling is split into MC_CHUNKS
-    chunks with seeds derived from `seed`, so the estimate is deterministic
-    and independent of how chunks might be scheduled.
+    chunks, each drawn from its own seed derived from `seed`, so the estimate
+    is deterministic and independent of how chunks might be scheduled.
+    Consecutive whole chunks are stacked into batches of at most
+    MC_BATCH_ROWS rows (a larger chunk is a batch of its own), and the
+    predictor and f* are evaluated once per batch, so no call sees more rows
+    than the larger of MC_BATCH_ROWS and one chunk.  The predictor must map
+    each row of its (rows, d) input to one value independently of the other
+    rows.
+    The chunks, their seeds and the order of the sums are those of a
+    chunk-by-chunk loop; only the batching of the evaluations differs.
     """
     if num_samples < 2:
         raise ValueError(f"need at least 2 samples, got {num_samples}")
     seqs = as_seed_sequence(seed).spawn(MC_CHUNKS)
     base, extra = divmod(num_samples, MC_CHUNKS)
-    total = 0.0
-    total_sq = 0.0
+    batches: list[list] = []
+    rows = 0
     for c, seq in enumerate(seqs):
         size = base + (1 if c < extra else 0)
         if size == 0:
             continue
-        X = sample_sphere(size, target.d, seq)
+        if not batches or rows + size > MC_BATCH_ROWS:
+            batches.append([])
+            rows = 0
+        batches[-1].append((size, seq))
+        rows += size
+    total = 0.0
+    total_sq = 0.0
+    for batch in batches:
+        X = np.concatenate([sample_sphere(size, target.d, seq) for size, seq in batch])
         err = np.asarray(predictor(X), dtype=float) - eval_target(target, X)
-        sq = err * err
-        total += float(np.sum(sq))
-        total_sq += float(np.sum(sq * sq))
+        bounds = np.cumsum([size for size, _ in batch])[:-1]
+        for sq in np.split(err * err, bounds):  # one slice per chunk, in chunk order
+            total += float(np.sum(sq))
+            total_sq += float(np.sum(sq * sq))
     mean = total / num_samples
     var = max(total_sq / num_samples - mean * mean, 0.0)
     stderr = float(np.sqrt(var / num_samples))

@@ -122,10 +122,15 @@ def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledData
     feat_seq, noise_seq = as_seed_sequence(seed).spawn(2)
     S = sample_sphere(n, target.d, feat_seq)
     # Exact duplicate rows are a probability-zero event under the continuous
-    # uniform draw; seeing one means something is broken upstream.
-    _, counts = np.unique(S, axis=0, return_counts=True)
-    if np.any(counts > 1):
-        raise RuntimeError("duplicate feature rows in a continuous uniform sample")
+    # uniform draw; seeing one means something is broken upstream.  Rows
+    # whose first coordinates differ are distinct, so the full-row comparison
+    # (np.unique over rows, a lexicographic sort that costs ms per dataset)
+    # runs only when two first coordinates tie.
+    first = np.sort(S[:, 0])
+    if np.any(first[1:] == first[:-1]):
+        _, counts = np.unique(S, axis=0, return_counts=True)
+        if np.any(counts > 1):
+            raise RuntimeError("duplicate feature rows in a continuous uniform sample")
     f_star_S = eval_target(target, S)
     noise = sigma0 * np.random.default_rng(noise_seq).standard_normal(n) if sigma0 > 0 else 0.0
     return LabeledDataset(S=S, f_star_S=f_star_S, y=f_star_S + noise, sigma0=float(sigma0))

@@ -1,5 +1,8 @@
 """Complexity functionals, critical radii, and risk estimation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +18,14 @@ from sphattn import (
     make_target,
     mc_risk,
     normalized_gram,
+    oracle_weights,
     population_complexity,
     population_gram,
     population_spectrum,
+    predict,
     sample_sphere,
 )
-from sphattn.complexity import complexity_curve_csv
+from sphattn.complexity import MC_BATCH_ROWS, complexity_curve_csv
 
 
 class TestSpectrumType:
@@ -204,3 +209,82 @@ def test_complexity_curve_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "eps,R_empirical,R_population"
     assert len(lines) == 6
+
+
+def _per_chunk_mc_risk(predictor, target, num_samples, seed):
+    """The estimator evaluated chunk by chunk: 32 chunks, one predictor call each."""
+    seqs = np.random.SeedSequence(seed).spawn(32)
+    base, extra = divmod(num_samples, 32)
+    total = total_sq = 0.0
+    for c, seq in enumerate(seqs):
+        size = base + (1 if c < extra else 0)
+        if size == 0:
+            continue
+        X = sample_sphere(size, target.d, seq)
+        sq = (np.asarray(predictor(X), dtype=float) - eval_target(target, X)) ** 2
+        total += float(np.sum(sq))
+        total_sq += float(np.sum(sq * sq))
+    mean = total / num_samples
+    return mean, float(np.sqrt(max(total_sq / num_samples - mean * mean, 0.0) / num_samples))
+
+
+class _CountingPredictor:
+    """A trained-network predictor that records the row count of every call."""
+
+    def __init__(self, d, L, m, seed):
+        self.Q = sample_sphere(m, d, seed)
+        self.a = np.random.default_rng(seed + 1).standard_normal(m)
+        self.tau = oracle_weights(d, L, L)
+        self.rows = []
+
+    def __call__(self, X):
+        self.rows.append(X.shape[0])
+        return predict(self.a, X, self.Q, self.tau)
+
+
+class TestMcRiskBatches:
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("num_samples", [2, 31, 32, 33, 1000, 20001, 200_000])
+    def test_matches_per_chunk_oracle(self, L, num_samples):
+        target = make_target(6, 2, [0.5, 1.0, 2.0], 60)
+        pred = _CountingPredictor(6, L, 200, 61)
+        est, se = mc_risk(pred, target, num_samples, 62)
+        want_est, want_se = _per_chunk_mc_risk(pred, target, num_samples, 62)
+        assert est == pytest.approx(want_est, rel=1e-13, abs=0)
+        assert se == pytest.approx(want_se, rel=1e-13, abs=0)
+
+    def test_sweep_size_is_one_call(self):
+        target = make_target(6, 1, [1.0, 4.0], 63)
+        pred = _CountingPredictor(6, 1, 300, 64)
+        mc_risk(pred, target, 20_000, 65)
+        assert pred.rows == [20_000]
+
+    def test_batches_do_not_grow_with_samples(self):
+        target = make_target(3, 1, [1.0, 1.0], 66)
+        pred = _CountingPredictor(3, 1, 50, 67)
+        mc_risk(pred, target, 1_000_000, 68)
+        assert sum(pred.rows) == 1_000_000
+        assert max(pred.rows) <= max(MC_BATCH_ROWS, math.ceil(1_000_000 / 32))
+
+    def test_memory_does_not_grow_with_samples(self):
+        d = 3
+        target = make_target(d, 2, [0.5, 1.0, 2.0], 69)
+        pred = _CountingPredictor(d, 1, 50, 70)
+
+        def peak(num_samples):
+            tracemalloc.start()
+            try:
+                mc_risk(pred, target, num_samples, 71)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 250000 samples go in batches of four chunks of about 7800 rows, 1e6
+        # samples in batches of one 31250-row chunk: the same rows per call
+        # for 4x the samples
+        small, large = peak(250_000), peak(1_000_000)
+        assert large <= 1.05 * small
+        # a chunk's draw, its normalized copy, the stacked batch and
+        # eval_target's dot products and Gegenbauer table hold at most d floats
+        # per row each; the whole 1e6 x 3 sample matrix would be 24 MB
+        assert large < 8 * max(MC_BATCH_ROWS, math.ceil(1_000_000 / 32)) * d * 8

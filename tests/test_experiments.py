@@ -480,6 +480,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["population_critical_radius_sq"] == pytest.approx(0.01, abs=1e-10)
 
+    def test_parser_built_once_gives_fresh_parser_outputs(self, tmp_path, capsys):
+        from sphattn import cli
+
+        jobs = [
+            ["select", "--config", self._cfg_file(tmp_path), "--format", "csv"],
+            ["complexity-curve", "--d", "3", "--ell0", "1", "--n", "200", "--sigma0", "1.0"],
+        ]
+
+        def run(i, argv, tag):
+            out = tmp_path / f"{tag}{i}.out"
+            code = main([*argv, "--out", str(out)])
+            return code, out.read_bytes(), capsys.readouterr()
+
+        fresh = []
+        for i, argv in enumerate(jobs):
+            cli._parser.cache_clear()
+            fresh.append(run(i, argv, "fresh"))
+        cli._parser.cache_clear()
+        reused = [run(i, argv, "reused") for i, argv in enumerate(jobs)]
+        assert cli._parser.cache_info().misses == 1
+        assert [r[0] for r in fresh] == [0, 0]
+        assert reused == fresh
+
     def test_csv_format_flag(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main(

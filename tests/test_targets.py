@@ -168,6 +168,28 @@ class TestGenDataset:
         resid = ds.y - ds.f_star_S
         assert abs(resid.mean()) <= 5 * 0.7 / np.sqrt(4000)
 
+    @staticmethod
+    def _gen_with_rows(monkeypatch, S):
+        import sphattn.targets as targets_mod
+
+        target = make_target(3, 1, [1.0, 1.0], 34)
+        monkeypatch.setattr(targets_mod, "sample_sphere", lambda n, d, seed: S.copy())
+        return gen_dataset(target, S.shape[0], 0.1, 35)
+
+    # unit rows sharing the first coordinate 0.6
+    SHARED_FIRST = np.array(
+        [[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.6, 0.0, 0.8], [0.6, -0.8, 0.0], [1.0, 0.0, 0.0]]
+    )
+
+    def test_repeated_row_raises(self, monkeypatch):
+        S = self.SHARED_FIRST[[0, 2, 3, 2]]  # every first coordinate ties
+        with pytest.raises(RuntimeError, match="duplicate feature rows"):
+            self._gen_with_rows(monkeypatch, S)
+
+    def test_shared_first_coordinate_is_not_a_duplicate(self, monkeypatch):
+        ds = self._gen_with_rows(monkeypatch, self.SHARED_FIRST)
+        assert np.array_equal(ds.S, self.SHARED_FIRST)
+
 
 def test_degree_containment_in_gram_column_space():
     """Clean target values lie in the span of the top kernel eigenvectors."""
