@@ -62,7 +62,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--T", dest="T", help="step count or 'auto'")
     sub.add_argument("--coeffs", help="comma list of target coefficients")
     sub.add_argument("--channels", choices=["oracle", "select"])
-    sub.add_argument("--lowrank", choices=["auto", "never", "always"])
 
 
 def _overrides(args: argparse.Namespace) -> dict:

@@ -9,6 +9,8 @@ Command-line flags win over file values.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "auto_steps"]
@@ -79,6 +81,17 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _number(name: str, val, integer: bool = False):
+    """val if it is a finite number, as an int with integer (integral floats pass)."""
+    if isinstance(val, numbers.Real) and not isinstance(val, bool):
+        if isinstance(val, numbers.Integral):
+            return int(val)
+        if math.isfinite(val) and (not integer or float(val).is_integer()):
+            return int(val) if integer else val
+    raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
+                      f"got {val!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a harness run needs; unset values fall back to defaults."""
@@ -97,7 +110,6 @@ class ExperimentConfig:
     num_mc_samples: int = 20000
     base_seed: int = 0
     channels: str = "oracle"  # or "select"
-    lowrank: str = "auto"
     threads: int = 1
     out: str | None = None
     format: str = "json"
@@ -122,6 +134,11 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        for name in ("d", "ell0", "L", "num_seeds", "num_mc_samples", "base_seed", "threads",
+                     "eta", "sigma0", "epsilon0"):
+            if getattr(self, name) is not None:
+                integer = name not in ("eta", "sigma0", "epsilon0")
+                setattr(self, name, _number(name, getattr(self, name), integer))
         if self.d < 2:
             raise ConfigError(f"d must be >= 2, got {self.d}")
         if self.ell0 < 0:
@@ -137,7 +154,7 @@ class ExperimentConfig:
             self.coeffs = [1.0] * (self.ell0 + 1)
         if not isinstance(self.coeffs, list):
             self.coeffs = [self.coeffs]
-        self.coeffs = [float(c) for c in self.coeffs]
+        self.coeffs = [float(_number("coeffs", c)) for c in self.coeffs]
         if len(self.coeffs) != self.ell0 + 1:
             raise ConfigError(
                 f"coeffs must have ell0 + 1 = {self.ell0 + 1} entries, got {len(self.coeffs)}"
@@ -151,22 +168,23 @@ class ExperimentConfig:
             if isinstance(val, list):
                 if not val:
                     raise ConfigError(f"{name} grid is empty")
-                ivals = [int(v) for v in val]
+                ivals = [_number(name, v, True) for v in val]
                 if any(b <= a for a, b in zip(ivals, ivals[1:])):
                     raise ConfigError(f"{name} grid must be strictly increasing: {ivals}")
                 if any(v < 1 for v in ivals):
                     raise ConfigError(f"{name} grid entries must be >= 1")
                 setattr(self, name, ivals)
             else:
-                if int(val) < 1:
+                val = _number(name, val, True)
+                if val < 1:
                     raise ConfigError(f"{name} must be >= 1, got {val}")
-                setattr(self, name, int(val))
+                setattr(self, name, val)
         if self.eta <= 0:
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.T != "auto":
-            if int(self.T) < 1:
+            self.T = _number("T", self.T, True)
+            if self.T < 1:
                 raise ConfigError(f"T must be >= 1 or 'auto', got {self.T}")
-            self.T = int(self.T)
         if self.sigma0 < 0:
             raise ConfigError(f"sigma0 must be >= 0, got {self.sigma0}")
         if self.epsilon0 is not None and self.epsilon0 <= 0:
@@ -177,8 +195,6 @@ class ExperimentConfig:
             raise ConfigError(f"num_mc_samples must be >= 2, got {self.num_mc_samples}")
         if self.channels not in ("oracle", "select"):
             raise ConfigError(f"channels must be 'oracle' or 'select', got {self.channels!r}")
-        if self.lowrank not in ("auto", "never", "always"):
-            raise ConfigError(f"lowrank must be auto/never/always, got {self.lowrank!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.threads < 1:

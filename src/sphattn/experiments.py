@@ -338,7 +338,7 @@ def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) 
         else:
             tau, ell_hat = oracle_weights(cfg.d, cfg.ell0, cfg.L), cfg.ell0
         T = cfg.steps_for(n)
-        state, trace = train(dataset, Q, tau, cfg.eta, T, lowrank=cfg.lowrank)
+        state, trace = train(dataset, Q, tau, cfg.eta, T)
         risk, stderr = mc_risk(
             lambda X: predict(state.a, X, Q, tau),
             target,

@@ -19,13 +19,14 @@ the strongest correctness oracle for the trainer.
 
 The activation is a polynomial of degree ell_hat in <x, q>, so Z has the
 exact factorization Z = U @ V.T through the monomials of the points and the
-directions, with p columns.  When that is expected to take less time (a rule
-priced from timings), :func:`train` never allocates Z: it runs on the thin
-QR factors Z = QL @ B.  The factors are accepted on an a-priori rounding
-bound that costs O((m + n) * p); only when that bound is too loose are they
-checked against the recurrence in a streamed pass over Z, and a failed check
-warns and falls back to the m x n matrix (see the exact low-rank fast path
-below).
+directions, with p columns.  :func:`train` picks its path from the shapes
+alone: when a rule priced from timings of both paths expects the factors to
+take less time for these m, n, p, T and degrees, it never allocates Z and
+runs on the thin QR factors Z = QL @ B.  The factors are accepted on an
+a-priori rounding bound that costs O((m + n) * p); only when that bound is
+too loose are they checked against the recurrence in a streamed pass over
+Z, and a failed check warns and falls back to the m x n matrix (see the
+exact low-rank fast path below).
 
 On the factors, GD is a spectral filter of B.  With the thin SVD
 B.T = H diag(s) W.T (w = min(p, m, n) columns), beta = H.T @ y and
@@ -277,37 +278,32 @@ def _check_divergence(norms: list, t: int) -> None:
 # code with the expansion (_factor_residual); that costs an m x n walk, and
 # only ill-conditioned expansions pay it (with oracle channels, from degree
 # 10 at d = 2, 9 at d = 3 and 8 at d = 4).  When the walk's relative
-# Frobenius residual exceeds _FACTOR_RTOL too, "auto" warns and falls back
-# to the plain loop on the m x n matrix, and "always" raises.
+# Frobenius residual exceeds _FACTOR_RTOL too, train warns (the residual,
+# the bound and p) and falls back to the plain loop on the m x n matrix.
 #
-# Speed.  "auto" prices both paths in nanoseconds on one core, from timings
-# (best of 3, one BLAS thread; the grid and the fit are in CHANGES.md):
-# - plain: the recurrence walk that builds Z, about 3 ns per entry and
-#   degree, m n (L + 1) with L = len(tau) - 1, then 0.65 ns per entry of Z
-#   for each step's two matrix-vector products;
-# - factored: 200 us for the set-up's numpy calls; per monomial value,
-#   20 + 0.1 w ns in U (the expansion and the thin QR) and 5 + 0.05 w ns in
-#   Vt (the expansion and B = R @ V.T), with w = min(p, m) the width of QL;
-#   then 0.65 ns per entry of B (w x n) per step.
-# The loop's own per-step work (the residual, the record, the calls) is the
-# same on both paths and cancels.  The certificate costs O((m + n) p) and is
-# inside the set-up; a certificate that fails adds the walk, which the rule
-# does not foresee, since only ill-conditioned expansions fail it.  With
-# p >= m the factored steps cost as much as the plain ones, so only the plain
-# path is taken.
-#
-# The rule prices the factored loop, not the closed-form trace that replaces
-# it when T >= w = min(p, m, n), so it now leans toward the plain path: the
-# factored path then costs one SVD of B.T, about n w^2, where the rule counts
-# T steps.  Re-pricing it needs its own timings.  The switch to the closed
-# form at T >= w is measured too (best of 3-5, one BLAS thread, n = 60..8000
-# crossed with w = 3..495; CHANGES.md): a loop step costs 20-80 us of calls
-# and vector work plus about 0.8 ns per entry of B, the SVD of B.T 0.05 ms at
-# n = 1000, w = 3, 0.8 ms at n = 8000, w = 7 and 160 ms at n = 1000, w = 495.
-# The break-even lies between 0.35 w steps (w = 495) and 2.1 w steps (w <= 7,
-# n = 8000): at T = w the closed form is at most 2.1x slower than the loop
-# (0.65 ms at n = 8000, w = 7), and at T = w / 2 the loop is at most 1.7x
-# slower than the closed form (n = 1000, w = 495).
+# Speed.  train takes the path that _factored_is_cheaper prices lower, in
+# nanoseconds on one core, from timings of train on both paths (best of 3,
+# one BLAS thread, 424 shapes; the grid and the fit are in CHANGES.md):
+# - plain: 85 us of set-up, the recurrence walk that builds Z at 3.3 ns per
+#   entry and degree, m n (L + 1) with L = len(tau) - 1, then per step 14 us
+#   of loop work (the residual check, the record, the divergence check and
+#   the calls) and 0.74 ns per entry of Z for the two matrix-vector products;
+# - factored: 240 us of set-up; per monomial value, 23 + 0.2 w ns in U (the
+#   expansion and the thin QR) and 13 ns in Vt (the expansion and
+#   B = R @ V.T), with w = min(p, m) the width of QL; then min(T, p, m, n)
+#   steps at the same 14 us plus 0.43 ns per entry of B (w x n).  With
+#   T >= min(p, m, n) no step is taken, and those min(p, m, n) steps price
+#   the SVD of B.T, about n w^2, which the closed form costs instead; its
+#   O(T w) evaluation, about 20 ns per entry, costs less per t than a plain
+#   step, so it is left out.
+# The certificate costs O((m + n) p) and is inside the set-up; a certificate
+# that fails adds the walk, which the rule does not foresee, since only
+# ill-conditioned expansions fail it.  On the grid the rule took the slower
+# path at 10 of 424 points, by at most 1.45x (d = 8, L = 3, p = 165, m = 4000,
+# n = 500, T = 10).
+# The switch to the closed form at T >= w = min(p, m, n) is measured too
+# (n = 60..8000 crossed with w = 3..495): the break-even lies between 0.35 w
+# steps (w = 495) and 2.1 w steps (w <= 7, n = 8000).
 
 # Also the error bar that stage one's expansion must meet a priori (selection).
 _FACTOR_RTOL = 1e-10
@@ -319,14 +315,14 @@ def _factor_width(d: int, g: np.ndarray) -> int:
 
 
 def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
-    """Whether T factored steps at width p take less time than T plain steps.
+    """Whether train on the factors at width p is priced below the m x n matrix.
 
     L is the top degree of tau (len(tau) - 1), which the plain walk runs to;
-    the per-entry costs are measured (see above).
+    the costs are measured (see above).
     """
     w = min(p, m)
-    plain = m * n * (3.0 * (L + 1) + 0.65 * T)
-    factored = 2e5 + p * (m * (20 + 0.1 * w) + n * (5 + 0.05 * w)) + 0.65 * T * n * w
+    plain = 85e3 + m * n * (3.3 * (L + 1) + 0.74 * T) + 14e3 * T
+    factored = 240e3 + p * (m * (23 + 0.2 * w) + 13 * n) + min(T, w, n) * (14e3 + 0.43 * n * w)
     return factored < plain
 
 
@@ -391,14 +387,13 @@ def _certificate(d: int, tau: np.ndarray, g: np.ndarray, U, Vt, B) -> float:
     return (U.shape[1] + 3 * int(J[-1]) + 2) * eps * ubar * float(np.linalg.norm(Vt)) / ref
 
 
-def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray,
-                strict: bool = False):
+def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray):
     """Certified exact factors (QL, B) of Z, or None after a RuntimeWarning.
 
     g = _power_coefficients(d, tau) are the power coefficients of sigma_tau.
     The factors are accepted on the a-priori bound (_certificate) and, only
     when that exceeds _FACTOR_RTOL, on the walk's residual
-    (_factor_residual).  With strict, failing both raises RuntimeError.
+    (_factor_residual).
     """
     U, Vt = _exact_factors(X, Q, g)
     QL, R = np.linalg.qr(U)
@@ -410,15 +405,12 @@ def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray,
     resid = _factor_residual(X, Q, tau, QL, B)
     if resid <= _FACTOR_RTOL:
         return QL, B
-    msg = (
+    warnings.warn(
         f"exact low-rank factors failed verification: relative residual "
         f"{resid:.3e} > {_FACTOR_RTOL:g} at factor width p = {U.shape[1]} "
-        f"(a-priori bound {bound:.3e})"
+        f"(a-priori bound {bound:.3e}); falling back to the m x n feature matrix",
+        RuntimeWarning, stacklevel=3,
     )
-    if strict:
-        raise RuntimeError(msg)
-    warnings.warn(msg + "; falling back to the m x n feature matrix", RuntimeWarning,
-                  stacklevel=3)
     return None
 
 
@@ -429,24 +421,19 @@ def train(
     eta: float,
     T: int,
     record_weights: bool = False,
-    lowrank: str = "auto",
 ):
     """Run T gradient steps from a(0) = 0, recording the loss trace.
 
-    Parameters
-    ----------
-    lowrank : "auto" runs the same update on exact factors of the feature
-        matrix when that is expected to take less time for these m, n, T,
-        degrees and factor width p (the number of monomials in the
-        expansion of sigma_tau), and otherwise on the m x n matrix itself.
-        The factors are accepted on an a-priori rounding bound, or, where
-        that bound exceeds 1e-10, on a streamed check against the
-        recurrence; when both fail, "auto" warns (RuntimeWarning, naming
-        the residual, the bound and p) and falls back to the m x n matrix.
-        "never" forces the plain matrix; "always" requires the factored
-        path and raises RuntimeError when both checks fail.  On the
-        factors with T >= min(p, m, n), no step is taken: the trace comes
-        in closed form from the SVD of the factors (see above).
+    The path follows from the shapes alone (_factored_is_cheaper): the
+    same update runs on exact factors of the feature matrix when that is
+    priced below the m x n matrix for these m, n, T, degrees and factor
+    width p (the number of monomials in the expansion of sigma_tau), and
+    on the matrix itself otherwise.  The factors are accepted on an
+    a-priori rounding bound, or, where that bound exceeds 1e-10, on a
+    streamed check against the recurrence; when both fail, train warns
+    (RuntimeWarning, naming the residual, the bound and p) and runs on the
+    m x n matrix.  On the factors with T >= min(p, m, n), no step is
+    taken: the trace comes in closed form from the SVD of the factors.
 
     Returns (TrainerState, TrainingTrace); the state's Z is None on the
     factored path.  Raises DivergenceError when the residuals blow up
@@ -454,8 +441,6 @@ def train(
     """
     if T < 1:
         raise ValueError(f"need at least one step, got T={T}")
-    if lowrank not in ("auto", "never", "always"):
-        raise ValueError(f"unknown lowrank mode {lowrank!r}")
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
     X, Q = _require_unit_pair(dataset.S, Q)
@@ -465,13 +450,9 @@ def train(
     f_star = np.asarray(dataset.f_star_S, dtype=float)
     trace = TrainingTrace(weights=[] if record_weights else None)
 
-    factors = None
-    if lowrank != "never":
-        d = X.shape[1]
-        g = _power_coefficients(d, tau)
-        if lowrank == "always" or _factored_is_cheaper(m, n, _factor_width(d, g), T,
-                                                         tau.size - 1):
-            factors = _try_factor(X, Q, tau, g, strict=lowrank == "always")
+    g = _power_coefficients(X.shape[1], tau)
+    cheaper = _factored_is_cheaper(m, n, _factor_width(X.shape[1], g), T, tau.size - 1)
+    factors = _try_factor(X, Q, tau, g) if cheaper else None
 
     # a(t) = QL @ c(t) on the factors of Z = QL @ B, and a(t) = c(t) with B = Z
     # on the plain path

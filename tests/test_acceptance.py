@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import d2_explicit
+from test_training import force_path
 from sphattn import (
     critical_radius,
     empirical_gram,
@@ -95,14 +96,15 @@ def test_criterion_02_addition_theorem_equivalence():
     assert _report(2, ok, f"addition-theorem equivalence: max rel err {max(errs):.2e}, {dt:.2f}s")
 
 
-def test_criterion_03_exact_gd_dynamics():
+def test_criterion_03_exact_gd_dynamics(monkeypatch):
     t0 = time.perf_counter()
     n, m, d, eta, T = 200, 2000, 4, 0.1, 200
     target = make_target(d, 2, [1.0, 1.0, 1.0], 3001)
     ds = gen_dataset(target, n, 0.3, 3002)
     Q = sample_sphere(m, d, 3003)
     tau = oracle_weights(d, 2)
-    state, trace = train(ds, Q, tau, eta, T, lowrank="never")
+    force_path(monkeypatch, False)  # the m x n loop, checked against K_n
+    state, trace = train(ds, Q, tau, eta, T)
     K_n = normalized_gram(empirical_gram(ds.S, None, Q, tau), n)
     norm_y = np.linalg.norm(ds.y)
     u = -ds.y.copy()

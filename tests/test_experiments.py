@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -105,6 +106,22 @@ class TestConfig:
         assert cfg.steps_for(480) == auto_steps(480, cfg.eta, 6, 1)
         cfg2 = ExperimentConfig.from_sources({"d": 6, "ell0": 1, "n": 480, "m": 10, "T": 25}, {})
         assert cfg2.steps_for(480) == 25
+
+    @pytest.mark.parametrize("key", ["d", "ell0", "L", "n", "m", "eta", "T", "sigma0", "epsilon0",
+                                     "coeffs", "num_seeds", "num_mc_samples", "base_seed",
+                                     "threads"])
+    @pytest.mark.parametrize("value", ["2", True, float("nan")])
+    def test_wrong_type_names_key_and_value(self, key, value):
+        kw = {"d": 3, "ell0": 0, "n": 20, "m": 30, key: value}
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {re.escape(repr(value))}$"):
+            ExperimentConfig.from_sources(kw, {})
+
+    def test_integral_values_are_normalized(self):
+        cfg = ExperimentConfig.from_sources(
+            {"d": 3.0, "ell0": np.int64(1), "n": [20.0, 40], "m": 30.0, "T": 5.0}, {}
+        )
+        assert (cfg.d, cfg.ell0, cfg.n, cfg.m, cfg.T) == (3, 1, [20, 40], 30, 5)
+        assert all(type(v) is int for v in (cfg.d, cfg.ell0, cfg.m, cfg.T, *cfg.n))
 
     def test_scalar_vs_grid_accessors(self):
         cfg = ExperimentConfig.from_sources({"d": 3, "ell0": 0, "n": [10, 20, 400], "m": 5}, {})
@@ -257,7 +274,6 @@ class TestTrainingRuns:
                 "num_seeds": 4,
                 "num_mc_samples": 4000,
                 "base_seed": 9,
-                "lowrank": "always",
             }
             report = run_training_run(ExperimentConfig.from_sources(kw, {}))
             return report.aggregates["median_risk"]
@@ -423,11 +439,29 @@ class TestCli:
         assert len(data["per_seed"]) == 2
         assert data["config"]["base_seed"] == 99
 
-    def test_bad_config_exits_two(self, tmp_path):
+    def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("d = 1\nell0 = 0\nn = 10\nm = 10\n")
         assert main(["select", "--config", str(path)]) == 2
         assert main(["select", "--config", str(tmp_path / "missing.cfg")]) == 2
+        # values of the wrong type, and the key that stage two no longer has
+        flat = "d = 3\nell0 = 1\nn = 20\nm = 30\n"
+        for name, text, message in [
+            ("steps.cfg", flat + "T = abc\n", "T must be an integer, got 'abc'"),
+            ("eta.cfg", flat + "eta = fast\n", "eta must be a finite number, got 'fast'"),
+            ("seeds.json", json.dumps({"d": 3, "ell0": 1, "n": 20, "m": 30, "num_seeds": "2"}),
+             "num_seeds must be an integer, got '2'"),
+            ("path.cfg", flat + "lowrank = auto\n", "unknown config key 'lowrank'"),
+        ]:
+            path = tmp_path / name
+            path.write_text(text)
+            capsys.readouterr()
+            assert main(["train", "--config", str(path)]) == 2
+            assert message in capsys.readouterr().err
+        path.write_text(flat)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(path), "--lowrank", "auto"])
+        assert exc.value.code == 2
 
     def test_all_seed_failure_exits_three(self, tmp_path):
         code = main(

@@ -25,6 +25,7 @@ from sphattn import (
     train,
 )
 from sphattn import training
+from sphattn.config import auto_steps
 from sphattn.targets import LabeledDataset
 from sphattn.training import trace_to_csv
 
@@ -35,6 +36,11 @@ def _setup(d=3, ell0=2, n=120, m=600, sigma0=0.3, seed=0):
     Q = sample_sphere(m, d, seed + 2)
     tau = oracle_weights(d, ell0)
     return target, ds, Q, tau
+
+
+def force_path(monkeypatch, factored: bool) -> None:
+    """Make train take the factored path (True) or the plain m x n one (False)."""
+    monkeypatch.setattr(training, "_factored_is_cheaper", lambda *shape: factored)
 
 
 def _no_walk(monkeypatch):
@@ -106,7 +112,7 @@ class TestPredict:
             predict(a, ds.S, Qb, tau)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_rows(self, bad):
+    def test_rejects_non_finite_rows(self, bad, monkeypatch):
         # degree <= 1 forms no dot product, so only the norm check can catch these
         _, ds, Q, tau = _setup(d=4, ell0=1, n=10, m=20)
         X = ds.S.copy()
@@ -116,9 +122,10 @@ class TestPredict:
         with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
             activation_matrix(X, Q, tau)
         bad_ds = LabeledDataset(S=X, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
-        for lowrank in ("never", "always"):
+        for factored in (False, True):
+            force_path(monkeypatch, factored)
             with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
-                train(bad_ds, Q, tau, eta=0.2, T=3, lowrank=lowrank)
+                train(bad_ds, Q, tau, eta=0.2, T=3)
         Qb = Q.copy()
         Qb[5, 0] = bad
         with pytest.raises(ValueError, match="Q row 5 is not unit-norm"):
@@ -134,9 +141,10 @@ class TestPredict:
             monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", entries)
             np.testing.assert_allclose(predict(a, ds.S, Q, tau), ref, rtol=1e-13, atol=1e-15)
 
-    def test_training_set_predictions_match_gd_outputs(self):
+    def test_training_set_predictions_match_gd_outputs(self, monkeypatch):
         _, ds, Q, tau = _setup(n=30, m=60)
-        state, trace = train(ds, Q, tau, eta=0.2, T=40, lowrank="never")
+        force_path(monkeypatch, False)
+        state, trace = train(ds, Q, tau, eta=0.2, T=40)
         yhat = predict(state.a, ds.S, Q, tau)
         resid = yhat - ds.y
         assert np.linalg.norm(resid) == pytest.approx(trace.residual_norm[-1], rel=1e-10)
@@ -159,9 +167,10 @@ class TestGdStep:
             state = gd_step(state, np.zeros(10))
         assert np.array_equal(state.a, np.zeros(20))
 
-    def test_plain_training_loop_repeats_gd_step_bit_for_bit(self):
+    def test_plain_training_loop_repeats_gd_step_bit_for_bit(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=90)
-        state, trace = train(ds, Q, tau, eta=0.3, T=25, record_weights=True, lowrank="never")
+        force_path(monkeypatch, False)
+        state, trace = train(ds, Q, tau, eta=0.3, T=25, record_weights=True)
         ref = TrainerState(a=np.zeros(90), t=0, eta=0.3, Z=feature_matrix(ds.S, Q, tau))
         for t in range(1, 26):
             ref = gd_step(ref, ds.y)
@@ -170,17 +179,19 @@ class TestGdStep:
             assert np.array_equal(trace.weights[t], ref.a)
         assert np.array_equal(state.a, ref.a)
 
-    def test_rejects_non_positive_eta(self):
+    def test_rejects_non_positive_eta(self, monkeypatch):
         _, ds, Q, tau = _setup(n=10, m=20)
         state = TrainerState(a=np.zeros(20), t=0, eta=0.0, Z=feature_matrix(ds.S, Q, tau))
         with pytest.raises(ValueError):
             gd_step(state, ds.y)
+        force_path(monkeypatch, True)
         with pytest.raises(ValueError, match="learning rate"):
-            train(ds, Q, tau, eta=0.0, T=3, lowrank="always")
+            train(ds, Q, tau, eta=0.0, T=3)
 
-    def test_rejects_factored_state(self):
+    def test_rejects_factored_state(self, monkeypatch):
         _, ds, Q, tau = _setup(n=60, m=200)
-        state, _ = train(ds, Q, tau, eta=0.3, T=3, lowrank="always")
+        force_path(monkeypatch, True)
+        state, _ = train(ds, Q, tau, eta=0.3, T=3)
         assert state.Z is None
         with pytest.raises(ValueError, match="state.Z is None"):
             gd_step(state, ds.y)
@@ -208,11 +219,12 @@ class TestClosedFormResidual:
 
 
 class TestExactDynamics:
-    def test_residual_matches_recursion_at_every_step(self):
+    def test_residual_matches_recursion_at_every_step(self, monkeypatch):
         """The trained residual equals (I - eta*K_n)^t (-y) at every step."""
         _, ds, Q, tau = _setup(n=120, m=600, seed=10)
         eta, T = 0.15, 120
-        state, trace = train(ds, Q, tau, eta, T, lowrank="never")
+        force_path(monkeypatch, False)
+        state, trace = train(ds, Q, tau, eta, T)
         K_n = normalized_gram(empirical_gram(ds.S, None, Q, tau), 120)
         u = -ds.y.copy()
         norm_y = np.linalg.norm(ds.y)
@@ -220,18 +232,20 @@ class TestExactDynamics:
             assert abs(np.linalg.norm(u) - trace.residual_norm[t]) <= 1e-8 * norm_y
             u = u - eta * (K_n @ u)
 
-    def test_monotone_loss_for_stable_step(self):
+    def test_monotone_loss_for_stable_step(self, monkeypatch):
         _, ds, Q, tau = _setup(n=100, m=300, seed=11)
         K_n = normalized_gram(empirical_gram(ds.S, None, Q, tau), 100)
         lam_max = gram_spectrum(K_n)[0]
-        _, trace = train(ds, Q, tau, eta=0.9 / lam_max, T=80, lowrank="never")
+        force_path(monkeypatch, False)
+        _, trace = train(ds, Q, tau, eta=0.9 / lam_max, T=80)
         losses = np.array(trace.loss)
         assert np.all(np.diff(losses) <= 1e-12)
 
-    def test_spectral_loss_formula(self):
+    def test_spectral_loss_formula(self, monkeypatch):
         _, ds, Q, tau = _setup(n=90, m=250, seed=12)
         eta = 0.2
-        _, trace = train(ds, Q, tau, eta, T=60, lowrank="never")
+        force_path(monkeypatch, False)
+        _, trace = train(ds, Q, tau, eta, T=60)
         K_n = normalized_gram(empirical_gram(ds.S, None, Q, tau), 90)
         vals, vecs = gram_spectrum(K_n, return_vectors=True)
         c2 = (vecs.T @ ds.y) ** 2
@@ -254,16 +268,18 @@ class TestExactDynamics:
         bound = t * eta * gap * np.linalg.norm(ds.y)
         assert np.linalg.norm(u_hat - u_pop) <= bound
 
-    def test_noiseless_loss_vanishes(self):
+    def test_noiseless_loss_vanishes(self, monkeypatch):
         _, ds, Q, tau = _setup(n=80, m=400, sigma0=0.0, seed=14)
-        _, trace = train(ds, Q, tau, eta=0.5, T=600, lowrank="never")
+        force_path(monkeypatch, False)
+        _, trace = train(ds, Q, tau, eta=0.5, T=600)
         assert trace.loss[-1] <= 1e-6
 
 
 class TestTrain:
-    def test_single_step_matches_formula(self):
+    def test_single_step_matches_formula(self, monkeypatch):
         _, ds, Q, tau = _setup(n=30, m=40)
-        state, _ = train(ds, Q, tau, eta=0.4, T=1, lowrank="never")
+        force_path(monkeypatch, False)
+        state, _ = train(ds, Q, tau, eta=0.4, T=1)
         Z = feature_matrix(ds.S, Q, tau)
         np.testing.assert_allclose(state.a, 0.4 / 30 * (Z @ ds.y), atol=1e-14)
 
@@ -272,14 +288,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, Q, tau, eta=0.1, T=0)
 
-    def test_lowrank_path_matches_plain(self):
+    def test_lowrank_path_matches_plain(self, monkeypatch):
         # oracle channels at ell0 = 2 and 1, and the gapped mask [1, 0, 1]
         for ell0, mask in ((2, None), (1, None), (2, [1, 0, 1])):
             _, ds, Q, tau = _setup(ell0=ell0, n=60, m=200, seed=15)
             if mask is not None:
                 tau = finalized_weights(3, mask)
-            s1, t1 = train(ds, Q, tau, eta=0.3, T=80, lowrank="never")
-            s2, t2 = train(ds, Q, tau, eta=0.3, T=80, lowrank="always")
+            force_path(monkeypatch, False)
+            s1, t1 = train(ds, Q, tau, eta=0.3, T=80)
+            force_path(monkeypatch, True)
+            s2, t2 = train(ds, Q, tau, eta=0.3, T=80)
             assert s1.Z is not None and s2.Z is None
             np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
             np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
@@ -287,42 +305,55 @@ class TestTrain:
 
     def test_auto_takes_the_cheaper_path(self):
         # d = 3, ell0 = 2: factor width p = 1 + 3 + 6 = 10.  Over 80 steps the
-        # factors take less time than the 200 x 60 matrix
+        # factors take less time than the 200 x 60 matrix (measured train,
+        # best of 5, one BLAS thread: 0.53 against 2.11 ms)
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         assert training._factored_is_cheaper(200, 60, 10, 80, 2)
         state, _ = train(ds, Q, tau, eta=0.3, T=80)
         assert state.Z is None
         # over 5 steps the expansion's calls and the QR outweigh the saving
+        # (0.41 ms plain against 0.53 ms factored)
         assert not training._factored_is_cheaper(200, 60, 10, 5, 2)
         state, _ = train(ds, Q, tau, eta=0.3, T=5)
         assert state.Z is not None and state.Z.shape == (200, 60)
 
     def test_cost_rule_weighs_width_and_steps(self):
-        # measured costs: plain m n (3 (L + 1) + 0.65 T) ns, factored 200 us +
-        # p (m (20 + 0.1 w) + n (5 + 0.05 w)) + 0.65 T n w ns, w = min(p, m)
+        # outcomes from measured train times (best of 5, one BLAS thread),
+        # plain against factored
         m = n = 2000
-        assert training._factored_is_cheaper(m, n, 7, 62, 1)
-        # d = 8, channels 0..4: p = 495 pays for its QR after about 20 steps
-        assert training._factored_is_cheaper(m, n, 495, 62, 4)
-        assert not training._factored_is_cheaper(m, n, 495, 10, 4)
+        assert training._factored_is_cheaper(m, n, 7, 62, 1)  # 192 vs 0.75 ms
+        # d = 8, channels 0..4: p = 495 pays for its QR after a few steps
+        assert training._factored_is_cheaper(m, n, 495, 62, 4)  # 241 vs 162 ms
+        assert not training._factored_is_cheaper(m, n, 495, 5, 4)  # 83 vs 117 ms
         # d = 8, channels 0..5: p = 1287 costs more than 62 plain steps
-        assert not training._factored_is_cheaper(m, n, 1287, 62, 5)
-        # a width at or above m never pays, however many steps
-        assert not training._factored_is_cheaper(m, n, m, 10**6, 4)
+        assert not training._factored_is_cheaper(m, n, 1287, 62, 5)  # 272 vs 605 ms
+        # a width above m: the QR does not pay for 3 steps, but the closed
+        # form prices only min(p, m, n) = 60 steps, whatever T
+        assert not training._factored_is_cheaper(200, 60, 495, 3, 4)  # 0.27 vs 3.8 ms
+        assert training._factored_is_cheaper(200, 60, 495, 3000, 4)  # 48 vs 8.0 ms
         assert training._factored_is_cheaper(m, n, 0, 1, 0)
+
+    @pytest.mark.parametrize("m, n, p, eta, d", [
+        *((8000, n, 7, 0.8, 6) for n in (500, 1000, 2000, 4000, 8000)),  # sweep-d6
+        *((240, n, 4, 0.5, 3) for n in (30, 60, 120, 300)),  # cli-small
+    ])
+    def test_benchmark_training_shapes_take_the_factors(self, m, n, p, eta, d):
+        # oracle channels at ell0 = 1, T = auto; at m = 240, n = 30, T = 20 the
+        # factors measured 0.27 ms against 0.50 ms for the plain path
+        assert training._factored_is_cheaper(m, n, p, auto_steps(n, eta, d, 1), 1)
 
     def test_failed_verification_warns_and_falls_back(self, monkeypatch):
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
-        ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, lowrank="never")
+        force_path(monkeypatch, False)
+        ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30)
         monkeypatch.setattr(training, "_FACTOR_RTOL", 0.0)
+        force_path(monkeypatch, True)
         with pytest.warns(RuntimeWarning, match=r"relative residual .* factor width p = 10"):
-            state, trace = train(ds, Q, tau, eta=0.3, T=30, lowrank="auto")
+            state, trace = train(ds, Q, tau, eta=0.3, T=30)
         assert state.Z is not None
         assert np.array_equal(state.a, ref_state.a)
         assert trace.loss == ref_trace.loss
         assert trace.clean_loss == ref_trace.clean_loss
-        with pytest.raises(RuntimeError, match="failed verification"):
-            train(ds, Q, tau, eta=0.3, T=30, lowrank="always")
 
     def test_sweep_shape_is_certified_without_the_walk(self, monkeypatch):
         # d = 6, ell0 = 1 is the sweep-d6 benchmark's degree pair: with the
@@ -332,7 +363,7 @@ class TestTrain:
         ds = gen_dataset(target, 500, 0.5, 70)
         Q = sample_sphere(2000, 6, 71)
         _no_walk(monkeypatch)
-        state, _ = train(ds, Q, oracle_weights(6, 1), eta=0.8, T=100, lowrank="auto")
+        state, _ = train(ds, Q, oracle_weights(6, 1), eta=0.8, T=100)
         assert state.Z is None
 
     def test_factored_train_allocates_no_feature_matrix(self):
@@ -352,10 +383,11 @@ class TestTrain:
         assert state.Z is None
         assert peak < 8 * ds.n * Q.shape[0] / 4
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=60, seed=16)
+        force_path(monkeypatch, False)
         with pytest.raises(DivergenceError):
-            train(ds, Q, tau, eta=50.0, T=200, lowrank="never")
+            train(ds, Q, tau, eta=50.0, T=200)
 
     def test_envelope_in_noiseless_run(self):
         """Clean loss decays at least as fast as C/(eta*t) once past the knee."""
@@ -367,15 +399,17 @@ class TestTrain:
         ts = np.arange(10, T + 1)
         assert np.all(clean[ts] <= C / (eta * ts) * (1 + 1e-9))
 
-    def test_weight_snapshots(self):
+    def test_weight_snapshots(self, monkeypatch):
         _, ds, Q, tau = _setup(n=12, m=18)
-        _, trace = train(ds, Q, tau, eta=0.2, T=7, record_weights=True, lowrank="never")
+        force_path(monkeypatch, False)
+        _, trace = train(ds, Q, tau, eta=0.2, T=7, record_weights=True)
         assert len(trace.weights) == 8
         assert np.array_equal(trace.weights[0], np.zeros(18))
 
-    def test_trace_csv(self, tmp_path):
+    def test_trace_csv(self, monkeypatch, tmp_path):
         _, ds, Q, tau = _setup(n=10, m=15)
-        _, trace = train(ds, Q, tau, eta=0.2, T=5, lowrank="never")
+        force_path(monkeypatch, False)
+        _, trace = train(ds, Q, tau, eta=0.2, T=5)
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         with open(path) as fh:
@@ -441,8 +475,9 @@ class TestCertificate:
         assert self._bound_and_walk(X, Q, np.zeros(3)) == (0.0, 0.0)
         # p = 0: Z is exactly 0, and train needs no walk to accept that
         _no_walk(monkeypatch)
+        force_path(monkeypatch, True)
         ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
-        state, trace = train(ds, Q, np.zeros(3), eta=0.3, T=4, lowrank="always")
+        state, trace = train(ds, Q, np.zeros(3), eta=0.3, T=4)
         assert state.Z is None and np.array_equal(state.a, np.zeros(30))
         assert trace.loss == [1.0] * 5
 
@@ -466,11 +501,21 @@ class TestCertificate:
         assert state.Z is None and len(walks) == 1
 
     def test_failure_names_the_residual_and_the_bound(self, monkeypatch):
+        # T = 30 >= w = 10: the fallback also replaces the closed form
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        force_path(monkeypatch, False)
+        ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
         monkeypatch.setattr(training, "_FACTOR_RTOL", 0.0)
-        with pytest.raises(RuntimeError, match=r"relative residual \S+ > 0 at factor width "
-                           r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\)"):
-            train(ds, Q, tau, eta=0.3, T=30, lowrank="always")
+        force_path(monkeypatch, True)
+        with pytest.warns(RuntimeWarning, match=r"relative residual \S+ > 0 at factor width "
+                          r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\); falling back to "
+                          r"the m x n feature matrix"):
+            state, trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
+        assert state.Z is not None and np.array_equal(state.Z, ref_state.Z)
+        assert np.array_equal(state.a, ref_state.a)
+        assert trace.loss == ref_trace.loss and trace.clean_loss == ref_trace.clean_loss
+        assert trace.residual_norm == ref_trace.residual_norm
+        assert all(np.array_equal(w, v) for w, v in zip(trace.weights, ref_trace.weights))
 
 
 class TestSpectralTrace:
@@ -497,9 +542,11 @@ class TestSpectralTrace:
         return taken
 
     @staticmethod
-    def _assert_matches_plain(ds, Q, tau, eta, T, record_weights=False):
-        s1, t1 = train(ds, Q, tau, eta, T, record_weights=record_weights, lowrank="never")
-        s2, t2 = train(ds, Q, tau, eta, T, record_weights=record_weights, lowrank="always")
+    def _assert_matches_plain(monkeypatch, ds, Q, tau, eta, T, record_weights=False):
+        force_path(monkeypatch, False)
+        s1, t1 = train(ds, Q, tau, eta, T, record_weights=record_weights)
+        force_path(monkeypatch, True)
+        s2, t2 = train(ds, Q, tau, eta, T, record_weights=record_weights)
         assert s2.Z is None and s2.t == T and s2.eta == eta
         np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
         np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
@@ -513,22 +560,22 @@ class TestSpectralTrace:
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         lam_max = gram_spectrum(normalized_gram(empirical_gram(ds.S, None, Q, tau), 60))[0]
         taken = self._paths(monkeypatch)
-        self._assert_matches_plain(ds, Q, tau, 1.6 / lam_max, 1000)
+        self._assert_matches_plain(monkeypatch, ds, Q, tau, 1.6 / lam_max, 1000)
         assert taken == ["plain", "spectral"]
 
     def test_fewer_steps_than_width_take_the_loop(self, monkeypatch):
         # d = 3, ell0 = 2: w = p = 10, so T = 9 steps run the factored loop
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         taken = self._paths(monkeypatch)
-        self._assert_matches_plain(ds, Q, tau, 0.3, 9)
-        self._assert_matches_plain(ds, Q, tau, 0.3, 10)
+        self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.3, 9)
+        self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.3, 10)
         assert taken == ["plain", "loop", "plain", "spectral"]
 
     def test_width_above_sample_count(self, monkeypatch):
         # p = 10 monomials on n = 6 points: the SVD has min(p, n) = 6 columns
         _, ds, Q, tau = _setup(n=6, m=200, seed=18)
         taken = self._paths(monkeypatch)
-        self._assert_matches_plain(ds, Q, tau, 0.3, 50)
+        self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.3, 50)
         assert taken == ["plain", "spectral"]
 
     def test_rank_deficient_factors(self, monkeypatch):
@@ -539,7 +586,7 @@ class TestSpectralTrace:
         y = f_star + 0.3 * np.random.default_rng(20).standard_normal(60)
         dup = LabeledDataset(S=X, f_star_S=f_star, y=y, sigma0=0.3)
         taken = self._paths(monkeypatch)
-        _, t2 = self._assert_matches_plain(dup, Q, tau, 0.5, 200)
+        _, t2 = self._assert_matches_plain(monkeypatch, dup, Q, tau, 0.5, 200)
         assert taken == ["plain", "spectral"]
         # the part of y off the 4 distinct points is never fitted
         resid = y - np.repeat(y.reshape(4, 15).mean(axis=1), 15)
@@ -554,13 +601,13 @@ class TestSpectralTrace:
         QL, B = training._try_factor(ds.S, Q, tau, g)
         assert np.any(np.linalg.svd(B.T, compute_uv=False) == 0.0)
         taken = self._paths(monkeypatch)
-        self._assert_matches_plain(ds, Q, tau, 0.5, 100, record_weights=True)
+        self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.5, 100, record_weights=True)
         assert taken == ["plain", "spectral"]
 
     def test_zero_weights(self, monkeypatch):
         _, ds, Q, _ = _setup(n=30, m=50, seed=21)
         taken = self._paths(monkeypatch)
-        t1, t2 = self._assert_matches_plain(ds, Q, np.zeros(3), 0.3, 6)
+        t1, t2 = self._assert_matches_plain(monkeypatch, ds, Q, np.zeros(3), 0.3, 6)
         assert taken == ["plain", "spectral"]
         assert t2.loss == t1.loss and t2.residual_norm == t1.residual_norm
 
@@ -568,12 +615,14 @@ class TestSpectralTrace:
         import sphattn.harmonics as harmonics_mod
 
         _, ds, Q, tau = _setup(n=40, m=90, seed=22)
-        _, t1 = train(ds, Q, tau, 0.3, 25, record_weights=True, lowrank="never")
-        ref_state, ref = train(ds, Q, tau, 0.3, 25, record_weights=True, lowrank="always")
+        force_path(monkeypatch, False)
+        _, t1 = train(ds, Q, tau, 0.3, 25, record_weights=True)
+        force_path(monkeypatch, True)
+        ref_state, ref = train(ds, Q, tau, 0.3, 25, record_weights=True)
         # 3 rows of t per block: the trace crosses 9 block boundaries
         monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", 3 * 10)
         taken = self._paths(monkeypatch)
-        state, t2 = train(ds, Q, tau, 0.3, 25, record_weights=True, lowrank="always")
+        state, t2 = train(ds, Q, tau, 0.3, 25, record_weights=True)
         assert taken == ["spectral"]
         assert len(t2.weights) == 26
         assert np.array_equal(t2.weights[0], np.zeros(90))
@@ -588,25 +637,27 @@ class TestSpectralTrace:
         _, ds, Q, tau = _setup(n=40, m=60, seed=16)
         messages = {}
         taken = self._paths(monkeypatch)
-        for lowrank in ("never", "always"):
+        for factored in (False, True):
+            force_path(monkeypatch, factored)
             with pytest.raises(DivergenceError) as err:
-                train(ds, Q, tau, eta=50.0, T=200, lowrank=lowrank)
-            messages[lowrank] = str(err.value)
-        assert messages["always"] == messages["never"]
-        assert "over 5 steps at step" in messages["never"]
+                train(ds, Q, tau, eta=50.0, T=200)
+            messages[factored] = str(err.value)
+        assert messages[True] == messages[False]
+        assert "over 5 steps at step" in messages[False]
         # the unstable step sends the factors back to the loop, which raises
         assert taken == ["plain", "loop"]
 
-    def test_non_finite_response_raises_like_the_plain_loop(self):
+    def test_non_finite_response_raises_like_the_plain_loop(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=60, seed=16)
         y = ds.y.copy()
         y[7] = np.nan
         bad = LabeledDataset(S=ds.S, f_star_S=ds.f_star_S, y=y, sigma0=ds.sigma0)
-        for lowrank in ("never", "always"):
+        for factored in (False, True):
+            force_path(monkeypatch, factored)
             with pytest.raises(DivergenceError, match="non-finite residual at step 0"):
-                train(bad, Q, tau, eta=0.3, T=50, lowrank=lowrank)
+                train(bad, Q, tau, eta=0.3, T=50)
 
-    def test_memory_does_not_grow_with_steps(self):
+    def test_memory_does_not_grow_with_steps(self, monkeypatch):
         import sys
         import tracemalloc
 
@@ -616,10 +667,11 @@ class TestSpectralTrace:
         Q = sample_sphere(400, 6, 25)
         tau = oracle_weights(6, 1)
         T, w = 20_000, 7
-        train(ds, Q, tau, eta=0.8, T=T, lowrank="always")  # warm up lazy allocations
+        force_path(monkeypatch, True)
+        train(ds, Q, tau, eta=0.8, T=T)  # warm up lazy allocations
         tracemalloc.start()
         try:
-            state, trace = train(ds, Q, tau, eta=0.8, T=T, lowrank="always")
+            state, trace = train(ds, Q, tau, eta=0.8, T=T)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
