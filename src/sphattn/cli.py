@@ -3,7 +3,9 @@
 Subcommands: select, train, risk-sweep, kernel-conv, calibrate-eps0,
 complexity-curve.  Every config key is settable from a config file
 (--config, flat key-value or JSON) and from the command line, with the
-command line winning.  Exit codes: 0 success, 2 configuration error,
+command line winning.  The flags are generated from the config's fields
+(underscores become dashes, --seed sets base_seed) and their values parse
+as in a flat config file.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure in every seed.
 """
 
@@ -22,7 +24,7 @@ from .complexity import (
     kernel_complexity,
     population_complexity,
 )
-from .config import ConfigError, ExperimentConfig, parse_config_file
+from .config import ConfigError, ExperimentConfig, _parse_value, parse_config_file
 from .experiments import (
     AllSeedsFailedError,
     RunReport,
@@ -34,7 +36,7 @@ from .experiments import (
     run_risk_sweep,
     run_training_run,
 )
-from .harmonics import harmonic_dim, sample_sphere
+from .harmonics import cumulative_dim, harmonic_dim, sample_sphere
 from .kernels import normalized_gram, population_gram
 
 STREAM_COMPLEXITY = 4
@@ -42,40 +44,18 @@ STREAM_COMPLEXITY = 4
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file (flat key=value or JSON)")
-    sub.add_argument("--seed", type=int, help="base seed (overrides base_seed)")
-    sub.add_argument("--threads", type=int, help="max concurrent trials")
-    sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=["json", "csv"], help="output format")
-    for name, typ in [
-        ("--d", int),
-        ("--ell0", int),
-        ("--L", int),
-        ("--eta", float),
-        ("--sigma0", float),
-        ("--epsilon0", float),
-        ("--num-seeds", int),
-        ("--num-mc-samples", int),
-    ]:
-        sub.add_argument(name, type=typ, dest=name[2:].replace("-", "_"))
-    sub.add_argument("--n", help="sample count or comma grid")
-    sub.add_argument("--m", help="width or comma grid")
-    sub.add_argument("--T", dest="T", help="step count or 'auto'")
-    sub.add_argument("--coeffs", help="comma list of target coefficients")
-    sub.add_argument("--channels", choices=["oracle", "select"])
+    for name in ExperimentConfig.field_names():
+        flag = "--seed" if name == "base_seed" else "--" + name.replace("_", "-")
+        sub.add_argument(flag, dest=name, help=f"sets config key {name}")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    from .config import _parse_value
-
-    out: dict = {}
-    for key in ExperimentConfig.field_names():
-        val = getattr(args, "seed" if key == "base_seed" else key, None)
-        if val is None:
-            continue
-        if key in ("n", "m", "coeffs", "T") and isinstance(val, str):
-            val = _parse_value(val)
-        out[key] = val
-    return out
+    """Flag values parsed as in a flat config file; --out stays a path string."""
+    return {
+        key: val if key == "out" else _parse_value(val)
+        for key in ExperimentConfig.field_names()
+        if (val := getattr(args, key)) is not None
+    }
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -113,7 +93,7 @@ def _complexity_curve(config: ExperimentConfig) -> tuple[RunReport, list]:
         aggregates={
             "empirical_critical_radius_sq": radius_emp**2,
             "population_critical_radius_sq": radius_pop**2,
-            "rank": sum(harmonic_dim(d, k) for k in range(ell_hat + 1)),
+            "rank": cumulative_dim(d, ell_hat),
         },
     )
     return report, rows

@@ -3,7 +3,8 @@
 A config file is either a JSON object or lines of `key = value` (also
 `key: value`), with `#` comments.  Numbers parse as int/float, comma lists
 as grids, and the literal `auto` keeps automatic step-count selection.
-Command-line flags win over file values.
+Command-line flags carry the same keys, parse the same way, and win over
+file values.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "auto_steps"]
 
@@ -82,12 +83,16 @@ def parse_config_file(path) -> dict:
 
 
 def _number(name: str, val, integer: bool = False):
-    """val if it is a finite number, as an int with integer (integral floats pass)."""
+    """A finite number val as a float, or as an int with integer (integral floats pass)."""
     if isinstance(val, numbers.Real) and not isinstance(val, bool):
-        if isinstance(val, numbers.Integral):
+        if integer and isinstance(val, numbers.Integral):
             return int(val)
-        if math.isfinite(val) and (not integer or float(val).is_integer()):
-            return int(val) if integer else val
+        try:
+            x = float(val)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (not integer or x.is_integer()):
+            return int(val) if integer else x
     raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
                       f"got {val!r}")
 
@@ -113,18 +118,24 @@ class ExperimentConfig:
     threads: int = 1
     out: str | None = None
     format: str = "json"
-    flags: list = field(default_factory=list)
 
     @classmethod
     def field_names(cls) -> list:
-        return [f.name for f in fields(cls) if f.name != "flags"]
+        return [f.name for f in fields(cls)]
+
+    @property
+    def flags(self) -> list:
+        """Settings that are accepted but defeat the experiment; echoed with the config."""
+        # selection can never recover the target degree
+        return ["L_below_target_degree"] if self.L < self.ell0 else []
 
     @classmethod
     def from_sources(cls, file_values: dict | None = None, overrides: dict | None = None):
         values: dict = {}
         for src in (file_values or {}, overrides or {}):
             for key, val in src.items():
-                if val is None:
+                # flags is derived, but an echoed config carries it
+                if val is None or key == "flags":
                     continue
                 if key not in cls.field_names():
                     raise ConfigError(f"unknown config key {key!r}")
@@ -147,14 +158,11 @@ class ExperimentConfig:
             self.L = self.ell0
         if self.L < 0:
             raise ConfigError(f"L must be >= 0, got {self.L}")
-        if self.L < self.ell0 and "L_below_target_degree" not in self.flags:
-            # accepted, but selection can never recover the target degree
-            self.flags.append("L_below_target_degree")
         if self.coeffs is None:
             self.coeffs = [1.0] * (self.ell0 + 1)
         if not isinstance(self.coeffs, list):
             self.coeffs = [self.coeffs]
-        self.coeffs = [float(_number("coeffs", c)) for c in self.coeffs]
+        self.coeffs = [_number("coeffs", c) for c in self.coeffs]
         if len(self.coeffs) != self.ell0 + 1:
             raise ConfigError(
                 f"coeffs must have ell0 + 1 = {self.ell0 + 1} entries, got {len(self.coeffs)}"
@@ -197,6 +205,8 @@ class ExperimentConfig:
             raise ConfigError(f"channels must be 'oracle' or 'select', got {self.channels!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
@@ -223,7 +233,7 @@ class ExperimentConfig:
         return int(self.T)
 
     def echo(self) -> dict:
-        """Canonical dict of every field that affects results (plus flags).
+        """Canonical dict of every field that affects results (plus the derived flags).
 
         Presentation-only fields (where the report goes) stay out so reruns
         into different files still produce identical report bytes.
@@ -233,5 +243,5 @@ class ExperimentConfig:
             if name in ("out", "format"):
                 continue
             out[name] = getattr(self, name)
-        out["flags"] = list(self.flags)
+        out["flags"] = self.flags
         return out

@@ -1,5 +1,11 @@
 """Experiment runners: channel-selection trials, training runs, sweeps.
 
+The runners (run_channel_selection_trials, calibrate_epsilon0,
+run_training_run, run_risk_sweep, run_kernel_convergence) each check their
+inputs, then hand a per-trial worker and an aggregate function to one report
+builder, which runs the trials (on config.threads threads), raises
+AllSeedsFailedError when no trial succeeded, and builds the RunReport.
+
 Seed discipline: trial k of grid point g in stream s draws from
 numpy's SeedSequence(base_seed, spawn_key=(s, g, k)), with one stream id per
 experiment kind.  The derivation is counter-based, so enlarging num_seeds or
@@ -116,13 +122,28 @@ def _jsonable(obj):
     return obj
 
 
-def _run_trials(worker, keys: list, threads: int) -> list:
-    """Run worker(key) for every key; output order follows `keys` regardless
-    of scheduling."""
-    if threads <= 1:
-        return [worker(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, keys))
+def _report(kind: str, config: ExperimentConfig, worker, keys: list, aggregate,
+            failure: str | None = None) -> RunReport:
+    """Run worker(key) for every key and report the records and aggregate(records).
+
+    Record order follows `keys` regardless of scheduling.  With `failure`
+    given, a run in which no record is ok raises AllSeedsFailedError(failure).
+    """
+    t0 = time.perf_counter()
+    if config.threads <= 1:
+        records = [worker(k) for k in keys]
+    else:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            records = list(pool.map(worker, keys))
+    if failure is not None and not any(r["ok"] for r in records):
+        raise AllSeedsFailedError(failure)
+    return RunReport(
+        kind=kind,
+        config=config.echo(),
+        per_seed=_jsonable(records),
+        aggregates=aggregate(records),
+        wall_clock_seconds=time.perf_counter() - t0,
+    )
 
 
 def _fit_loglog_slope(x, y):
@@ -190,7 +211,7 @@ def _selection_trial(cfg: ExperimentConfig, stream: int, k: int) -> dict:
     return rec
 
 
-def _selection_aggregates(cfg: ExperimentConfig, records: list) -> dict:
+def _selection_aggregates(records: list) -> dict:
     taus = np.array([r["tau_raw"] for r in records])
     return {
         "num_trials": len(records),
@@ -207,20 +228,13 @@ def run_channel_selection_trials(config: ExperimentConfig) -> RunReport:
     """Repeat stage one over independent trials and report recovery statistics."""
     if config.epsilon0 is None:
         raise ConfigError("channel-selection trials need epsilon0 (see calibrate-eps0)")
-    t0 = time.perf_counter()
-    records = _run_trials(
+    return _report(
+        "channel_selection",
+        config,
         lambda k: _selection_trial(config, STREAM_SELECT, k),
         list(range(config.num_seeds)),
-        config.threads,
-    )
-    if all(not r["ok"] for r in records):
-        raise AllSeedsFailedError("channel selection failed in every trial")
-    return RunReport(
-        kind="channel_selection",
-        config=config.echo(),
-        per_seed=_jsonable(records),
-        aggregates=_selection_aggregates(config, records),
-        wall_clock_seconds=time.perf_counter() - t0,
+        _selection_aggregates,
+        "channel selection failed in every trial",
     )
 
 
@@ -240,29 +254,27 @@ def calibrate_epsilon0(config: ExperimentConfig) -> RunReport:
     mean gap.  Runs on a stream disjoint from run_channel_selection_trials
     so the calibration never sees the evaluation trials.
     """
-    t0 = time.perf_counter()
-    records = _run_trials(
-        lambda k: _calibration_trial(config, k), list(range(config.num_seeds)), config.threads
-    )
-    mean_min_inf = float(np.mean([r["min_informative"] for r in records]))
-    mean_max_red = float(np.mean([r["max_redundant_abs"] for r in records]))
-    usable = mean_min_inf > mean_max_red
-    recommended = (mean_min_inf + mean_max_red) / 4.0 if usable else None
-    aggregates = {
-        "mean_min_informative": mean_min_inf,
-        "mean_max_redundant_abs": mean_max_red,
-        "mean_gap": mean_min_inf - mean_max_red,
-        "gap_positive_rate": float(
-            np.mean([r["min_informative"] > r["max_redundant_abs"] for r in records])
-        ),
-        "recommended_epsilon0": recommended,
-    }
-    return RunReport(
-        kind="calibrate_epsilon0",
-        config=config.echo(),
-        per_seed=_jsonable(records),
-        aggregates=aggregates,
-        wall_clock_seconds=time.perf_counter() - t0,
+
+    def aggregate(records):
+        mean_min_inf = float(np.mean([r["min_informative"] for r in records]))
+        mean_max_red = float(np.mean([r["max_redundant_abs"] for r in records]))
+        usable = mean_min_inf > mean_max_red
+        return {
+            "mean_min_informative": mean_min_inf,
+            "mean_max_redundant_abs": mean_max_red,
+            "mean_gap": mean_min_inf - mean_max_red,
+            "gap_positive_rate": float(
+                np.mean([r["min_informative"] > r["max_redundant_abs"] for r in records])
+            ),
+            "recommended_epsilon0": (mean_min_inf + mean_max_red) / 4.0 if usable else None,
+        }
+
+    return _report(
+        "calibrate_epsilon0",
+        config,
+        lambda k: _calibration_trial(config, k),
+        list(range(config.num_seeds)),
+        aggregate,
     )
 
 
@@ -380,77 +392,71 @@ def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) 
     return rec
 
 
-def run_training_run(config: ExperimentConfig) -> RunReport:
-    """Train at a single (n, m) over independent seeds; report loss and risk."""
-    t0 = time.perf_counter()
-    n = config.scalar("n")
-    records = _run_trials(
-        lambda k: _training_trial(config, STREAM_TRAIN, 0, k, n),
-        list(range(config.num_seeds)),
-        config.threads,
-    )
+def _training_aggregates(records: list) -> dict:
+    """The aggregates shared by training runs and risk sweeps."""
     good = [r for r in records if r["ok"]]
-    if not good:
-        raise AllSeedsFailedError("training failed in every trial")
     envelope = [r["envelope_ok"] for r in good if r["envelope_ok"] is not None]
-    aggregates = {
+    return {
         "num_trials": len(records),
         "num_failed": len(records) - len(good),
-        "median_final_loss": float(statistics.median(r["final_loss"] for r in good)),
-        "median_risk": float(statistics.median(r["risk"] for r in good)),
         "envelope_rate": float(np.mean(envelope)) if envelope else None,
         "kernel_gap_ok_rate": float(np.mean([r["kernel_gap_ok"] for r in good])),
     }
-    return RunReport(
-        kind="training_run",
-        config=config.echo(),
-        per_seed=_jsonable(records),
-        aggregates=aggregates,
-        wall_clock_seconds=time.perf_counter() - t0,
+
+
+def run_training_run(config: ExperimentConfig) -> RunReport:
+    """Train at a single (n, m) over independent seeds; report loss and risk."""
+    n = config.scalar("n")
+
+    def aggregate(records):
+        good = [r for r in records if r["ok"]]
+        return {
+            **_training_aggregates(records),
+            "median_final_loss": float(statistics.median(r["final_loss"] for r in good)),
+            "median_risk": float(statistics.median(r["risk"] for r in good)),
+        }
+
+    return _report(
+        "training_run",
+        config,
+        lambda k: _training_trial(config, STREAM_TRAIN, 0, k, n),
+        list(range(config.num_seeds)),
+        aggregate,
+        "training failed in every trial",
     )
 
 
 def run_risk_sweep(config: ExperimentConfig) -> RunReport:
     """Risk versus sample size on an n grid; fits the log-log slope."""
-    t0 = time.perf_counter()
     n_grid = config.grid("n", min_points=4)
     if max(n_grid) < 10 * min(n_grid):
         raise ConfigError(f"n grid must span at least one decade, got {n_grid}")
-    keys = [(g, k) for g in range(len(n_grid)) for k in range(config.num_seeds)]
-    records = _run_trials(
+
+    def aggregate(records):
+        medians = []
+        for n in n_grid:
+            risks = [r["risk"] for r in records if r["ok"] and r["n"] == n]
+            medians.append(float(statistics.median(risks)) if risks else None)
+        fit_n = [n for n, md in zip(n_grid, medians) if md is not None and md > 0]
+        fit_r = [md for md in medians if md is not None and md > 0]
+        slope, stderr = (
+            _fit_loglog_slope(fit_n, fit_r) if len(fit_r) >= 2 else (float("nan"), float("nan"))
+        )
+        return {
+            **_training_aggregates(records),
+            "n_grid": n_grid,
+            "median_risk_per_n": medians,
+            "slope": slope,
+            "slope_stderr": stderr,
+        }
+
+    return _report(
+        "risk_sweep",
+        config,
         lambda gk: _training_trial(config, STREAM_RISK, gk[0], gk[1], n_grid[gk[0]]),
-        keys,
-        config.threads,
-    )
-    good = [r for r in records if r["ok"]]
-    if not good:
-        raise AllSeedsFailedError("training failed in every trial of the sweep")
-    medians = []
-    for n in n_grid:
-        risks = [r["risk"] for r in good if r["n"] == n]
-        medians.append(float(statistics.median(risks)) if risks else None)
-    fit_n = [n for n, md in zip(n_grid, medians) if md is not None and md > 0]
-    fit_r = [md for md in medians if md is not None and md > 0]
-    slope, stderr = (
-        _fit_loglog_slope(fit_n, fit_r) if len(fit_r) >= 2 else (float("nan"), float("nan"))
-    )
-    envelope = [r["envelope_ok"] for r in good if r["envelope_ok"] is not None]
-    aggregates = {
-        "num_trials": len(records),
-        "num_failed": len(records) - len(good),
-        "n_grid": n_grid,
-        "median_risk_per_n": medians,
-        "slope": slope,
-        "slope_stderr": stderr,
-        "envelope_rate": float(np.mean(envelope)) if envelope else None,
-        "kernel_gap_ok_rate": float(np.mean([r["kernel_gap_ok"] for r in good])),
-    }
-    return RunReport(
-        kind="risk_sweep",
-        config=config.echo(),
-        per_seed=_jsonable(records),
-        aggregates=aggregates,
-        wall_clock_seconds=time.perf_counter() - t0,
+        [(g, k) for g in range(len(n_grid)) for k in range(config.num_seeds)],
+        aggregate,
+        "training failed in every trial of the sweep",
     )
 
 
@@ -467,7 +473,6 @@ def run_kernel_convergence(config: ExperimentConfig) -> RunReport:
     random directions per (m, seed), and fits the log-log slope of the
     median sup deviation against m.
     """
-    t0 = time.perf_counter()
     m_grid = config.grid("m", min_points=3)
     ell_hat = config.ell0
     tau = oracle_weights(config.d, ell_hat)
@@ -483,28 +488,23 @@ def run_kernel_convergence(config: ExperimentConfig) -> RunReport:
         gap = _kernel_gap(X_a, X_b, Q, tau, ell_hat, config.d)
         return {"trial": k, "m": m, "ok": True, "sup_error": gap}
 
+    def aggregate(records):
+        medians = [
+            float(statistics.median(r["sup_error"] for r in records if r["m"] == m))
+            for m in m_grid
+        ]
+        slope, stderr = _fit_loglog_slope(m_grid, medians)
+        return {
+            "num_trials": len(records),
+            "num_failed": 0,
+            "m_grid": m_grid,
+            "median_sup_error_per_m": medians,
+            "slope": slope,
+            "slope_stderr": stderr,
+        }
+
     keys = [(g, k) for g in range(len(m_grid)) for k in range(config.num_seeds)]
-    records = _run_trials(trial, keys, config.threads)
-    medians = [
-        float(statistics.median(r["sup_error"] for r in records if r["m"] == m))
-        for m in m_grid
-    ]
-    slope, stderr = _fit_loglog_slope(m_grid, medians)
-    aggregates = {
-        "num_trials": len(records),
-        "num_failed": 0,
-        "m_grid": m_grid,
-        "median_sup_error_per_m": medians,
-        "slope": slope,
-        "slope_stderr": stderr,
-    }
-    return RunReport(
-        kind="kernel_convergence",
-        config=config.echo(),
-        per_seed=_jsonable(records),
-        aggregates=aggregates,
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
+    return _report("kernel_convergence", config, trial, keys, aggregate)
 
 
 # --- output ---------------------------------------------------------------------

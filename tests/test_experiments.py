@@ -118,10 +118,13 @@ class TestConfig:
 
     def test_integral_values_are_normalized(self):
         cfg = ExperimentConfig.from_sources(
-            {"d": 3.0, "ell0": np.int64(1), "n": [20.0, 40], "m": 30.0, "T": 5.0}, {}
+            {"d": 3.0, "ell0": np.int64(1), "n": [20.0, 40], "m": 30.0, "T": 5.0,
+             "eta": 1, "sigma0": 0, "epsilon0": np.int64(2)}, {}
         )
         assert (cfg.d, cfg.ell0, cfg.n, cfg.m, cfg.T) == (3, 1, [20, 40], 30, 5)
         assert all(type(v) is int for v in (cfg.d, cfg.ell0, cfg.m, cfg.T, *cfg.n))
+        assert (cfg.eta, cfg.sigma0, cfg.epsilon0) == (1.0, 0.0, 2.0)
+        assert all(type(v) is float for v in (cfg.eta, cfg.sigma0, cfg.epsilon0))
 
     def test_scalar_vs_grid_accessors(self):
         cfg = ExperimentConfig.from_sources({"d": 3, "ell0": 0, "n": [10, 20, 400], "m": 5}, {})
@@ -393,17 +396,19 @@ class TestEmitReport:
         assert len(rows) == 1 + len(report.per_seed)
 
     def test_config_echo_reproduces_report(self, tmp_path):
-        cfg = ExperimentConfig.from_sources(TRAIN_KW, {})
-        report = run_training_run(cfg)
-        echo_path = tmp_path / "echo.json"
-        echo = {k: v for k, v in report.config.items() if k != "flags"}
-        echo_path.write_text(json.dumps(echo))
-        cfg2 = ExperimentConfig.from_sources(parse_config_file(echo_path), {})
-        report2 = run_training_run(cfg2)
-        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        emit_report(report, p1, "json")
-        emit_report(report2, p2, "json")
-        assert p1.read_bytes() == p2.read_bytes()
+        # with L < ell0 the echo carries a non-empty derived flags list
+        for extra, flags in [({}, []), ({"L": 0}, ["L_below_target_degree"])]:
+            cfg = ExperimentConfig.from_sources({**TRAIN_KW, **extra}, {})
+            report = run_training_run(cfg)
+            assert report.config["flags"] == flags
+            echo_path = tmp_path / "echo.json"
+            echo_path.write_text(json.dumps(report.config))
+            cfg2 = ExperimentConfig.from_sources(parse_config_file(echo_path), {})
+            report2 = run_training_run(cfg2)
+            p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+            emit_report(report, p1, "json")
+            emit_report(report2, p2, "json")
+            assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestCli:
@@ -452,6 +457,10 @@ class TestCli:
             ("seeds.json", json.dumps({"d": 3, "ell0": 1, "n": 20, "m": 30, "num_seeds": "2"}),
              "num_seeds must be an integer, got '2'"),
             ("path.cfg", flat + "lowrank = auto\n", "unknown config key 'lowrank'"),
+            ("out.json", json.dumps({"d": 3, "ell0": 1, "n": 20, "m": 30, "out": 1}),
+             "out must be a path string, got 1"),
+            ("outbool.json", json.dumps({"d": 3, "ell0": 1, "n": 20, "m": 30, "out": True}),
+             "out must be a path string, got True"),
         ]:
             path = tmp_path / name
             path.write_text(text)
@@ -459,9 +468,36 @@ class TestCli:
             assert main(["train", "--config", str(path)]) == 2
             assert message in capsys.readouterr().err
         path.write_text(flat)
+        for flag, value, message in [
+            ("--format", "xml", "format must be json or csv, got 'xml'"),
+            ("--channels", "best", "channels must be 'oracle' or 'select', got 'best'"),
+            ("--eta", "1" + "0" * 400, "eta must be a finite number, got 1000"),
+        ]:
+            capsys.readouterr()
+            assert main(["train", "--config", str(path), flag, value]) == 2
+            assert message in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(path), "--lowrank", "auto"])
         assert exc.value.code == 2
+
+    def test_every_config_key_has_a_flag(self):
+        from sphattn import cli
+
+        for name in ExperimentConfig.field_names():
+            flag = "--seed" if name == "base_seed" else "--" + name.replace("_", "-")
+            args = cli._parser().parse_args(["train", flag, "7"])
+            assert cli._overrides(args) == {name: "7" if name == "out" else 7}, flag
+
+    def test_file_and_flags_parse_alike(self, tmp_path):
+        base = "d = 4\nell0 = 0\nL = 2\nn = 300\nm = 300\nnum_seeds = 2\n"
+        (tmp_path / "base.cfg").write_text(base)
+        (tmp_path / "full.cfg").write_text(base + "eta = 1\nsigma0 = 0\n")
+        out_file, out_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        assert main(["calibrate-eps0", "--config", str(tmp_path / "full.cfg"),
+                     "--out", str(out_file)]) == 0
+        assert main(["calibrate-eps0", "--config", str(tmp_path / "base.cfg"),
+                     "--eta", "1", "--sigma0", "0", "--out", str(out_flags)]) == 0
+        assert out_file.read_bytes() == out_flags.read_bytes()
 
     def test_all_seed_failure_exits_three(self, tmp_path):
         code = main(
