@@ -13,6 +13,9 @@ appending grid points never changes earlier trials, and trials can run in
 any order or in parallel with identical results.  Reports echo their full
 config; feeding the echo back reproduces the report byte for byte (wall
 clock is kept out of the serialized form for that reason).
+
+The kernel gap's empirical kernel comes from the monomial expansion's
+factors where its rounding bound allows; both live in harmonics.
 """
 
 from __future__ import annotations
@@ -27,15 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, harmonics
 from .complexity import mc_risk
 from .config import ConfigError, ExperimentConfig
-from .harmonics import (
-    _gegenbauer_coefficients,
-    _power_coefficients,
-    gegenbauer_weighted_sum,
-    sample_sphere,
-)
+from .harmonics import gegenbauer_weighted_sum, sample_sphere
 from .kernels import oracle_weights
 # one_step_second_layer and one_step_channel_weights are not called here; the
 # names stay bound because perfbench/tracer.py wraps them in this module.
@@ -47,14 +45,7 @@ from .selection import (  # noqa: F401
     select_channels,
 )
 from .targets import gen_dataset, make_target
-from .training import (
-    _FACTOR_RTOL,
-    DivergenceError,
-    _exact_factors,
-    _factor_width,
-    predict,
-    train,
-)
+from .training import DivergenceError, predict, train
 
 __all__ = [
     "AllSeedsFailedError",
@@ -284,44 +275,15 @@ ENVELOPE_FIT_STEP = 10
 KERNEL_GAP_PAIRS = 64
 
 
-# The empirical kernel on paired points, k_hat_i = (1/m) sum_r sigma(<x_a,i, q_r>)
-# sigma(<x_b,i, q_r>), is v_a,i^T (U^T U) v_b,i on the stage-two factors
-# Z = U @ V.T of training (U holds g_j w_alpha q^alpha / sqrt(m), V the
-# monomials x^alpha): O(m p^2) for the Gram U^T U, not two walks over m
-# directions per pair.  Accuracy, as for training._certificate: with unit
-# rows, sum_{|alpha| = j} w_alpha |x^alpha q^alpha| <= 1, so the absolute
-# values of all the terms of k_hat_i add up to at most (sum_j Gbar_j)^2,
-# Gbar = |tau| @ |C|.  Each term takes 5 ell_hat + 4 roundings in each entry
-# of U (covering g = tau @ C), ell_hat - 1 in each monomial of x, 2 products,
-# the m-term sum of the Gram (which the walk's sum over r makes too, counted
-# as one) and two p-term contractions: 12 ell_hat + 9 + 2p unit roundoffs.
-# Against (sum_k |tau_k|)^2, which bounds |k_hat| since |P_k| <= 1, that is
-#
-#     bound = (p + 6 ell_hat + 5) * eps * (sum_j Gbar_j / sum_k |tau_k|)^2 ,
-#
-# 4e-15 at the sweep shape (d = 6, ell_hat = 1) and 5e-13 at d = 8,
-# ell_hat = 4.  Above _FACTOR_RTOL (with oracle channels, from degree 8 at
-# d = 2..6 and degree 7 at d = 8) the pairs take the Gegenbauer walk.
-
-
-def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
-    """The a-priori bound above on the Gram route's error, relative to (sum |tau|)^2."""
-    J = np.flatnonzero(g)
-    if J.size == 0:
-        return 0.0  # tau == 0: both routes give exactly 0
-    Gbar = np.abs(tau) @ np.abs(_gegenbauer_coefficients(d, tau.size - 1))
-    ratio = float(np.sum(Gbar)) / float(np.sum(np.abs(tau)))
-    return (_factor_width(d, g) + 6 * int(J[-1]) + 5) * np.finfo(float).eps * ratio**2
-
-
 def _empirical_kernel(X_a, X_b, Q, tau, d: int) -> np.ndarray:
     """k_hat_i = (1/m) sum_r sigma_tau(<x_a,i, q_r>) sigma_tau(<x_b,i, q_r>).
 
-    On the Gram of the factors when the bound above allows, else by the walk.
+    On the Gram of the expansion's factors, v_a,i^T (U^T U) v_b,i at O(m p^2),
+    when harmonics._kernel_error allows; else by two walks over m directions.
     """
-    g = _power_coefficients(d, tau)
-    if _kernel_error(d, tau, g) <= _FACTOR_RTOL:
-        U, Vt = _exact_factors(np.concatenate([X_a, X_b]), Q, g)
+    g = harmonics._power_coefficients(d, tau)
+    if harmonics._kernel_error(d, tau, g) <= harmonics._FACTOR_RTOL:
+        U, Vt = harmonics._exact_factors(np.concatenate([X_a, X_b]), Q, g)
         V_a, V_b = Vt[:, : len(X_a)], Vt[:, len(X_a) :]
         return np.einsum("ci,ci->i", V_a, (U.T @ U) @ V_b)
     dots_q_a = gegenbauer_weighted_sum(X_a @ Q.T, d, tau)

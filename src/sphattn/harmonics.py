@@ -22,9 +22,11 @@ The monomial expansion runs the same recurrence on coefficient vectors
 expands each power of a dot product by the multinomial theorem,
 <a, b>^j = sum_{|alpha| = j} w_alpha a^alpha b^alpha.  Sums over pairs then
 split into sums over the rows of each side, at O((len(A) + len(B)) * p) for
-p monomials: both one-step selection updates (:func:`_power_sums`) and the
-exact stage-two factors are built on it.  :func:`_screen_dots` gives that
-route the walk's domain check without forming the dot products it can clear.
+p monomials.  Everything the expansion decides lives here: stage one's sums
+(:func:`_power_sums`), stage two's exact factors, the tolerance _FACTOR_RTOL
+and the three rounding bounds compared with it, derived above it.
+:func:`_screen_dots`, run by the unit-row check of every entry point, gives
+each route the walk's domain check, forming only the dots it cannot clear.
 """
 
 from __future__ import annotations
@@ -285,20 +287,19 @@ def gegenbauer_weighted_matrix(A, B, d: int, weights) -> np.ndarray:
     return _weighted_sum(blocks, np.empty((len(A), len(B))), w)
 
 
-def _screen_dots(A, B) -> float:
+def _screen_dots(A, B, a_norms, b_norms) -> None:
     """Check A @ B.T against the band as gegenbauer_blocks(A, B, ...) would.
 
-    Returns max_r |a_r| * max_i |b_i|.  By Cauchy-Schwarz, |<a_r, b_i>| <=
-    |a_r| * max_i |b_i|, so a row of A whose bound lies inside the band can
-    hold no rejected entry.  The rounding of the two norms, of their product
-    and of a computed dot product adds up to about (2d + 4) unit roundoffs;
-    the margin 4 * (d + 2) * eps is four times that.  A NaN bound clears
-    nothing.  Only the walk's row blocks that hold an uncleared row are
+    a_norms and b_norms are the row norms of A and B.  By Cauchy-Schwarz,
+    |<a_r, b_i>| <= |a_r| * max_i |b_i|, so a row of A whose bound lies inside
+    the band can hold no rejected entry.  The rounding of the two norms, of
+    their product and of a computed dot product adds up to about (2d + 4) unit
+    roundoffs; the margin 4 * (d + 2) * eps is four times that.  A NaN bound
+    clears nothing.  Only the walk's row blocks that hold an uncleared row are
     formed, by the walk's own product and check, so a rejection names the
     same first (row, col) in row-major order, and the same value, as the walk.
     """
-    A, B = _as_pair(A, B)
-    bound = np.linalg.norm(A, axis=1) * np.max(np.linalg.norm(B, axis=1))
+    bound = a_norms * np.max(b_norms, initial=0.0)
     margin = 4 * (A.shape[1] + 2) * np.finfo(float).eps
     uncleared = ~(bound * (1.0 + margin) <= 1.0 + DOT_TOL)
     if np.any(uncleared):
@@ -308,7 +309,6 @@ def _screen_dots(A, B) -> float:
             if np.any(uncleared[lo : lo + rows]):
                 hi = min(lo + rows, len(A))
                 fill(lo, hi, buf[: hi - lo])
-    return float(np.max(bound))
 
 
 def _gegenbauer_coefficients(d: int, L: int) -> np.ndarray:
@@ -334,12 +334,18 @@ def _power_coefficients(d: int, tau: np.ndarray) -> np.ndarray:
     return tau @ _gegenbauer_coefficients(d, tau.size - 1)
 
 
+def _monomial_count(d: int, j: int) -> int:
+    """Number of degree-j monomials in d variables, C(j + d - 1, d - 1)."""
+    return math.comb(j + d - 1, d - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _monomial_table(d: int, j: int) -> tuple:
     """The degree-j monomials in d variables as (weight, alpha), one per row.
 
     For v = 0..d-1 in turn, the degree-(j-1) monomials in the variables 0..v,
-    which are the first C(j - 1 + v, v) of their own order, each times x_v.
+    which are the first _monomial_count(v + 1, j - 1) of their own order,
+    each times x_v.
     So the monomials in the variables 0..v again come first, and each
     exponent vector comes once.  weight = j! / prod(alpha!) is the
     multinomial coefficient.
@@ -349,7 +355,7 @@ def _monomial_table(d: int, j: int) -> tuple:
     prev = _monomial_table(d, j - 1)[1]
     parts = []
     for v in range(d):
-        part = prev[: math.comb(j - 1 + v, v)].copy()
+        part = prev[: _monomial_count(v + 1, j - 1)].copy()
         part[:, v] += 1
         parts.append(part)
     alpha = np.concatenate(parts)
@@ -378,14 +384,14 @@ def _monomial_powers(At: np.ndarray, J: int, scratch=None):
         M[...] = 1.0
     yield 0, M
     for j in range(1, J + 1):
-        count = math.comb(j + d - 1, d - 1)
+        count = _monomial_count(d, j)
         if scratch is None:
             nxt = np.empty((count, cols))
         else:
             nxt = scratch[j % 2][: count * cols].reshape(count, cols)
         lo = 0
         for v in range(d):
-            hi = lo + math.comb(j - 1 + v, v)
+            hi = lo + _monomial_count(v + 1, j - 1)
             np.multiply(M[: hi - lo], At[v], out=nxt[lo:hi])
             lo = hi
         M = nxt
@@ -394,7 +400,7 @@ def _monomial_powers(At: np.ndarray, J: int, scratch=None):
 
 def _expansion_width(d: int, L: int) -> int:
     """Points per block of :func:`_power_sums`: about BLOCK_ENTRIES monomial values."""
-    return max(1, BLOCK_ENTRIES // math.comb(L + d - 1, d - 1))
+    return max(1, BLOCK_ENTRIES // _monomial_count(d, L))
 
 
 def _power_sums(A, B, y, L: int) -> np.ndarray:
@@ -405,11 +411,12 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     blocks of A's rows gives u[j, r] = sum_{|alpha| = j} w_alpha s_alpha
     a_r^alpha.  Each block holds about BLOCK_ENTRIES monomial values, in
     two buffers reused in place, so memory grows with neither len(A) nor
-    len(B).  The caller checks the domain (:func:`_screen_dots`).
+    len(B).  The caller checks the domain (:func:`_screen_dots`) and the
+    accuracy (:func:`_expansion_error`).
     """
     A, B = _as_pair(A, B)
     d = A.shape[1]
-    counts = [math.comb(j + d - 1, d - 1) for j in range(L + 1)]
+    counts = [_monomial_count(d, j) for j in range(L + 1)]
     width = _expansion_width(d, L)
     scratch = [np.empty(counts[-1] * width) for _ in range(2)]
 
@@ -429,6 +436,132 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
         for j, M in powers:
             np.matmul(ws[j], M, out=u[j, cols])
     return u
+
+
+# --- the expansion's users, tolerance and rounding bounds ----------------------
+#
+# sigma_tau(t) = sum_k tau_k P_k(t) = sum_j g_j t^j, g = tau @ C
+# (_power_coefficients), has three users.  Each takes the expansion only where
+# an a-priori bound on its rounding error is at most _FACTOR_RTOL, and else
+# the Gegenbauer walk, which shares no code with it:
+# - stage one's degree projections V = C @ u, u from _power_sums;
+# - stage two's exact factors Z = U @ Vt (_exact_factors) over the degrees j
+#   with g_j != 0, p = _factor_width(d, g) monomials in all:
+#   U[r, (j, alpha)] = g_j w_alpha q_r^alpha / sqrt(m), Vt[(j, alpha), i] = x_i^alpha;
+# - the kernel gap, (1/m) sum_r sigma_tau(<x_a, q_r>) sigma_tau(<x_b, q_r>)
+#   = v_a^T (U^T U) v_b on the Gram of the same factors.
+# The bounds are first order in the unit roundoff u = eps / 2 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and
+# 19), with L the top degree, and share three facts:
+# - mass: sum_{|alpha| = j} w_alpha |x^alpha q^alpha| = (sum_l |x_l q_l|)^j
+#   <= rho^j, rho = |x| |q| (1 for unit rows), so the terms the expansion
+#   adds up have absolute values of at most sum_j Gbar_j rho^j, with the
+#   coefficient mass Gbar = |tau| @ |C| (_coefficient_mass); the walk's
+#   value is at most sum_k |tau_k|, as |P_k| <= 1;
+# - coefficients: the two terms of the recurrence on coefficient vectors have
+#   the same sign in every coefficient (that of t^(k+1-2i) is (-1)^i in both),
+#   so three roundings per step leave each C[k, j] within 3 L u of itself,
+#   and g = tau @ C within (4 L + 1) u Gbar_j;
+# - monomials: x^alpha takes j - 1 products.
+# Per use:
+# - stage one (_expansion_error), relative to ||y||_1, which bounds |V|.  The
+#   terms w_alpha y_i x_i^alpha q_r^alpha of u[j, r] put V[k] within
+#   (n + p) eps G ||y||_1, G = max_k sum_j |C[k, j]| rho^j (the mass of each
+#   tau = e_k), for p = C(L + d, d); eps = 2u covers the O(L) products.  The
+#   walk's n-point sum rounds alike, so it counts as one term: (1 + p) eps G,
+#   whatever n; 3.2e-13 at the criterion-5 shape (d = 8, L = 4, G = 2.9).
+#   Chebyshev coefficients grow like (1 + sqrt(2))^L, so d = 2 walks from
+#   L = 11 on (1.4e-10).
+# - the factors (_certificate), relative to ||Z||_F = ||B||_F for the thin QR
+#   U = QL @ R and B = R @ Vt.  With hats on computed quantities,
+#   QL^ B^ - Z = QL^ (B^ - R^ Vt^) + (QL^ R^ - U^) Vt^ + (U^ Vt^ - U Vt), and
+#   || |U| |Vt| ||_F <= ||U||_F ||Vt||_F.  Last term: an entry of U takes
+#   L + 3 roundings beyond g's (j - 1 products, sqrt(m), the quotient, two
+#   products), one of Vt at most L - 1: (6 L + 3) u ||Ubar||_F ||Vt||_F, with
+#   Ubar, U with Gbar_j in place of g_j.  Middle term: Householder QR gives
+#   gamma(m p) ||U||_F at worst, but for d = 2..20, L <= 14, p <= 495 and
+#   m = 500..2000 the computed residual stayed below 5 eps ||U||_F; the bound
+#   takes p u, an estimate of the observed size and not a worst case.  First
+#   term: inner products of length p, and ||R||_F = ||U||_F, give
+#   p u ||U||_F ||Vt||_F.  As ||U||_F <= ||Ubar||_F the sum (2 p + 6 L + 3) u
+#   is rounded up to (p + 3 L + 2) eps ||Ubar||_F ||Vt||_F / ||B||_F, 20 to
+#   10^4 times the walk's measured residual (the tests assert never below):
+#   7e-15 at the sweep shape (d = 6, L = 1), 1e-11 at d = 8, L = 4, 2e-10 at
+#   d = 2, L = 10.
+# - the kernel gap (_kernel_error), relative to (sum_k |tau_k|)^2.  The terms
+#   add up to at most (sum_j Gbar_j)^2, and each takes 5 L + 4 roundings in
+#   its entry of U (covering g), L - 1 in each monomial of x, 2 products, the
+#   Gram's m-term sum (which the walk makes too, counted as one) and two
+#   p-term contractions, 12 L + 9 + 2 p in all, so the bound is
+#   (p + 6 L + 5) eps (sum_j Gbar_j / sum_k |tau_k|)^2: 4e-15 at the sweep
+#   shape, 5e-13 at d = 8, L = 4, and with oracle channels above _FACTOR_RTOL
+#   from degree 8 at d = 2..6 and 7 at d = 8.
+
+# Users read it here at call time, so one patch reaches all of them.
+_FACTOR_RTOL = 1e-10
+
+_EPS = np.finfo(float).eps
+
+
+def _kept_degrees(d: int, g: np.ndarray) -> tuple:
+    """(J, counts): the degrees j with g_j != 0 and their numbers of monomials."""
+    J = np.flatnonzero(g)
+    return J, [_monomial_count(d, int(j)) for j in J]
+
+
+def _factor_width(d: int, g: np.ndarray) -> int:
+    """Number of monomials x^alpha over the degrees j with g_j != 0."""
+    return sum(_kept_degrees(d, g)[1])
+
+
+def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
+    """(U, Vt) with U @ Vt = Z, from the monomial expansion of sum_j g_j t^j.
+
+    U is m x p and Vt is p x n; both are built one monomial per row.
+    """
+    m, d = Q.shape
+    J = int(np.flatnonzero(g)[-1]) if np.any(g) else 0
+    us, vs = [np.zeros((0, m))], [np.zeros((0, X.shape[0]))]
+    for (j, Mq), (_, Mx) in zip(_monomial_powers(Q.T, J), _monomial_powers(X.T, J)):
+        if g[j] != 0.0:
+            us.append(Mq * (g[j] / np.sqrt(m) * _monomial_table(d, j)[0])[:, None])
+            vs.append(Mx)
+    return np.concatenate(us).T, np.concatenate(vs)
+
+
+def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
+    """Gbar_j rho^j with Gbar = |tau| @ |C|; tau may hold one weight vector per row."""
+    L = tau.shape[-1] - 1
+    return (np.abs(tau) @ np.abs(_gegenbauer_coefficients(d, L))) * rho ** np.arange(L + 1)
+
+
+def _expansion_error(d: int, L: int, rho: float) -> float:
+    """Stage one's bound on V, relative to ||y||_1 (see above)."""
+    G = np.max(np.sum(_coefficient_mass(d, np.eye(L + 1), rho), axis=1))
+    return (1 + math.comb(L + d, d)) * _EPS * float(G)
+
+
+def _certificate(d: int, tau: np.ndarray, g: np.ndarray, U, Vt, B) -> float:
+    """The factors' bound on ||QL @ B - Z||_F / ||Z||_F (see above), in O((m + n) p)."""
+    J, counts = _kept_degrees(d, g)
+    if J.size == 0:
+        return 0.0  # tau == 0: every route gives exactly 0
+    ref = float(np.linalg.norm(B))
+    if not ref > 0.0:
+        return math.inf
+    # ||Ubar||_F from the column norms of U, each degree's block scaled by Gbar_j / |g_j|
+    scale = np.repeat(_coefficient_mass(d, tau)[J] / np.abs(g[J]), counts)
+    ubar = math.sqrt(float(scale**2 @ np.einsum("rc,rc->c", U, U)))
+    return (U.shape[1] + 3 * int(J[-1]) + 2) * _EPS * ubar * float(np.linalg.norm(Vt)) / ref
+
+
+def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
+    """The kernel gap's bound on the Gram route, relative to (sum |tau|)^2 (see above)."""
+    J, counts = _kept_degrees(d, g)
+    if J.size == 0:
+        return 0.0  # tau == 0: every route gives exactly 0
+    ratio = float(np.sum(_coefficient_mass(d, tau))) / float(np.sum(np.abs(tau)))
+    return (sum(counts) + 6 * int(J[-1]) + 5) * _EPS * ratio**2
 
 
 def sample_sphere(n: int, d: int, seed) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import harmonics
 from .harmonics import gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
 
 # Row-norm slack accepted before an input is rejected as non-unit.
@@ -30,6 +31,7 @@ UNIT_TOL = 1e-8
 __all__ = [
     "UNIT_TOL",
     "finalized_weights",
+    "oracle_weights",
     "activation",
     "activation_matrix",
     "population_gram",
@@ -39,7 +41,8 @@ __all__ = [
 ]
 
 
-def _require_unit_rows(X: np.ndarray, name: str) -> np.ndarray:
+def _unit_norms(X, name: str) -> tuple:
+    """X as a float matrix and its row norms; raises unless every row is unit-norm."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     # row sums of squares without an n x d temporary, which would raise peak memory
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
@@ -48,15 +51,27 @@ def _require_unit_rows(X: np.ndarray, name: str) -> np.ndarray:
     if not np.all(off <= UNIT_TOL):
         i = int(np.argmax(off))
         raise ValueError(f"{name} row {i} is not unit-norm (|norm - 1| = {off[i]:.3e})")
-    return X
+    return X, norms
 
 
-def _require_unit_pair(X, Q) -> tuple:
-    """Points X and directions Q as unit-row matrices of the same dimension."""
-    X = _require_unit_rows(X, "X")
-    Q = _require_unit_rows(Q, "Q")
+def _require_unit_rows(X, name: str) -> np.ndarray:
+    return _unit_norms(X, name)[0]
+
+
+def _require_unit_pair(X, Q, q_rows: bool = False) -> tuple:
+    """Points X and directions Q as unit-row matrices of the same dimension.
+
+    Their dot products are screened against the [-1, 1] band on the norms
+    just computed, so that every route rejects one with the index and value
+    of the walk over the rows of X (of Q with q_rows).
+    """
+    (X, x_norms), (Q, q_norms) = _unit_norms(X, "X"), _unit_norms(Q, "Q")
     if X.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: X has d={X.shape[1]}, Q has d={Q.shape[1]}")
+    if q_rows:
+        harmonics._screen_dots(Q, X, q_norms, x_norms)
+    else:
+        harmonics._screen_dots(X, Q, x_norms, q_norms)
     return X, Q
 
 

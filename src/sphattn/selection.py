@@ -23,10 +23,10 @@ C[k, j] the coefficient of t^j in P_k and w_alpha the multinomial weights,
 two streamed passes, over the points and over the directions, at
 O((m + n) * p) for the p = C(L + d, d) monomials of degree <= L.  Where
 that is not cheaper than the Gegenbauer recurrence over the m x n dot
-products, or its a-priori rounding bound is too loose, V comes from one
-blocked pass of that recurrence instead (see the path rule below).
-Neither route stores an m x n array, and both reject a dot product outside
-the [-1, 1] band with the same message and index.
+products, or its a-priori rounding bound (in harmonics) is too loose, V
+comes from one blocked pass of that recurrence instead (see the path rule
+below).  Neither route stores an m x n array, and the unit-row check
+rejects a dot product outside the [-1, 1] band for both, as the walk would.
 
 The raw channel weights are then thresholded: channel k survives when
 raw_k >= 2 * epsilon0 (inclusive), and every surviving channel is rescaled
@@ -42,20 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import harmonics
 # gegenbauer_weighted_sum is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
-from .harmonics import (  # noqa: F401
-    _expansion_width,
-    _gegenbauer_coefficients,
-    _power_sums,
-    _screen_dots,
-    gegenbauer_blocks,
-    gegenbauer_weighted_sum,
-    harmonic_dim,
-)
-from .kernels import _require_unit_rows, finalized_weights
+from .harmonics import gegenbauer_blocks, gegenbauer_weighted_sum, harmonic_dim  # noqa: F401
+from .kernels import UNIT_TOL, _require_unit_pair, finalized_weights
 from .targets import LabeledDataset
-from .training import _FACTOR_RTOL
 
 __all__ = [
     "EmptySelectionError",
@@ -107,12 +99,10 @@ class SelectionResult:
 def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
     if L != int(L) or L < 0:
         raise ValueError(f"maximum channel degree must be a non-negative integer, got {L}")
-    _require_unit_rows(dataset.S, "X")
-    Q = _require_unit_rows(Q, "Q")
-    if dataset.n == 0 or Q.shape[0] == 0:
+    # screened as the walk over the rows of Q meets them
+    X, Q = _require_unit_pair(dataset.S, Q, q_rows=True)
+    if X.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("need at least one sample and one direction")
-    if dataset.d != Q.shape[1]:
-        raise ValueError(f"dataset has d={dataset.d}, directions have d={Q.shape[1]}")
     return Q
 
 
@@ -124,7 +114,7 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
 # expansion costs one per monomial value, p = C(L + d, d) per point, plus
 # _CALL_ENTRIES per numpy call; _power_sums makes about (d + 2) * L + 3 calls
 # per block of _expansion_width(d, L) points in each pass, and the set-up
-# (the screen, C, the per-degree sums) about one block's worth more.  The
+# (C and the per-degree sums) about one block's worth more.  The
 # call term is what keeps small inputs and high d on the walk: at d = 30,
 # L = 4 a block holds one point.  The weights are measured (best of 3, one
 # BLAS thread; the timings are in CHANGES.md): about 2 ns per dot product and
@@ -132,43 +122,24 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
 # expansion.  The walk's own calls (about 6 L per block of BLOCK_ENTRIES dot
 # products) add at most a tenth and are left out.
 #
-# Accuracy.  |P_k| <= 1 on [-1, 1], so ||y||_1 bounds |V[k, r]|, and the
-# walk's sum over the n points rounds to within about n * eps * ||y||_1.  In
-# the expansion the terms of u[j, r] are w_alpha y_i x_i^alpha q_r^alpha,
-# whose absolute values add up to
-#
-#     sum_i |y_i| * (sum_l |q_rl| |x_il|)^j  <=  ||y||_1 * rho^j,
-#
-# rho = max_r |q_r| * max_i |x_i| by Cauchy-Schwarz (1 for unit rows).  They
-# pass through the same n-point sum and then p more additions, so V[k] =
-# sum_j C[k, j] u[j] is off by at most (n + p) * eps * G * ||y||_1 to first
-# order, with G = max_k sum_j |C[k, j]| rho^j; eps is twice the unit roundoff,
-# and its factor two covers the O(L) products.  Against the walk, the
-# expansion scales the rounding of the n-point sum that both routes make by
-# G and adds p further additions, so the rule counts that sum as one term:
-# the expansion is taken when (1 + p) * eps * G <= _FACTOR_RTOL, whatever n.
-# That is 3.2e-13 at the criterion-5 shape (d = 8, L = 4, G = 2.9).  The
-# Chebyshev coefficients of d = 2 grow like (1 + sqrt(2))^L, so d = 2 from
-# L = 11 on (1.4e-10) stays on the walk.
+# Accuracy.  The expansion is taken when harmonics._expansion_error, its
+# a-priori bound relative to ||y||_1 (derived with the expansion's other
+# bounds in harmonics), is at most harmonics._FACTOR_RTOL, whatever n.
 
 # A numpy call on a small block, with the Python loop around it, costs about
 # as much as this many entries of elementwise work (2 us against 2 ns).
 _CALL_ENTRIES = 1000
 
+# The bound's rho = max_r |q_r| * max_i |x_i| for rows that passed the unit check.
+_RHO = (1.0 + UNIT_TOL) ** 2
+
 
 def _expansion_is_cheaper(m: int, n: int, d: int, L: int) -> bool:
     """Whether the expansion's monomial values and calls cost less than the walk."""
-    width = _expansion_width(d, L)
+    width = harmonics._expansion_width(d, L)
     blocks = -(-m // width) + -(-n // width)
     calls = (blocks + 1) * ((d + 2) * L + 3)
     return (m + n) * math.comb(L + d, d) + _CALL_ENTRIES * calls < m * n * (L + 1)
-
-
-def _expansion_error(C: np.ndarray, d: int, rho: float) -> float:
-    """The expansion's a-priori error bound, its n-point sum counted as one term (see above)."""
-    L = C.shape[0] - 1
-    p = math.comb(L + d, d)
-    return (1 + p) * np.finfo(float).eps * float(np.max(np.abs(C) @ rho ** np.arange(L + 1)))
 
 
 def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
@@ -180,12 +151,9 @@ def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.nd
     X = np.asarray(dataset.S, dtype=float)
     y = np.asarray(dataset.y, dtype=float)
     (m, d), n = Q.shape, y.size
-    if _expansion_is_cheaper(m, n, d, L):
-        rho = _screen_dots(Q, X)  # raises where the walk would
-        C = _gegenbauer_coefficients(d, L)
-        # NaN compares false and keeps the walk
-        if _expansion_error(C, d, rho) <= _FACTOR_RTOL:
-            return C @ _power_sums(Q, X, y, L)
+    accurate = harmonics._expansion_error(d, L, _RHO) <= harmonics._FACTOR_RTOL
+    if accurate and _expansion_is_cheaper(m, n, d, L):
+        return harmonics._gegenbauer_coefficients(d, L) @ harmonics._power_sums(Q, X, y, L)
     V = np.empty((L + 1, m))
     V[0] = np.sum(y)  # P_0 = 1
     for rows, degrees in gegenbauer_blocks(Q, X, d, L):

@@ -32,6 +32,7 @@ __all__ = [
     "gen_dataset",
     "dataset_to_csv",
     "dataset_metadata",
+    "save_dataset",
 ]
 
 

@@ -19,14 +19,15 @@ the strongest correctness oracle for the trainer.
 
 The activation is a polynomial of degree ell_hat in <x, q>, so Z has the
 exact factorization Z = U @ V.T through the monomials of the points and the
-directions, with p columns.  :func:`train` picks its path from the shapes
-alone: when a rule priced from timings of both paths expects the factors to
-take less time for these m, n, p, T and degrees, it never allocates Z and
-runs on the thin QR factors Z = QL @ B.  The factors are accepted on an
-a-priori rounding bound that costs O((m + n) * p); only when that bound is
-too loose are they checked against the recurrence in a streamed pass over
-Z, and a failed check warns and falls back to the m x n matrix (see the
-exact low-rank fast path below).
+directions, with p columns; the factors, the a-priori rounding bound that
+accepts them and its tolerance are the monomial expansion's, in harmonics.
+:func:`train` picks its path from the shapes alone: when a rule priced from
+timings of both paths expects the factors to take less time for these m, n,
+p, T and degrees, it never allocates Z and runs on the thin QR factors
+Z = QL @ B.  Only when the bound, which costs O((m + n) * p), is too loose
+are the factors checked against the recurrence in a streamed pass over Z,
+and a failed check warns and falls back to the m x n matrix (see the exact
+low-rank fast path below).
 
 On the factors, GD is a spectral filter of B.  With the thin SVD
 B.T = H diag(s) W.T (w = min(p, m, n) columns), beta = H.T @ y and
@@ -48,14 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import (
-    _block_rows,
-    _gegenbauer_coefficients,
-    _monomial_powers,
-    _monomial_table,
-    _power_coefficients,
-    gegenbauer_blocks,
-)
+from . import harmonics
+from .harmonics import _block_rows, gegenbauer_blocks
 from .kernels import _require_unit_pair, activation_matrix
 from .targets import LabeledDataset
 
@@ -202,21 +197,15 @@ def _check_divergence(norms: list, t: int) -> None:
 
 # --- exact low-rank fast path -------------------------------------------------
 #
-# With frozen channels the activation is a polynomial of degree ell_hat in
-# t = <x, q>:  sigma_tau(t) = sum_k tau_k P_k(t) = sum_j g_j t^j,  g = tau @ C,
-# where C[k, j] is the coefficient of t^j in P_k.  Expanding each power by the
-# multinomial theorem, <x, q>^j = sum_{|alpha| = j} w_alpha x^alpha q^alpha,
-# factors the feature matrix exactly as Z = U @ V.T with
-#
-#     U[r, (j, alpha)] = g_j * w_alpha * q_r^alpha / sqrt(m)     (m x p)
-#     V[i, (j, alpha)] = x_i^alpha                               (n x p)
-#
-# over the degrees j with g_j != 0, so p = sum_j C(j + d - 1, d - 1).  (The
-# expansion lives in harmonics; stage one uses it too.)  A thin
-# QR, U = QL @ R, gives Z = QL @ B with orthonormal QL and B = R @ V.T.  Z
-# itself is never formed.  With T >= w = min(p, m, n) the trace comes in
-# closed form from the thin SVD of B (_spectral_trace); fewer steps run the
-# GD loop on (QL, B) at O((m + n) * p) per step.
+# The activation is a polynomial of degree ell_hat in t = <x, q>, and the
+# monomial expansion in harmonics factors the feature matrix exactly as
+# Z = U @ Vt (_exact_factors), with p = _factor_width(d, g) rows in Vt; the
+# factors, the a-priori bound that accepts them (_certificate) and its
+# derivation live there.  A thin QR, U = QL @ R, gives Z = QL @ B with
+# orthonormal QL and B = R @ Vt.  Z itself is never formed.  With
+# T >= w = min(p, m, n) the trace comes in closed form from the thin SVD of B
+# (_spectral_trace); fewer steps run the GD loop on (QL, B) at
+# O((m + n) * p) per step.
 #
 # Closed form.  With B.T = H diag(s) Wt, c(t) = Wt.T @ z(t) and a(t) = QL @
 # c(t), one step maps s z - beta to rho (s z - beta), so from z(0) = 0
@@ -236,50 +225,14 @@ def _check_divergence(norms: list, t: int) -> None:
 # O(BLOCK_ENTRIES) whatever T; only the recorded weights, T + 1 vectors of
 # m, grow with T, as on the loop.
 #
-# Certificate.  The factors are accepted on an a-priori bound on the relative
-# error ||QL @ B - Z||_F / ||Z||_F that costs O((m + n) * p) (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and
-# 19).  With u = eps / 2 the unit roundoff, hats on computed quantities and
-# ||Z||_F = ||B||_F (QL is orthonormal), split
-#
-#     QL^ B^ - Z = QL^ (B^ - R^ Vt^) + (QL^ R^ - U^) Vt^ + (U^ Vt^ - U Vt)
-#
-# and bound each term to first order in u, using || |U| |Vt| ||_F <=
-# ||U||_F ||Vt||_F:
-# - the expansion.  C comes from a three-term recurrence whose two terms
-#   have the same sign in every coefficient (that of t^(k+1-2i) is
-#   (-1)^i in both), so nothing cancels, three roundings per step leave each
-#   C[k, j] within 3 ell_hat u of itself, and g = tau @ C
-#   is within (4 ell_hat + 1) u * Gbar_j, Gbar = |tau| @ |C|.  An entry of U
-#   takes ell_hat + 3 more roundings (the monomial's j - 1 products, sqrt(m),
-#   the quotient and the two products), an entry of Vt at most ell_hat - 1.
-#   With Ubar, U with Gbar_j in place of g_j, the last term is at most
-#   (6 ell_hat + 3) u ||Ubar||_F ||Vt||_F;
-# - the thin QR.  Householder QR (LAPACK geqrf/orgqr) gives
-#   ||U^ - QL^ R^||_F <= gamma(m p) ||U||_F in the worst case, but its
-#   rounding errors do not add up like that: for d = 2..20, ell_hat up to
-#   14, p up to 495 and m from 500 to 2000, the computed residual stayed
-#   below 5 eps ||U||_F.  The bound takes p u for it, an estimate of the
-#   observed size and not a worst case, so the middle term is at most
-#   p u ||U||_F ||Vt||_F;
-# - B = R @ V.T.  Inner products of length p: |B^ - R^ Vt^| <= p u |R| |Vt|
-#   entrywise, and ||R||_F = ||U||_F, so the first term is at most
-#   p u ||U||_F ||Vt||_F.
-#
-# Since ||U||_F <= ||Ubar||_F the sum is (2 p + 6 ell_hat + 3) u, rounded up to
-#
-#     bound = (p + 3 ell_hat + 2) * eps * ||Ubar||_F * ||Vt||_F / ||B||_F .
-#
-# It runs 20 to 10^4 times above the walk's measured residual (the test
-# grid asserts it is never below): 7e-15 at the sweep shape (d = 6,
-# ell_hat = 1), 1e-11 at d = 8, ell_hat = 4, 2e-10 at d = 2, ell_hat = 10.
-# When it exceeds _FACTOR_RTOL the factors are checked against the
-# Gegenbauer recurrence in a streamed pass over row blocks, which shares no
-# code with the expansion (_factor_residual); that costs an m x n walk, and
-# only ill-conditioned expansions pay it (with oracle channels, from degree
-# 10 at d = 2, 9 at d = 3 and 8 at d = 4).  When the walk's relative
-# Frobenius residual exceeds _FACTOR_RTOL too, train warns (the residual,
-# the bound and p) and falls back to the plain loop on the m x n matrix.
+# Check.  When the certificate exceeds harmonics._FACTOR_RTOL, the factors
+# are checked against the Gegenbauer recurrence in a streamed pass over row
+# blocks, which shares no code with the expansion (_factor_residual); that
+# costs an m x n walk, and only ill-conditioned expansions pay it (with
+# oracle channels, from degree 10 at d = 2, 9 at d = 3 and 8 at d = 4).  When
+# the walk's relative Frobenius residual exceeds the tolerance too, train
+# warns (the residual, the bound and p) and falls back to the plain loop on
+# the m x n matrix.
 #
 # Speed.  train takes the path that _factored_is_cheaper prices lower, in
 # nanoseconds on one core, from timings of train on both paths (best of 3,
@@ -305,15 +258,6 @@ def _check_divergence(norms: list, t: int) -> None:
 # (n = 60..8000 crossed with w = 3..495): the break-even lies between 0.35 w
 # steps (w = 495) and 2.1 w steps (w <= 7, n = 8000).
 
-# Also the error bar that stage one's expansion must meet a priori (selection).
-_FACTOR_RTOL = 1e-10
-
-
-def _factor_width(d: int, g: np.ndarray) -> int:
-    """Number of monomials x^alpha over the degrees j with g_j != 0."""
-    return sum(math.comb(int(j) + d - 1, d - 1) for j in np.flatnonzero(g))
-
-
 def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
     """Whether train on the factors at width p is priced below the m x n matrix.
 
@@ -324,21 +268,6 @@ def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
     plain = 85e3 + m * n * (3.3 * (L + 1) + 0.74 * T) + 14e3 * T
     factored = 240e3 + p * (m * (23 + 0.2 * w) + 13 * n) + min(T, w, n) * (14e3 + 0.43 * n * w)
     return factored < plain
-
-
-def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
-    """(U, Vt) with U @ Vt = Z, from the monomial expansion of sum_j g_j t^j.
-
-    U is m x p and Vt is p x n; both are built one monomial per row.
-    """
-    m, d = Q.shape
-    J = int(np.flatnonzero(g)[-1]) if np.any(g) else 0
-    us, vs = [np.zeros((0, m))], [np.zeros((0, X.shape[0]))]
-    for (j, Mq), (_, Mx) in zip(_monomial_powers(Q.T, J), _monomial_powers(X.T, J)):
-        if g[j] != 0.0:
-            us.append(Mq * (g[j] / np.sqrt(m) * _monomial_table(d, j)[0])[:, None])
-            vs.append(Mx)
-    return np.concatenate(us).T, np.concatenate(vs)
 
 
 def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> float:
@@ -371,43 +300,28 @@ def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> fl
     return 0.0 if err2 == 0.0 else math.inf
 
 
-def _certificate(d: int, tau: np.ndarray, g: np.ndarray, U, Vt, B) -> float:
-    """The a-priori bound on ||QL @ B - Z||_F / ||Z||_F derived above, in O((m + n) p)."""
-    J = np.flatnonzero(g)
-    if J.size == 0:
-        return 0.0  # tau == 0: Z and QL @ B are both exactly 0
-    ref = float(np.linalg.norm(B))
-    if not ref > 0.0:
-        return math.inf
-    # ||Ubar||_F from the column norms of U, each degree's block scaled by Gbar_j / |g_j|
-    Gbar = np.abs(tau) @ np.abs(_gegenbauer_coefficients(d, tau.size - 1))
-    scale = np.repeat(Gbar[J] / np.abs(g[J]), [math.comb(int(j) + d - 1, d - 1) for j in J])
-    ubar = math.sqrt(float(scale**2 @ np.einsum("rc,rc->c", U, U)))
-    eps = np.finfo(float).eps
-    return (U.shape[1] + 3 * int(J[-1]) + 2) * eps * ubar * float(np.linalg.norm(Vt)) / ref
-
-
 def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray):
     """Certified exact factors (QL, B) of Z, or None after a RuntimeWarning.
 
-    g = _power_coefficients(d, tau) are the power coefficients of sigma_tau.
+    g = harmonics._power_coefficients(d, tau) are the power coefficients of
+    sigma_tau.
     The factors are accepted on the a-priori bound (_certificate) and, only
-    when that exceeds _FACTOR_RTOL, on the walk's residual
+    when that exceeds harmonics._FACTOR_RTOL, on the walk's residual
     (_factor_residual).
     """
-    U, Vt = _exact_factors(X, Q, g)
+    U, Vt = harmonics._exact_factors(X, Q, g)
     QL, R = np.linalg.qr(U)
     B = R @ Vt
-    bound = _certificate(X.shape[1], tau, g, U, Vt, B)
+    bound = harmonics._certificate(X.shape[1], tau, g, U, Vt, B)
     # NaN compares false and goes to the walk
-    if bound <= _FACTOR_RTOL:
+    if bound <= harmonics._FACTOR_RTOL:
         return QL, B
     resid = _factor_residual(X, Q, tau, QL, B)
-    if resid <= _FACTOR_RTOL:
+    if resid <= harmonics._FACTOR_RTOL:
         return QL, B
     warnings.warn(
         f"exact low-rank factors failed verification: relative residual "
-        f"{resid:.3e} > {_FACTOR_RTOL:g} at factor width p = {U.shape[1]} "
+        f"{resid:.3e} > {harmonics._FACTOR_RTOL:g} at factor width p = {U.shape[1]} "
         f"(a-priori bound {bound:.3e}); falling back to the m x n feature matrix",
         RuntimeWarning, stacklevel=3,
     )
@@ -443,15 +357,16 @@ def train(
         raise ValueError(f"need at least one step, got T={T}")
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
-    X, Q = _require_unit_pair(dataset.S, Q)
+    # screened as the plain path's walk over the rows of Q meets them
+    X, Q = _require_unit_pair(dataset.S, Q, q_rows=True)
     tau = np.asarray(tau_final, dtype=float)
     m, n = Q.shape[0], X.shape[0]
     y = np.asarray(dataset.y, dtype=float)
     f_star = np.asarray(dataset.f_star_S, dtype=float)
     trace = TrainingTrace(weights=[] if record_weights else None)
 
-    g = _power_coefficients(X.shape[1], tau)
-    cheaper = _factored_is_cheaper(m, n, _factor_width(X.shape[1], g), T, tau.size - 1)
+    g = harmonics._power_coefficients(X.shape[1], tau)
+    cheaper = _factored_is_cheaper(m, n, harmonics._factor_width(X.shape[1], g), T, tau.size - 1)
     factors = _try_factor(X, Q, tau, g) if cheaper else None
 
     # a(t) = QL @ c(t) on the factors of Z = QL @ B, and a(t) = c(t) with B = Z

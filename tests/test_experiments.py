@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sphattn import experiments, finalized_weights, oracle_weights, sample_sphere
+from sphattn import experiments, finalized_weights, harmonics, oracle_weights, sample_sphere
 from sphattn.cli import main
 from sphattn.config import ConfigError, ExperimentConfig, auto_steps, parse_config_file
 from sphattn.experiments import (
@@ -336,8 +336,8 @@ class TestEmpiricalKernel:
         # d = 2, degree 14: the Chebyshev coefficients grow like (1 + sqrt 2)^14
         d, L = 2, 14
         tau = oracle_weights(d, L)
-        bound = experiments._kernel_error(d, tau, _power_coefficients(d, tau))
-        assert bound > experiments._FACTOR_RTOL
+        bound = harmonics._kernel_error(d, tau, _power_coefficients(d, tau))
+        assert bound > harmonics._FACTOR_RTOL
         pairs = sample_sphere(40, d, 43)
         Q = sample_sphere(300, d, 44)
         calls = []

@@ -275,3 +275,36 @@ def test_monte_carlo_orthogonality():
             se = prod.std(ddof=1) / np.sqrt(prod.size)
             expected = gegenbauer_all(dot, d, 3)[k] / harmonic_dim(d, k) if j == k else 0.0
             assert abs(mean - expected) <= 5 * se + 1e-12, (j, k, mean, expected, se)
+
+
+def test_one_tolerance_reaches_every_user(monkeypatch):
+    """With harmonics._FACTOR_RTOL at 0 no user of the expansion takes it."""
+    from sphattn import experiments, selection, training
+    from sphattn.kernels import oracle_weights
+    from sphattn.targets import gen_dataset, make_target
+
+    def expansion(*args):
+        raise AssertionError("the monomial expansion was used")
+
+    monkeypatch.setattr(harmonics_mod, "_FACTOR_RTOL", 0.0)
+    # stage one at d = 8, L = 4, on a shape where the expansion is cheaper
+    ds = gen_dataset(make_target(8, 2, [1.0, 1.0, 1.0], 70), 400, 0.1, 71)
+    assert selection._expansion_is_cheaper(400, 400, 8, 4)
+    with monkeypatch.context() as mp:
+        mp.setattr(harmonics_mod, "_power_sums", expansion)
+        selection.one_step_updates(ds, sample_sphere(400, 8, 72), 4)
+    # train on the factors: the walk's residual exceeds 0 too, so it falls back
+    monkeypatch.setattr(training, "_factored_is_cheaper", lambda *shape: True)
+    ds = gen_dataset(make_target(3, 1, [1.0, 1.0], 73), 60, 0.2, 74)
+    with pytest.warns(RuntimeWarning, match="falling back to the m x n feature matrix"):
+        state, _ = training.train(ds, sample_sphere(200, 3, 75), oracle_weights(3, 2), 0.3, 5)
+    assert state.Z is not None
+    # the kernel gap walks both sides of its pairs
+    calls, walk = [], experiments.gegenbauer_weighted_sum
+    monkeypatch.setattr(experiments, "gegenbauer_weighted_sum",
+                        lambda *args: calls.append(args) or walk(*args))
+    monkeypatch.setattr(harmonics_mod, "_exact_factors", expansion)
+    pairs = sample_sphere(20, 3, 76)
+    experiments._empirical_kernel(pairs[:10], pairs[10:], sample_sphere(50, 3, 77),
+                                  oracle_weights(3, 1), 3)
+    assert len(calls) == 2

@@ -178,7 +178,7 @@ def _no_expansion(monkeypatch):
     def expansion(*args, **kwargs):
         raise AssertionError("the monomial expansion was called")
 
-    monkeypatch.setattr(selection_mod, "_power_sums", expansion)
+    monkeypatch.setattr(harmonics_mod, "_power_sums", expansion)
 
 
 def _walk_only(monkeypatch):
@@ -231,15 +231,14 @@ class TestMonomialExpansion:
         np.testing.assert_allclose(tau, tau_ref, rtol=1e-10)
 
     def test_path_rule(self, monkeypatch):
-        C = harmonics_mod._gegenbauer_coefficients
-        cheaper, error = selection_mod._expansion_is_cheaper, selection_mod._expansion_error
+        cheaper, error = selection_mod._expansion_is_cheaper, harmonics_mod._expansion_error
         # the criterion-5 shape: cheaper, and the error bound clears the bar
         assert cheaper(4000, 4000, 8, 4)
-        assert error(C(8, 4), 8, 1.0) <= 1e-10
+        assert error(8, 4, 1.0) <= 1e-10
         assert cheaper(4000, 4000, 8, 0)
         # Chebyshev coefficients at degree 12 are too large for the bound
         assert cheaper(400, 400, 2, 12)
-        assert error(C(2, 12), 2, 1.0) > 1e-10
+        assert error(2, 12, 1.0) > 1e-10
         # too few pairs to pay for the expansion's calls, and blocks of a few
         # points at high d (each timed slower than the walk)
         assert not cheaper(6, 5, 8, 4)

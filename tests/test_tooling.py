@@ -1,15 +1,19 @@
 """The benchmark tracer's call sites still name live attributes of the package,
-and a traced run reaches them."""
+a traced run reaches them, and README.md names the public surface."""
 
+import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture
 def tracer(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
 
     return tracer
@@ -37,3 +41,27 @@ def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
     expected = {"cli.main", "config.parse_config_file", "experiments.run", "experiments.trial",
                 "experiments.kernel_gap", "training.train", "experiments.emit_report"}
     assert expected <= names, f"spans never recorded: {sorted(expected - names)}"
+
+
+def test_readme_names_the_public_surface():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    named = []
+    for row in tour.splitlines():
+        cells = row.strip().strip("|").split("|")
+        module = re.fullmatch(r"\s*`(sphattn\.\w+)`\s*", cells[0])
+        # one module per row; the config / cli row lists no names
+        if len(cells) == 2 and module:
+            named += [(module[1], name) for name in re.findall(r"`(\w+)`", cells[1])]
+    assert {mod for mod, _ in named} == {
+        f"sphattn.{m}" for m in
+        ("harmonics", "kernels", "targets", "selection", "training", "complexity", "experiments")
+    }
+    # dotted names elsewhere in the text, e.g. under "Output formats"
+    named += re.findall(r"`(sphattn\.\w+)\.(\w+)`", readme)
+    missing = [
+        f"{mod}.{name}" for mod, name in named
+        if not hasattr(importlib.import_module(mod), name)
+        or name not in importlib.import_module(mod).__all__
+    ]
+    assert not missing, f"README names these, but they are not public: {missing}"

@@ -24,7 +24,7 @@ from sphattn import (
     sample_sphere,
     train,
 )
-from sphattn import training
+from sphattn import harmonics, training
 from sphattn.config import auto_steps
 from sphattn.targets import LabeledDataset
 from sphattn.training import trace_to_csv
@@ -346,7 +346,7 @@ class TestTrain:
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         force_path(monkeypatch, False)
         ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30)
-        monkeypatch.setattr(training, "_FACTOR_RTOL", 0.0)
+        monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
         with pytest.warns(RuntimeWarning, match=r"relative residual .* factor width p = 10"):
             state, trace = train(ds, Q, tau, eta=0.3, T=30)
@@ -427,7 +427,7 @@ class TestExactFactors:
         X = sample_sphere(70, d, 31)
         Q = sample_sphere(90, d, 32)
         for tau in (oracle_weights(d, L), finalized_weights(d, [1, 0, 1]), np.array([0.7, 0, 0])):
-            factors = training._try_factor(X, Q, tau, training._power_coefficients(d, tau))
+            factors = training._try_factor(X, Q, tau, harmonics._power_coefficients(d, tau))
             assert factors is not None
             QL, B = factors
             np.testing.assert_allclose(QL.T @ QL, np.eye(QL.shape[1]), atol=1e-12)
@@ -437,14 +437,46 @@ class TestExactFactors:
     def test_factor_width_counts_monomials(self):
         # oracle channels 0..2 in d = 4: 1 + 4 + 10 monomials
         X, Q = sample_sphere(5, 4, 33), sample_sphere(6, 4, 34)
-        g = training._power_coefficients(4, oracle_weights(4, 2))
-        assert training._factor_width(4, g) == 15
-        assert training._exact_factors(X, Q, g)[0].shape == (6, 15)
+        g = harmonics._power_coefficients(4, oracle_weights(4, 2))
+        assert harmonics._factor_width(4, g) == 15
+        assert harmonics._exact_factors(X, Q, g)[0].shape == (6, 15)
         # the gapped mask [1, 0, 1] has no degree-1 term: 1 + 10
-        g = training._power_coefficients(4, finalized_weights(4, [1, 0, 1]))
+        g = harmonics._power_coefficients(4, finalized_weights(4, [1, 0, 1]))
         assert g[1] == 0.0
-        assert training._factor_width(4, g) == 11
-        assert training._exact_factors(X, Q, g)[0].shape == (6, 11)
+        assert harmonics._factor_width(4, g) == 11
+        assert harmonics._exact_factors(X, Q, g)[0].shape == (6, 11)
+
+
+def _walk_error(A, B, d, L) -> str:
+    with pytest.raises(ValueError) as err:
+        for _ in harmonics.gegenbauer_blocks(A, B, d, L):
+            pass
+    return str(err.value)
+
+
+class TestDomainScreen:
+    """A point inside the unit tolerance whose dot product leaves the band."""
+
+    # train's plain path walks the rows of Q, predict's walk those of X; the
+    # factored path and the degree-1 closed form form no dot product at all
+    @pytest.mark.parametrize("call, variant", [("train", False), ("train", True),
+                                               ("predict", 1), ("predict", 2)])
+    def test_every_route_raises_the_walks_error(self, call, variant, monkeypatch):
+        d = 4
+        X, Q = sample_sphere(20, d, 80), sample_sphere(30, d, 81)
+        X[5] = Q[7] * (1.0 + 5e-9)
+        if call == "train":
+            force_path(monkeypatch, variant)
+            expected, at = _walk_error(Q, X, d, 1), "(7, 5)"
+            ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
+            with pytest.raises(ValueError) as err:
+                train(ds, Q, oracle_weights(d, 1), eta=0.3, T=3)
+        else:
+            expected, at = _walk_error(X, Q, d, variant), "(5, 7)"
+            with pytest.raises(ValueError) as err:
+                predict(np.ones(30), X, Q, oracle_weights(d, variant))
+        assert str(err.value) == expected
+        assert f"tolerance band at index {at}" in expected
 
 
 class TestCertificate:
@@ -453,11 +485,11 @@ class TestCertificate:
     @staticmethod
     def _bound_and_walk(X, Q, tau):
         d = X.shape[1]
-        g = training._power_coefficients(d, tau)
-        U, Vt = training._exact_factors(X, Q, g)
+        g = harmonics._power_coefficients(d, tau)
+        U, Vt = harmonics._exact_factors(X, Q, g)
         QL, R = np.linalg.qr(U)
         B = R @ Vt
-        return (training._certificate(d, tau, g, U, Vt, B),
+        return (harmonics._certificate(d, tau, g, U, Vt, B),
                 training._factor_residual(X, Q, tau, QL, B))
 
     @pytest.mark.parametrize("d, L", [(2, 10), (2, 14), (3, 8), (8, 4), (6, 1)])
@@ -489,7 +521,7 @@ class TestCertificate:
         Q = sample_sphere(600, 2, 68)
         tau = oracle_weights(2, 10)
         bound, resid = self._bound_and_walk(ds.S, Q, tau)
-        assert resid <= training._FACTOR_RTOL < bound
+        assert resid <= harmonics._FACTOR_RTOL < bound
         walks = []
         walk = training._factor_residual
         monkeypatch.setattr(training, "_factor_residual",
@@ -505,7 +537,7 @@ class TestCertificate:
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         force_path(monkeypatch, False)
         ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
-        monkeypatch.setattr(training, "_FACTOR_RTOL", 0.0)
+        monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
         with pytest.warns(RuntimeWarning, match=r"relative residual \S+ > 0 at factor width "
                           r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\); falling back to "
@@ -597,7 +629,7 @@ class TestSpectralTrace:
         # U has zero columns and B rows that are exactly 0
         _, ds, _, tau = _setup(n=60, seed=26)
         Q = np.concatenate([sample_sphere(200, 2, 27), np.zeros((200, 1))], axis=1)
-        g = training._power_coefficients(3, tau)
+        g = harmonics._power_coefficients(3, tau)
         QL, B = training._try_factor(ds.S, Q, tau, g)
         assert np.any(np.linalg.svd(B.T, compute_uv=False) == 0.0)
         taken = self._paths(monkeypatch)
