@@ -21,10 +21,15 @@ The monomial expansion runs the same recurrence on coefficient vectors
 (:func:`_gegenbauer_coefficients`), so that P_k(t) = sum_j C[k, j] t^j, and
 expands each power of a dot product by the multinomial theorem,
 <a, b>^j = sum_{|alpha| = j} w_alpha a^alpha b^alpha.  Sums over pairs then
-split into sums over the rows of each side, at O((len(A) + len(B)) * p) for
-p monomials.  Everything the expansion decides lives here: stage one's sums
-(:func:`_power_sums`), stage two's exact factors, the tolerance _FACTOR_RTOL
-and the three rounding bounds compared with it, derived above it.
+split into sums over the rows of each side.  Stage one's sums
+(:func:`_power_sums`) split each power in half, <a, b>^j =
+<a, b>^ceil(j/2) <a, b>^floor(j/2), so that one Gram matrix of the
+monomials of degree <= ceil(L/2) against those of degree <= floor(L/2)
+serves every degree: two GEMMs at O((len(A) + len(B)) * p_h * p_l), with
+p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  Stage two's exact factors
+take all p monomials of the kept degrees.  Everything the expansion decides
+lives here: both, the tolerance _FACTOR_RTOL and the three rounding bounds
+compared with it, derived above it.
 :func:`_screen_dots`, run by the unit-row check of every entry point, gives
 each route the walk's domain check, forming only the dots it cannot clear.
 """
@@ -367,74 +372,91 @@ def _monomial_table(d: int, j: int) -> tuple:
     return weight, alpha
 
 
-def _monomial_powers(At: np.ndarray, J: int, scratch=None):
-    """Yield (j, M_j) for j = 0..J, M_j[i] = prod_l At[l] ** alpha_i[l].
+def _monomial_powers(At: np.ndarray, J: int, out=None) -> np.ndarray:
+    """M[i] = prod_l At[l] ** alpha_i[l] for the monomials alpha_i of degrees 0..J.
 
-    At holds one point per column (d x cols); M_j has one row per degree-j
-    monomial alpha_i, in _monomial_table's order, so the block of rows that
-    ends in x_v is a leading slice of M_{j-1} times the row At[v].  With
-    `scratch`, two flat arrays of at least count_J * cols entries, each M_j
-    is written into them in turn and is valid only until the walk resumes.
+    At holds one point per column (d x cols).  M has C(J + d, d) rows: the
+    degree-j monomials in _monomial_table's order, stacked by degree from
+    row C(j - 1 + d, d), so the block of degree-j rows that ends in x_v is a
+    leading slice of the degree-(j - 1) rows times x_v, itself row 1 + v.
+    With `out`, a flat array of at least C(J + d, d) * cols entries, M is a
+    view of it.
     """
     d, cols = At.shape
-    if scratch is None:
-        M = np.ones((1, cols))
-    else:
-        M = scratch[0][:cols].reshape(1, cols)
-        M[...] = 1.0
-    yield 0, M
-    for j in range(1, J + 1):
-        count = _monomial_count(d, j)
-        if scratch is None:
-            nxt = np.empty((count, cols))
-        else:
-            nxt = scratch[j % 2][: count * cols].reshape(count, cols)
-        lo = 0
+    rows = math.comb(J + d, d)
+    M = np.empty((rows, cols)) if out is None else out[: rows * cols].reshape(rows, cols)
+    M[0] = 1.0
+    if J >= 1:
+        M[1 : d + 1] = At
+    prev, lo = 1, d + 1  # first rows of degrees j - 1 and j
+    for j in range(2, J + 1):
+        hi, k = lo, 1  # k = C(j - 1 + v, v), the degree-(j - 1) monomials in x_0..x_v
         for v in range(d):
-            hi = lo + _monomial_count(v + 1, j - 1)
-            np.multiply(M[: hi - lo], At[v], out=nxt[lo:hi])
-            lo = hi
-        M = nxt
-        yield j, M
+            np.multiply(M[prev : prev + k], M[1 + v], out=M[hi : hi + k])
+            hi += k
+            k = k * (j + v) // (v + 1)
+        prev, lo = lo, hi
+    return M
+
+
+def _half_degrees(L: int) -> tuple:
+    """(h, l) = (ceil(L / 2), floor(L / 2)): t^j = t^ceil(j / 2) * t^floor(j / 2)."""
+    return (L + 1) // 2, L // 2
 
 
 def _expansion_width(d: int, L: int) -> int:
-    """Points per block of :func:`_power_sums`: about BLOCK_ENTRIES monomial values."""
-    return max(1, BLOCK_ENTRIES // _monomial_count(d, L))
+    """Points per block of :func:`_power_sums`: about BLOCK_ENTRIES / 2 monomial values."""
+    return max(1, BLOCK_ENTRIES // (2 * math.comb(_half_degrees(L)[0] + d, d)))
 
 
 def _power_sums(A, B, y, L: int) -> np.ndarray:
     """u[j, r] = sum_i <a_r, b_i>^j * y_i for j = 0..L, without forming A @ B.T.
 
-    With <a, b>^j = sum_{|alpha| = j} w_alpha a^alpha b^alpha, one pass over
-    blocks of B's rows gives s_alpha = sum_i y_i b_i^alpha, and one over
-    blocks of A's rows gives u[j, r] = sum_{|alpha| = j} w_alpha s_alpha
-    a_r^alpha.  Each block holds about BLOCK_ENTRIES monomial values, in
-    two buffers reused in place, so memory grows with neither len(A) nor
-    len(B).  The caller checks the domain (:func:`_screen_dots`) and the
-    accuracy (:func:`_expansion_error`).
+    Half-degree Gram products: <a, b>^j = <a, b>^c <a, b>^f with
+    c = ceil(j / 2) and f = floor(j / 2), and <a, b>^k = sum_{|alpha| = k}
+    w_alpha a^alpha b^alpha.  With phi(x) the monomials of x of degrees
+    0..h, h = ceil(L / 2) (p_h = C(h + d, d) of them), one pass over blocks
+    of B's rows accumulates the p_h x p_l Gram G = sum_i y_i phi(b_i)
+    phi_l(b_i)^T, phi_l the leading p_l = C(l + d, d) rows (degrees 0..l,
+    l = floor(L / 2)), and one pass over blocks of A's rows gives
+    u[j, r] = (w phi(a_r))_c^T G[c, f] (w phi(a_r))_f on the degree-c and
+    degree-f blocks.  Both are GEMMs, about (len(A) + len(B)) p_h p_l
+    multiply-adds in all.  Each block holds about BLOCK_ENTRIES / 2
+    monomial values, in buffers reused in place, so memory grows with
+    neither len(A) nor len(B) beyond u itself.  The caller checks the domain
+    (:func:`_screen_dots`) and the accuracy (:func:`_expansion_error`).
     """
     A, B = _as_pair(A, B)
     d = A.shape[1]
-    counts = [_monomial_count(d, j) for j in range(L + 1)]
-    width = _expansion_width(d, L)
-    scratch = [np.empty(counts[-1] * width) for _ in range(2)]
+    h, l = _half_degrees(L)
+    start = [math.comb(k + d - 1, d) for k in range(h + 2)]  # first row of degree k
+    ph, pl = start[h + 1], start[l + 1]
+    width = min(_expansion_width(d, L), max(len(A), len(B), 1))
+    mono, part = np.empty(ph * width), np.empty(ph * width)
 
     def blocks(P):
         for lo in range(0, len(P), width):
-            yield slice(lo, lo + width), _monomial_powers(
-                np.ascontiguousarray(P[lo : lo + width].T), L, scratch)
+            cols = slice(lo, lo + width)
+            yield cols, _monomial_powers(P[cols].T, h, mono)
 
-    s = [np.zeros(c) for c in counts]
-    for cols, powers in blocks(B):
-        y_cols = y[cols]
-        for j, M in powers:
-            s[j] += M @ y_cols
-    ws = [_monomial_table(d, j)[0] * s[j] for j in range(L + 1)]
+    G = np.zeros((ph, pl))
+    for cols, M in blocks(B):
+        My = np.multiply(M[:pl], y[cols], out=part[: pl * M.shape[1]].reshape(pl, -1))
+        G += M @ My.T  # phi_l(b) is phi(b)'s leading p_l rows
+    w = np.concatenate([_monomial_table(d, j)[0] for j in range(h + 1)])[:, None]
     u = np.empty((L + 1, len(A)))
-    for cols, powers in blocks(A):
-        for j, M in powers:
-            np.matmul(ws[j], M, out=u[j, cols])
+    for cols, M in blocks(A):
+        M *= w
+        k = M.shape[1]
+        for c in range(h + 1):
+            # u[c + f] for the partner degrees f = c - 1 and f = c, up to l
+            f0, f1 = max(c - 1, 0), min(c, l)
+            lo, hi = start[f0], start[f1 + 1]
+            W = np.matmul(G[start[c] : start[c + 1], lo:hi].T, M[start[c] : start[c + 1]],
+                          out=part[: (hi - lo) * k].reshape(hi - lo, k))
+            for f in range(f0, f1 + 1):
+                np.einsum("ij,ij->j", W[start[f] - lo : start[f + 1] - lo],
+                          M[start[f] : start[f + 1]], out=u[c + f, cols])
     return u
 
 
@@ -464,14 +486,23 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   and g = tau @ C within (4 L + 1) u Gbar_j;
 # - monomials: x^alpha takes j - 1 products.
 # Per use:
-# - stage one (_expansion_error), relative to ||y||_1, which bounds |V|.  The
-#   terms w_alpha y_i x_i^alpha q_r^alpha of u[j, r] put V[k] within
-#   (n + p) eps G ||y||_1, G = max_k sum_j |C[k, j]| rho^j (the mass of each
-#   tau = e_k), for p = C(L + d, d); eps = 2u covers the O(L) products.  The
-#   walk's n-point sum rounds alike, so it counts as one term: (1 + p) eps G,
-#   whatever n; 3.2e-13 at the criterion-5 shape (d = 8, L = 4, G = 2.9).
-#   Chebyshev coefficients grow like (1 + sqrt(2))^L, so d = 2 walks from
-#   L = 11 on (1.4e-10).
+# - stage one (_expansion_error), relative to ||y||_1, which bounds |V|.
+#   _power_sums gives u[j, r] = sum_{beta, gamma} (w_beta q_r^beta)
+#   G[beta, gamma] (w_gamma q_r^gamma), with G[beta, gamma] = sum_i y_i
+#   x_i^beta x_i^gamma, over the monomials beta of degree c = ceil(j / 2) and
+#   gamma of degree f = floor(j / 2).  Its terms w_beta w_gamma y_i
+#   (x_i q_r)^beta (x_i q_r)^gamma have absolute values adding up to at most
+#   rho^j ||y||_1 (the mass fact at degrees c and f).  Each term takes n
+#   roundings in G's sum and fewer than p_h p_l in the contraction, which
+#   adds up fewer terms than that, in whatever order; p_k = C(k + d, d)
+#   counts the monomials of degree <= k, h = ceil(L / 2), l = floor(L / 2).
+#   eps = 2u covers the O(L) products and the L + 1 terms of V = C @ u, so
+#   V[k] is within (n + p_h p_l) eps G ||y||_1, G = max_k sum_j |C[k, j]|
+#   rho^j (the mass of each tau = e_k).  The walk's n-point sum rounds
+#   alike, so it counts as one term: (1 + p_h p_l) eps G, whatever n;
+#   1.3e-12 at the criterion-5 shape (d = 8, L = 4, p_h = p_l = 45,
+#   G = 2.9), 2e-11 at d = 20, L = 4.  Chebyshev coefficients grow like
+#   (1 + sqrt(2))^L, so d = 2 walks from L = 10 on (3.3e-10).
 # - the factors (_certificate), relative to ||Z||_F = ||B||_F for the thin QR
 #   U = QL @ R and B = R @ Vt.  With hats on computed quantities,
 #   QL^ B^ - Z = QL^ (B^ - R^ Vt^) + (QL^ R^ - U^) Vt^ + (U^ Vt^ - U Vt), and
@@ -520,13 +551,13 @@ def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
     U is m x p and Vt is p x n; both are built one monomial per row.
     """
     m, d = Q.shape
-    J = int(np.flatnonzero(g)[-1]) if np.any(g) else 0
-    us, vs = [np.zeros((0, m))], [np.zeros((0, X.shape[0]))]
-    for (j, Mq), (_, Mx) in zip(_monomial_powers(Q.T, J), _monomial_powers(X.T, J)):
-        if g[j] != 0.0:
-            us.append(Mq * (g[j] / np.sqrt(m) * _monomial_table(d, j)[0])[:, None])
-            vs.append(Mx)
-    return np.concatenate(us).T, np.concatenate(vs)
+    J = np.flatnonzero(g).tolist()
+    top = J[-1] if J else 0
+    rows = np.concatenate(
+        [np.arange(math.comb(j - 1 + d, d), math.comb(j + d, d)) for j in J] + [np.zeros(0, int)])
+    U = _monomial_powers(Q.T, top)[rows]
+    U *= np.concatenate([g[j] / np.sqrt(m) * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])[:, None]
+    return U.T, _monomial_powers(X.T, top)[rows]
 
 
 def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
@@ -538,7 +569,8 @@ def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
 def _expansion_error(d: int, L: int, rho: float) -> float:
     """Stage one's bound on V, relative to ||y||_1 (see above)."""
     G = np.max(np.sum(_coefficient_mass(d, np.eye(L + 1), rho), axis=1))
-    return (1 + math.comb(L + d, d)) * _EPS * float(G)
+    h, l = _half_degrees(L)
+    return (1 + math.comb(h + d, d) * math.comb(l + d, d)) * _EPS * float(G)
 
 
 def _certificate(d: int, tau: np.ndarray, g: np.ndarray, U, Vt, B) -> float:

@@ -15,17 +15,20 @@ Both are contractions of the same (L+1) x m array of degree projections
 
 namely a1 = (N @ V) / (n*sqrt(m)) and raw = N * (V @ a1) / (n*sqrt(m)) with
 N[k] = N(d, k).  V comes from the exact monomial expansion of P_k: with
-C[k, j] the coefficient of t^j in P_k and w_alpha the multinomial weights,
+C[k, j] the coefficient of t^j in P_k, w_alpha the multinomial weights and
+phi_k(x) the p_k = C(k + d, d) monomials x^alpha of degree <= k,
 
-    s_alpha = sum_i y_i x_i^alpha,   u[j, r] = sum_{|alpha|=j} w_alpha s_alpha q_r^alpha,
+    G = sum_i y_i phi_h(x_i) phi_l(x_i)^T,   h = ceil(L/2), l = floor(L/2),
+    u[j, r] = sum_{beta, gamma} w_beta q_r^beta G[beta, gamma] w_gamma q_r^gamma,
     V = C @ u,
 
-two streamed passes, over the points and over the directions, at
-O((m + n) * p) for the p = C(L + d, d) monomials of degree <= L.  Where
-that is not cheaper than the Gegenbauer recurrence over the m x n dot
-products, or its a-priori rounding bound (in harmonics) is too loose, V
-comes from one blocked pass of that recurrence instead (see the path rule
-below).  Neither route stores an m x n array, and the unit-row check
+the sum over the monomials beta of degree ceil(j/2) and gamma of degree
+floor(j/2), as <q, x>^j = <q, x>^ceil(j/2) <q, x>^floor(j/2).  That is two
+streamed GEMM passes, over the points and over the directions, at
+O((m + n) * p_h * p_l) multiply-adds.  Where that is not cheaper than the
+Gegenbauer recurrence over the m x n dot products, or its a-priori rounding
+bound (in harmonics) is too loose, V comes from one blocked pass of that
+recurrence instead (see the path rule below).  Neither route stores an m x n array, and the unit-row check
 rejects a dot product outside the [-1, 1] band for both, as the walk would.
 
 The raw channel weights are then thresholded: channel k survives when
@@ -111,35 +114,47 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
 # Speed.  Both routes are priced in entries of elementwise work on one core.
 # The walk costs L + 1 per dot product: the product itself, a BLAS dot whose
 # cost barely moves with d, then L recurrence steps and sums against y.  The
-# expansion costs one per monomial value, p = C(L + d, d) per point, plus
-# _CALL_ENTRIES per numpy call; _power_sums makes about (d + 2) * L + 3 calls
-# per block of _expansion_width(d, L) points in each pass, and the set-up
-# (C and the per-degree sums) about one block's worth more.  The
-# call term is what keeps small inputs and high d on the walk: at d = 30,
-# L = 4 a block holds one point.  The weights are measured (best of 3, one
-# BLAS thread; the timings are in CHANGES.md): about 2 ns per dot product and
-# degree for the walk, 2 ns per monomial value and 2 us per call for the
-# expansion.  The walk's own calls (about 6 L per block of BLOCK_ENTRIES dot
-# products) add at most a tenth and are left out.
+# expansion (harmonics._power_sums) costs, per point on either side, p_h
+# monomial values and p_h p_l multiply-adds in its two GEMMs, p_k =
+# C(k + d, d), h = ceil(L / 2), l = floor(L / 2), plus _CALL_ENTRIES per
+# numpy call: about d (h - 1) + L + 5 per block of _expansion_width(d, L)
+# points in each pass, and the set-up about one block's worth more.  The
+# call term keeps small inputs on the walk, and the GEMM term high d: at
+# d = 30, L = 4, p_h = p_l = 496.  The weights come from timings of both
+# routes over 545 shapes (d = 2..30, L = 1..6, m and n = 5..4000; best of
+# 3 or 5, one BLAS thread, two runs; CHANGES.md has the summary).  Fitted
+# by least squares, the walk took 1.3 to 1.6 ns per dot product and degree,
+# and the expansion 0.04 to 0.05 ns per multiply-add, 1.3 to 1.6 ns per
+# monomial value and 3 to 3.5 us per call.  The weights below are the round
+# values whose choices came closest to the faster route at every shape: on
+# average 0.4% slower than it, and at most 1.5x (at 0.1 ms).  The walk's
+# own calls (about 6 L per block of BLOCK_ENTRIES dot products) are left
+# out; the call weight, half the fitted one, makes up for them.
 #
 # Accuracy.  The expansion is taken when harmonics._expansion_error, its
 # a-priori bound relative to ||y||_1 (derived with the expansion's other
 # bounds in harmonics), is at most harmonics._FACTOR_RTOL, whatever n.
 
-# A numpy call on a small block, with the Python loop around it, costs about
-# as much as this many entries of elementwise work (2 us against 2 ns).
+# A numpy call on a small block, with the Python loop around it, net of the
+# walk's own calls, in entries of elementwise work.
 _CALL_ENTRIES = 1000
+
+# A multiply-add in the expansion's GEMMs, in entries of elementwise work.
+_MAC_ENTRIES = 1 / 48
 
 # The bound's rho = max_r |q_r| * max_i |x_i| for rows that passed the unit check.
 _RHO = (1.0 + UNIT_TOL) ** 2
 
 
 def _expansion_is_cheaper(m: int, n: int, d: int, L: int) -> bool:
-    """Whether the expansion's monomial values and calls cost less than the walk."""
+    """Whether the expansion's GEMMs, monomial values and calls cost less than the walk."""
+    h, l = harmonics._half_degrees(L)
+    ph, pl = math.comb(h + d, d), math.comb(l + d, d)
     width = harmonics._expansion_width(d, L)
     blocks = -(-m // width) + -(-n // width)
-    calls = (blocks + 1) * ((d + 2) * L + 3)
-    return (m + n) * math.comb(L + d, d) + _CALL_ENTRIES * calls < m * n * (L + 1)
+    calls = (blocks + 1) * (d * max(h - 1, 0) + L + 5)
+    cost = (m + n) * (ph * pl * _MAC_ENTRIES + ph) + _CALL_ENTRIES * calls
+    return cost < m * n * (L + 1)
 
 
 def _degree_projections(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:

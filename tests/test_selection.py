@@ -192,33 +192,51 @@ def _walk_error(Q, S, d, L) -> str:
     return str(err.value)
 
 
+# points per block of the expansion at d = 8, L = 4
+_WIDTH_8_4 = harmonics_mod._expansion_width(8, 4)
+
+
+def _assert_matches_walk(d, L, n, m, monkeypatch):
+    """V, a1 and tau_raw with the walk patched to raise, against the walk."""
+    target = make_target(d, 2, [1.0, 1.0, 1.0], 40 + d)
+    ds = gen_dataset(target, n, 0.2, 41 + d)
+    Q = sample_sphere(m, d, 42 + d)
+    with monkeypatch.context() as mp:
+        _no_walk(mp)
+        V = selection_mod._degree_projections(ds, Q, L)
+        a1, tau = one_step_updates(ds, Q, L)
+    _walk_only(monkeypatch)
+    V_ref = selection_mod._degree_projections(ds, Q, L)
+    a1_ref, tau_ref = one_step_updates(ds, Q, L)
+    # entries that cancel to near zero are compared at the array's scale
+    for got, ref in [(V, V_ref), (a1, a1_ref), (tau, tau_ref)]:
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-11 * np.max(np.abs(ref)))
+
+
 class TestMonomialExpansion:
     """V, a1 and tau_raw from the monomial expansion against the recurrence walk."""
 
     # d = 8, L = 4 is the select-d8 benchmark's degree pair: with the walk
     # patched to raise, a change that sends it back to the walk fails here
-    # too.  L = 0 has nothing to expand but the band check and sum(y).  The
-    # error bound does not grow with n: at 1e5 points (n + p) * eps *
-    # max_k ||C[k]||_1 would read 1.9e-10 and send d = 3, L = 4 to the walk.
+    # too.  L = 0 has nothing to expand but the band check and sum(y); odd L
+    # leaves G one half-degree narrower than tall.  The error bound does not
+    # grow with n: at 1e5 points (n + p_h p_l) * eps * max_k ||C[k]||_1 would
+    # read 1.9e-10 and send d = 3, L = 4 to the walk.  With one more point
+    # than a block holds, both passes end in a block of one point.
     @pytest.mark.parametrize(
         "d, L, n, m",
         [(2, 6, 400, 400), (3, 5, 400, 400), (4, 3, 400, 400), (8, 4, 400, 400),
-         (3, 0, 400, 400), (3, 4, 10**5, 100)],
+         (3, 0, 400, 400), (3, 4, 10**5, 100),
+         (8, 3, 400, 400), (8, 1, 400, 400), (16, 4, 400, 400), (20, 4, 2000, 2000),
+         (8, 4, _WIDTH_8_4 + 1, _WIDTH_8_4 + 1)],
     )
     def test_matches_walk(self, d, L, n, m, monkeypatch):
-        target = make_target(d, 2, [1.0, 1.0, 1.0], 40 + d)
-        ds = gen_dataset(target, n, 0.2, 41 + d)
-        Q = sample_sphere(m, d, 42 + d)
-        with monkeypatch.context() as mp:
-            _no_walk(mp)
-            V = selection_mod._degree_projections(ds, Q, L)
-            a1, tau = one_step_updates(ds, Q, L)
-        _walk_only(monkeypatch)
-        V_ref = selection_mod._degree_projections(ds, Q, L)
-        a1_ref, tau_ref = one_step_updates(ds, Q, L)
-        # entries that cancel to near zero are compared at the array's scale
-        for got, ref in [(V, V_ref), (a1, a1_ref), (tau, tau_ref)]:
-            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-11 * np.max(np.abs(ref)))
+        _assert_matches_walk(d, L, n, m, monkeypatch)
+
+    def test_one_sample_matches_walk(self, monkeypatch):
+        # too few pairs for the rule to take the expansion, so it is forced
+        monkeypatch.setattr(selection_mod, "_expansion_is_cheaper", lambda *args: True)
+        _assert_matches_walk(8, 4, 1, _WIDTH_8_4 + 1, monkeypatch)
 
     def test_matches_explicit_basis_on_circle(self, monkeypatch):
         target = make_target(2, 2, [1.0, 0.5, 1.0], 43)
@@ -239,16 +257,60 @@ class TestMonomialExpansion:
         # Chebyshev coefficients at degree 12 are too large for the bound
         assert cheaper(400, 400, 2, 12)
         assert error(2, 12, 1.0) > 1e-10
-        # too few pairs to pay for the expansion's calls, and blocks of a few
-        # points at high d (each timed slower than the walk)
+        # high d at L = 4, where the GEMMs win by m = n = 2000 (d = 16, 20)
+        # or only at 4000 (d = 30); each case timed on both routes
+        assert cheaper(2000, 2000, 16, 4) and error(16, 4, 1.0) <= 1e-10
+        assert cheaper(2000, 2000, 20, 4) and error(20, 4, 1.0) <= 1e-10
+        assert cheaper(4000, 4000, 30, 4)
+        # too few pairs to pay for the expansion's calls, and GEMMs of
+        # 496 x 496 per point at d = 30 (each timed slower than the walk)
         assert not cheaper(6, 5, 8, 4)
-        assert not cheaper(100, 100, 2, 6)
-        assert not cheaper(2000, 2000, 16, 4)
-        assert not cheaper(4000, 4000, 30, 4)
+        assert not cheaper(20, 20, 2, 6)
+        assert not cheaper(2000, 2000, 30, 4)
+        assert not cheaper(400, 400, 30, 4)
         _no_expansion(monkeypatch)
         for d, L, n, m in [(2, 12, 400, 400), (8, 4, 6, 5), (30, 4, 300, 300)]:
             target = make_target(d, 0, [1.0], 46)
             one_step_updates(gen_dataset(target, n, 0.1, 47), sample_sphere(m, d, 48), L)
+
+    @pytest.mark.parametrize(
+        "d, L", [(2, 9), (3, 5), (4, 7), (8, 3), (8, 4), (16, 3), (16, 4), (20, 4)]
+    )
+    def test_error_bound_covers_measured_error(self, d, L, monkeypatch):
+        # the a-priori bound on V, relative to ||y||_1, against the gap the
+        # expansion actually leaves to the walk; d = 2, L = 9 sits just
+        # under _FACTOR_RTOL, where Chebyshev coefficients are largest
+        target = make_target(d, 2, [1.0, 1.0, 1.0], 60 + d)
+        ds = gen_dataset(target, 500, 0.2, 61 + d)
+        Q = sample_sphere(300, d, 62 + d)
+        V = harmonics_mod._gegenbauer_coefficients(d, L) @ harmonics_mod._power_sums(
+            Q, ds.S, ds.y, L)
+        _walk_only(monkeypatch)
+        V_walk = selection_mod._degree_projections(ds, Q, L)
+        measured = np.max(np.abs(V - V_walk)) / np.sum(np.abs(ds.y))
+        assert 0.0 < measured <= harmonics_mod._expansion_error(d, L, selection_mod._RHO)
+
+    def test_power_sums_memory_bounded_in_n(self):
+        import tracemalloc
+
+        # d = 8, L = 4 with m = 4000 directions: the peak is the output u
+        # and a few blocks, whatever the number of points, and no more than
+        # the 1295776 bytes of the per-degree expansion that preceded it
+        A = sample_sphere(4000, 8, 63)
+        peaks = []
+        for n in (4000, 64000):
+            B = sample_sphere(n, 8, 64)
+            y = np.random.default_rng(65).standard_normal(n)
+            harmonics_mod._power_sums(A, B, y, 4)  # warm up lazy allocations
+            tracemalloc.start()
+            try:
+                harmonics_mod._power_sums(A, B, y, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # equal up to small Python objects; one more block row would be 5.8 KB
+        assert abs(peaks[1] - peaks[0]) <= 1024
+        assert max(peaks) <= 1295776
 
     def test_uncleared_rows_in_band_keep_the_expansion(self, monkeypatch):
         # rows 1e-9 longer than unit pass the norm check but not the screen's
