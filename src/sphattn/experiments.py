@@ -99,20 +99,6 @@ class RunReport:
         }
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def _report(kind: str, config: ExperimentConfig, worker, keys: list, aggregate,
             failure: str | None = None) -> RunReport:
     """Run worker(key) for every key and report the records and aggregate(records).
@@ -131,7 +117,7 @@ def _report(kind: str, config: ExperimentConfig, worker, keys: list, aggregate,
     return RunReport(
         kind=kind,
         config=config.echo(),
-        per_seed=_jsonable(records),
+        per_seed=records,
         aggregates=aggregate(records),
         wall_clock_seconds=time.perf_counter() - t0,
     )

@@ -15,20 +15,24 @@ holds the one copy of the recurrence on values: rows of a dot-product matrix
 are taken in blocks of about BLOCK_ENTRIES entries, and each degree slice is
 computed in place in preallocated buffers that fit in L2 cache and handed to
 the caller, who contracts it before the next one.  The full stack, weighted
-sums, activation matrices and network predictions reduce over that walk.
+sums and activation matrices reduce over that walk, and it is the fallback
+and the test oracle of the degree projections below.
 
 The monomial expansion runs the same recurrence on coefficient vectors
 (:func:`_gegenbauer_coefficients`), so that P_k(t) = sum_j C[k, j] t^j, and
 expands each power of a dot product by the multinomial theorem,
 <a, b>^j = sum_{|alpha| = j} w_alpha a^alpha b^alpha.  Sums over pairs then
-split into sums over the rows of each side.  Stage one's sums
-(:func:`_power_sums`) split each power in half, <a, b>^j =
+split into sums over the rows of each side.  The degree projections
+V[k, r] = sum_i P_k(<a_r, b_i>) w_i (:func:`_degree_projections`), which
+give stage one its one-step updates and the network its predictions, come
+from sums (:func:`_power_sums`) that split each power in half, <a, b>^j =
 <a, b>^ceil(j/2) <a, b>^floor(j/2), so that one Gram matrix of the
 monomials of degree <= ceil(L/2) against those of degree <= floor(L/2)
 serves every degree: two GEMMs at O((len(A) + len(B)) * p_h * p_l), with
 p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  Stage two's exact factors
 take all p monomials of the kept degrees.  Everything the expansion decides
-lives here: both, the tolerance _FACTOR_RTOL and the three rounding bounds
+lives here: both, the rule that prices the degree projections' expansion
+against the walk, the tolerance _FACTOR_RTOL and the three rounding bounds
 compared with it, derived above it.
 :func:`_screen_dots`, run by the unit-row check of every entry point, gives
 each route the walk's domain check, forming only the dots it cannot clear.
@@ -41,9 +45,18 @@ import math
 
 import numpy as np
 
-# Dot products of normalized vectors may exceed 1 by a few ulp; values within
-# this band are clamped to [-1, 1], values outside it are rejected.
+# The two input tolerances.  Dot products of normalized vectors may exceed 1
+# by a few ulp; values within DOT_TOL are clamped to [-1, 1], values outside
+# it are rejected.  A row passes the unit check (kernels._unit_norms) when its
+# norm is within UNIT_TOL of 1.  UNIT_TOL is far wider than DOT_TOL, so
+# _screen_dots' Cauchy-Schwarz bound cannot clear a row whose norm exceeds 1
+# by more than about DOT_TOL, and every entry point forms all of that row's
+# dot products: predict at d = 6, oracle channels 0..1, 20000 points and
+# m = 8000 (one BLAS thread) took 0.7 ms on sample_sphere rows and 305 ms on
+# the same rows times 1 + 1e-10.  Forming them is right, since such a row can
+# hold a dot product the walk rejects.
 DOT_TOL = 1e-12
+UNIT_TOL = 1e-8
 
 __all__ = [
     "DOT_TOL",
@@ -466,7 +479,8 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 # (_power_coefficients), has three users.  Each takes the expansion only where
 # an a-priori bound on its rounding error is at most _FACTOR_RTOL, and else
 # the Gegenbauer walk, which shares no code with it:
-# - stage one's degree projections V = C @ u, u from _power_sums;
+# - the degree projections V = C @ u, u from _power_sums (stage one's, and
+#   predict's with the two sides swapped);
 # - stage two's exact factors Z = U @ Vt (_exact_factors) over the degrees j
 #   with g_j != 0, p = _factor_width(d, g) monomials in all:
 #   U[r, (j, alpha)] = g_j w_alpha q_r^alpha / sqrt(m), Vt[(j, alpha), i] = x_i^alpha;
@@ -486,7 +500,8 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   and g = tau @ C within (4 L + 1) u Gbar_j;
 # - monomials: x^alpha takes j - 1 products.
 # Per use:
-# - stage one (_expansion_error), relative to ||y||_1, which bounds |V|.
+# - the degree projections (_expansion_error), relative to ||y||_1, which
+#   bounds |V|; written for stage one's sides, and the same with them swapped.
 #   _power_sums gives u[j, r] = sum_{beta, gamma} (w_beta q_r^beta)
 #   G[beta, gamma] (w_gamma q_r^gamma), with G[beta, gamma] = sum_i y_i
 #   x_i^beta x_i^gamma, over the monomials beta of degree c = ceil(j / 2) and
@@ -567,7 +582,7 @@ def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
 
 
 def _expansion_error(d: int, L: int, rho: float) -> float:
-    """Stage one's bound on V, relative to ||y||_1 (see above)."""
+    """The degree projections' bound on V, relative to ||w||_1 (see above)."""
     G = np.max(np.sum(_coefficient_mass(d, np.eye(L + 1), rho), axis=1))
     h, l = _half_degrees(L)
     return (1 + math.comb(h + d, d) * math.comb(l + d, d)) * _EPS * float(G)
@@ -594,6 +609,81 @@ def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
         return 0.0  # tau == 0: every route gives exactly 0
     ratio = float(np.sum(_coefficient_mass(d, tau))) / float(np.sum(np.abs(tau)))
     return (sum(counts) + 6 * int(J[-1]) + 5) * _EPS * ratio**2
+
+
+# --- which route computes V ---------------------------------------------------
+#
+# _degree_projections(A, B, w, L) gives V[k, r] = sum_i P_k(<a_r, b_i>) w_i.
+# Stage one takes it with A = Q, B = X and w = y; predict with A = X, B = Q
+# and w = a, and returns tau @ V / sqrt(m).  The rule and the bound below are
+# symmetric in the two sides, so both users share them.
+#
+# Speed.  Both routes are priced in entries of elementwise work on one core.
+# The walk costs L + 1 per dot product: the product itself, a BLAS dot whose
+# cost barely moves with d, then L recurrence steps and sums against w.  The
+# expansion (_power_sums) costs, per point on either side, p_h monomial values
+# and p_h p_l multiply-adds in its two GEMMs, p_k = C(k + d, d),
+# h = ceil(L / 2), l = floor(L / 2), plus _CALL_ENTRIES per numpy call: about
+# d (h - 1) + L + 5 per block of _expansion_width(d, L) points in each pass,
+# and the set-up about one block's worth more.  The call term keeps small
+# inputs on the walk, and the GEMM term high d: at d = 30, L = 4,
+# p_h = p_l = 496.  The weights come from timings of both routes over 545
+# shapes (d = 2..30, L = 1..6, m and n = 5..4000; best of 3 or 5, one BLAS
+# thread, two runs; CHANGES.md has the summary).  Fitted by least squares,
+# the walk took 1.3 to 1.6 ns per dot product and degree, and the expansion
+# 0.04 to 0.05 ns per multiply-add, 1.3 to 1.6 ns per monomial value and 3 to
+# 3.5 us per call.  The weights below are the round values whose choices came
+# closest to the faster route at every shape: on average 0.4% slower than
+# it, and at most 1.5x (at 0.1 ms).  The walk's own calls (about 6 L per
+# block of BLOCK_ENTRIES dot products) are left out; the call weight, half
+# the fitted one, makes up for them.
+#
+# Accuracy.  The expansion is taken when _expansion_error, its a-priori bound
+# relative to ||w||_1 (derived above), is at most _FACTOR_RTOL, whatever the
+# number of points.  As |V[k, r]| <= ||w||_1, predict's error is within the
+# same bound relative to sum_k |tau_k| ||a||_1 / sqrt(m).
+
+# A numpy call on a small block, with the Python loop around it, net of the
+# walk's own calls, in entries of elementwise work.
+_CALL_ENTRIES = 1000
+
+# A multiply-add in the expansion's GEMMs, in entries of elementwise work.
+_MAC_ENTRIES = 1 / 48
+
+# The bound's rho = max_r |a_r| * max_i |b_i| for rows that passed the unit check.
+_RHO = (1.0 + UNIT_TOL) ** 2
+
+
+def _expansion_is_cheaper(m: int, n: int, d: int, L: int) -> bool:
+    """Whether the expansion's GEMMs, monomial values and calls cost less than the walk."""
+    h, l = _half_degrees(L)
+    ph, pl = math.comb(h + d, d), math.comb(l + d, d)
+    width = _expansion_width(d, L)
+    blocks = -(-m // width) + -(-n // width)
+    calls = (blocks + 1) * (d * max(h - 1, 0) + L + 5)
+    cost = (m + n) * (ph * pl * _MAC_ENTRIES + ph) + _CALL_ENTRIES * calls
+    return cost < m * n * (L + 1)
+
+
+def _degree_projections(A, B, w, L: int) -> np.ndarray:
+    """V[k, r] = sum_i P_k(<a_r, b_i>) * w_i for k = 0..L, shape (L + 1, len(A)).
+
+    From the monomial expansion when it is cheaper and accurate (see above),
+    otherwise in one blocked pass of the recurrence over the rows of A.  The
+    caller checks the domain (:func:`_screen_dots`).
+    """
+    A, B = _as_pair(A, B)
+    w = np.asarray(w, dtype=float)
+    (m, d), n = A.shape, w.size
+    accurate = _expansion_error(d, L, _RHO) <= _FACTOR_RTOL
+    if accurate and _expansion_is_cheaper(m, n, d, L):
+        return _gegenbauer_coefficients(d, L) @ _power_sums(A, B, w, L)
+    V = np.empty((L + 1, m))
+    V[0] = np.sum(w)  # P_0 = 1
+    for rows, degrees in gegenbauer_blocks(A, B, d, L):
+        for k, P in degrees:
+            V[k, rows] = P @ w
+    return V
 
 
 def sample_sphere(n: int, d: int, seed) -> np.ndarray:

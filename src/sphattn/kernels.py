@@ -23,10 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import harmonics
-from .harmonics import gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
-
-# Row-norm slack accepted before an input is rejected as non-unit.
-UNIT_TOL = 1e-8
+from .harmonics import UNIT_TOL, gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
 
 __all__ = [
     "UNIT_TOL",
@@ -94,7 +91,10 @@ def oracle_weights(d: int, ell0: int, L: int | None = None) -> np.ndarray:
 
 
 def activation(x, x_prime, tau, d: int) -> float:
-    """sigma_tau(x, x') for a single pair of unit vectors; work linear in L."""
+    """sigma_tau(x, x') for a single pair of unit vectors of length d; work linear in L."""
+    for name, v in (("x", x), ("x_prime", x_prime)):
+        if np.shape(v) != (d,):
+            raise ValueError(f"{name} must be one vector of length d = {d}, got {np.shape(v)}")
     x = _require_unit_rows(x, "x")[0]
     x_prime = _require_unit_rows(x_prime, "x_prime")[0]
     return float(gegenbauer_weighted_sum(np.dot(x, x_prime), d, tau))

@@ -119,13 +119,13 @@ def feature_matrix(X, Q, tau_final) -> np.ndarray:
 def predict(a, X, Q, tau_final) -> np.ndarray:
     """Network values (1/sqrt(m)) * sum_r a_r * sigma_tau(x, q_r) on rows of X.
 
-    When tau has no channel above degree 1, sigma_tau(x, q) = tau_0 +
-    tau_1 * <x, q> and the sum is exactly (tau_0 * sum(a) +
-    tau_1 * X @ (Q.T @ a)) / sqrt(m).  Otherwise it is computed as
-    (1/sqrt(m)) * sum_k tau_k * (P_k(X @ Q.T) @ a) over cache-sized row blocks
-    of X, so evaluation sets of any size never materialize an m-by-n matrix;
-    each output entry contracts one full row of m directions, independent of
-    the blocking.
+    With tau trimmed to its last nonzero channel ell_hat, the values are
+    tau @ V / sqrt(m) for the degree projections V[k, i] = sum_r
+    P_k(<x_i, q_r>) * a_r, stage one's sum with the two sides swapped, and
+    harmonics._degree_projections(X, Q, a, ell_hat) computes them on stage
+    one's route, rule and rounding bound: the monomial expansion at
+    O((len(X) + m) * p_h * p_l), or the recurrence over cache-sized row
+    blocks of X.  Neither allocates an array of len(X) x m.
     """
     a = np.asarray(a, dtype=float)
     X, Q = _require_unit_pair(X, Q)
@@ -133,22 +133,8 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
     m = Q.shape[0]
     if a.shape != (m,):
         raise ValueError(f"weights have shape {a.shape}, expected ({m},)")
-    if not np.any(tau[2:]):
-        out = np.full(X.shape[0], tau[0] * np.sum(a))
-        if tau.size > 1:
-            out += tau[1] * (X @ (Q.T @ a))
-        out /= np.sqrt(m)
-        return out
-    out = np.empty(X.shape[0])
-    base = tau[0] * np.sum(a)  # P_0 = 1
-    for rows, degrees in gegenbauer_blocks(X, Q, X.shape[1], tau.size - 1):
-        acc = out[rows]
-        acc[...] = base
-        for k, P in degrees:
-            if tau[k] != 0.0:
-                acc += tau[k] * (P @ a)
-    out /= np.sqrt(m)
-    return out
+    ell_hat = int(np.flatnonzero(tau)[-1]) if np.any(tau) else 0
+    return tau[: ell_hat + 1] @ harmonics._degree_projections(X, Q, a, ell_hat) / np.sqrt(m)
 
 
 def gd_step(state: TrainerState, y) -> TrainerState:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -373,6 +374,33 @@ class TestKernelConvergence:
 
 
 class TestEmitReport:
+    @pytest.mark.parametrize("runner, kw", [
+        (calibrate_epsilon0, {k: v for k, v in SELECT_KW.items() if k != "epsilon0"}),
+        (run_channel_selection_trials, SELECT_KW),
+        (run_training_run, TRAIN_KW),
+        (run_training_run, {**TRAIN_KW, "channels": "select", "epsilon0": 0.08, "L": 2,
+                            "sigma0": 0.05, "n": 400, "m": 400}),
+        (run_risk_sweep, {**TRAIN_KW, "n": [30, 60, 120, 300], "num_seeds": 2}),
+        (run_kernel_convergence, {"d": 3, "ell0": 1, "m": [50, 100, 200], "n": 10, "num_seeds": 2}),
+    ])
+    def test_records_hold_only_json_types(self, runner, kw):
+        # the report is serialized as the workers and aggregates return it,
+        # so a NumPy scalar anywhere in it is a defect
+        def check(value):
+            if type(value) is dict:
+                assert all(type(k) is str for k in value)
+                for v in value.values():
+                    check(v)
+            elif type(value) is list:
+                for v in value:
+                    check(v)
+            else:
+                assert type(value) in (int, float, bool, str, type(None)), repr(value)
+
+        report = runner(ExperimentConfig.from_sources(kw, {}))
+        check(report.per_seed)
+        check(report.aggregates)
+
     def test_json_round_trip_and_determinism(self, tmp_path):
         cfg = ExperimentConfig.from_sources(SELECT_KW, {})
         report = run_channel_selection_trials(cfg)
@@ -584,10 +612,14 @@ class TestCli:
     def test_module_entry_point(self, tmp_path):
         cfg = self._cfg_file(tmp_path, num_seeds=2)
         out = tmp_path / "sub.json"
+        # the child imports the package this process imported, installed or not
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sphattn.cli", "select", "--config", cfg, "--out", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["kind"] == "channel_selection"

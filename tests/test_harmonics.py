@@ -282,17 +282,20 @@ def test_one_tolerance_reaches_every_user(monkeypatch):
     from sphattn import experiments, selection, training
     from sphattn.kernels import oracle_weights
     from sphattn.targets import gen_dataset, make_target
+    from sphattn.training import predict
 
     def expansion(*args):
         raise AssertionError("the monomial expansion was used")
 
     monkeypatch.setattr(harmonics_mod, "_FACTOR_RTOL", 0.0)
-    # stage one at d = 8, L = 4, on a shape where the expansion is cheaper
+    # stage one and predict at d = 8, L = 4, on a shape where the expansion is cheaper
     ds = gen_dataset(make_target(8, 2, [1.0, 1.0, 1.0], 70), 400, 0.1, 71)
-    assert selection._expansion_is_cheaper(400, 400, 8, 4)
+    Q = sample_sphere(400, 8, 72)
+    assert harmonics_mod._expansion_is_cheaper(400, 400, 8, 4)
     with monkeypatch.context() as mp:
         mp.setattr(harmonics_mod, "_power_sums", expansion)
-        selection.one_step_updates(ds, sample_sphere(400, 8, 72), 4)
+        selection.one_step_updates(ds, Q, 4)
+        predict(np.ones(400), ds.S, Q, oracle_weights(8, 4))
     # train on the factors: the walk's residual exceeds 0 too, so it falls back
     monkeypatch.setattr(training, "_factored_is_cheaper", lambda *shape: True)
     ds = gen_dataset(make_target(3, 1, [1.0, 1.0], 73), 60, 0.2, 74)

@@ -39,6 +39,19 @@ class TestActivation:
         with pytest.raises(ValueError, match="unit"):
             activation(np.array([2.0, 0.0]), np.array([1.0, 0.0]), np.ones(2), 2)
 
+    def test_rejects_inputs_that_are_not_one_vector_of_length_d(self):
+        # a d that disagrees with the vectors would change the polynomial
+        # (these two read 0.381 at d = 5 against -0.177 at d = 3), and a
+        # matrix would be cut to its first pair
+        X = sample_sphere(3, 3, 3)
+        tau = oracle_weights(3, 2)
+        with pytest.raises(ValueError, match="x must be one vector of length d = 5"):
+            activation(X[0], X[1], tau, 5)
+        with pytest.raises(ValueError, match=r"x must be one vector of length d = 3, got \(3, 3\)"):
+            activation(X, X, tau, 3)
+        with pytest.raises(ValueError, match="x_prime must be one vector"):
+            activation(X[0], X[1:2], tau, 3)
+
     def test_finalized_weights_values(self):
         tau = finalized_weights(4, [True, False, True])
         np.testing.assert_allclose(tau, [1.0, 0.0, 3.0])  # sqrt(N(4,2)) = 3

@@ -5,7 +5,6 @@ import pytest
 
 import d2_explicit
 import sphattn.harmonics as harmonics_mod
-import sphattn.selection as selection_mod
 from sphattn import (
     EmptySelectionError,
     gen_dataset,
@@ -13,6 +12,8 @@ from sphattn import (
     one_step_channel_weights,
     one_step_second_layer,
     one_step_updates,
+    oracle_weights,
+    predict,
     sample_sphere,
     select_channels,
     threshold_channels,
@@ -171,7 +172,7 @@ def _no_walk(monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("the Gegenbauer walk was called")
 
-    monkeypatch.setattr(selection_mod, "gegenbauer_blocks", walk)
+    monkeypatch.setattr(harmonics_mod, "gegenbauer_blocks", walk)
 
 
 def _no_expansion(monkeypatch):
@@ -182,7 +183,7 @@ def _no_expansion(monkeypatch):
 
 
 def _walk_only(monkeypatch):
-    monkeypatch.setattr(selection_mod, "_expansion_is_cheaper", lambda *args: False)
+    monkeypatch.setattr(harmonics_mod, "_expansion_is_cheaper", lambda *args: False)
 
 
 def _walk_error(Q, S, d, L) -> str:
@@ -197,35 +198,45 @@ _WIDTH_8_4 = harmonics_mod._expansion_width(8, 4)
 
 
 def _assert_matches_walk(d, L, n, m, monkeypatch):
-    """V, a1 and tau_raw with the walk patched to raise, against the walk."""
+    """V, a1, tau_raw and predict with the walk patched to raise, against the walk.
+
+    predict runs with channels 0..L on the n points, so its degree
+    projections have the sides of stage one's swapped.
+    """
     target = make_target(d, 2, [1.0, 1.0, 1.0], 40 + d)
     ds = gen_dataset(target, n, 0.2, 41 + d)
     Q = sample_sphere(m, d, 42 + d)
+    a, channels = np.random.default_rng(43 + d).standard_normal(m), oracle_weights(d, L)
+
+    def outputs():
+        V = harmonics_mod._degree_projections(Q, ds.S, ds.y, L)
+        return (V, *one_step_updates(ds, Q, L), predict(a, ds.S, Q, channels))
+
     with monkeypatch.context() as mp:
         _no_walk(mp)
-        V = selection_mod._degree_projections(ds, Q, L)
-        a1, tau = one_step_updates(ds, Q, L)
+        got_all = outputs()
     _walk_only(monkeypatch)
-    V_ref = selection_mod._degree_projections(ds, Q, L)
-    a1_ref, tau_ref = one_step_updates(ds, Q, L)
     # entries that cancel to near zero are compared at the array's scale
-    for got, ref in [(V, V_ref), (a1, a1_ref), (tau, tau_ref)]:
+    for got, ref in zip(got_all, outputs()):
         np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-11 * np.max(np.abs(ref)))
 
 
 class TestMonomialExpansion:
-    """V, a1 and tau_raw from the monomial expansion against the recurrence walk."""
+    """V, a1, tau_raw and predict from the monomial expansion against the recurrence walk."""
 
     # d = 8, L = 4 is the select-d8 benchmark's degree pair: with the walk
     # patched to raise, a change that sends it back to the walk fails here
-    # too.  L = 0 has nothing to expand but the band check and sum(y); odd L
-    # leaves G one half-degree narrower than tall.  The error bound does not
-    # grow with n: at 1e5 points (n + p_h p_l) * eps * max_k ||C[k]||_1 would
-    # read 1.9e-10 and send d = 3, L = 4 to the walk.  With one more point
-    # than a block holds, both passes end in a block of one point.
+    # too.  (3, 2), (6, 1) and (8, 2) add pairs that predict meets with
+    # oracle channels.  L = 0 has nothing to expand but the band check and
+    # sum(y); odd L leaves G one half-degree narrower than tall.  The error
+    # bound does not grow with n: at 1e5 points (n + p_h p_l) * eps *
+    # max_k ||C[k]||_1 would read 1.9e-10 and send d = 3, L = 4 to the walk.
+    # With one more point than a block holds, both passes end in a block of
+    # one point.
     @pytest.mark.parametrize(
         "d, L, n, m",
         [(2, 6, 400, 400), (3, 5, 400, 400), (4, 3, 400, 400), (8, 4, 400, 400),
+         (3, 2, 400, 400), (6, 1, 400, 400), (8, 2, 400, 400),
          (3, 0, 400, 400), (3, 4, 10**5, 100),
          (8, 3, 400, 400), (8, 1, 400, 400), (16, 4, 400, 400), (20, 4, 2000, 2000),
          (8, 4, _WIDTH_8_4 + 1, _WIDTH_8_4 + 1)],
@@ -235,7 +246,7 @@ class TestMonomialExpansion:
 
     def test_one_sample_matches_walk(self, monkeypatch):
         # too few pairs for the rule to take the expansion, so it is forced
-        monkeypatch.setattr(selection_mod, "_expansion_is_cheaper", lambda *args: True)
+        monkeypatch.setattr(harmonics_mod, "_expansion_is_cheaper", lambda *args: True)
         _assert_matches_walk(8, 4, 1, _WIDTH_8_4 + 1, monkeypatch)
 
     def test_matches_explicit_basis_on_circle(self, monkeypatch):
@@ -249,7 +260,7 @@ class TestMonomialExpansion:
         np.testing.assert_allclose(tau, tau_ref, rtol=1e-10)
 
     def test_path_rule(self, monkeypatch):
-        cheaper, error = selection_mod._expansion_is_cheaper, harmonics_mod._expansion_error
+        cheaper, error = harmonics_mod._expansion_is_cheaper, harmonics_mod._expansion_error
         # the criterion-5 shape: cheaper, and the error bound clears the bar
         assert cheaper(4000, 4000, 8, 4)
         assert error(8, 4, 1.0) <= 1e-10
@@ -278,17 +289,27 @@ class TestMonomialExpansion:
     )
     def test_error_bound_covers_measured_error(self, d, L, monkeypatch):
         # the a-priori bound on V, relative to ||y||_1, against the gap the
-        # expansion actually leaves to the walk; d = 2, L = 9 sits just
-        # under _FACTOR_RTOL, where Chebyshev coefficients are largest
+        # expansion actually leaves to the walk, and the same bound on
+        # predict relative to sum_k |tau_k| ||a||_1 / sqrt(m); d = 2, L = 9
+        # sits just under _FACTOR_RTOL, where Chebyshev coefficients are largest
         target = make_target(d, 2, [1.0, 1.0, 1.0], 60 + d)
         ds = gen_dataset(target, 500, 0.2, 61 + d)
         Q = sample_sphere(300, d, 62 + d)
+        a, channels = np.random.default_rng(63 + d).standard_normal(300), oracle_weights(d, L)
         V = harmonics_mod._gegenbauer_coefficients(d, L) @ harmonics_mod._power_sums(
             Q, ds.S, ds.y, L)
+        with monkeypatch.context() as mp:
+            mp.setattr(harmonics_mod, "_expansion_is_cheaper", lambda *args: True)
+            _no_walk(mp)
+            f = predict(a, ds.S, Q, channels)
         _walk_only(monkeypatch)
-        V_walk = selection_mod._degree_projections(ds, Q, L)
+        V_walk = harmonics_mod._degree_projections(Q, ds.S, ds.y, L)
+        f_walk = predict(a, ds.S, Q, channels)
+        bound = harmonics_mod._expansion_error(d, L, harmonics_mod._RHO)
         measured = np.max(np.abs(V - V_walk)) / np.sum(np.abs(ds.y))
-        assert 0.0 < measured <= harmonics_mod._expansion_error(d, L, selection_mod._RHO)
+        assert 0.0 < measured <= bound
+        scale = np.sum(np.abs(channels)) * np.sum(np.abs(a)) / np.sqrt(300)
+        assert 0.0 < np.max(np.abs(f - f_walk)) / scale <= bound
 
     def test_power_sums_memory_bounded_in_n(self):
         import tracemalloc

@@ -90,16 +90,16 @@ class TestPredict:
         Z = feature_matrix(ds.S, Q, tau)
         np.testing.assert_allclose(predict(a, ds.S, Q, tau), Z.T @ a, atol=1e-12)
 
-    def test_degree_one_closed_form_matches_feature_matrix(self):
+    def test_degree_one_matches_feature_matrix(self):
         _, ds, Q, tau = _setup(d=5, ell0=1, n=40, m=70)
         a = np.random.default_rng(6).standard_normal(70)
         Z = feature_matrix(ds.S, Q, tau)
         np.testing.assert_allclose(predict(a, ds.S, Q, tau), Z.T @ a, rtol=0, atol=1e-12)
-        # zero-padded higher channels take the same closed form
+        # zero-padded higher channels are trimmed away
         padded = np.concatenate([tau, [0.0, 0.0]])
         np.testing.assert_allclose(predict(a, ds.S, Q, padded), Z.T @ a, rtol=0, atol=1e-12)
 
-    def test_degree_one_closed_form_rejects_non_unit_rows(self):
+    def test_degree_one_rejects_non_unit_rows(self):
         _, ds, Q, tau = _setup(d=4, ell0=1, n=10, m=20)
         a = np.ones(20)
         X = ds.S.copy()
@@ -113,7 +113,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_rows(self, bad, monkeypatch):
-        # degree <= 1 forms no dot product, so only the norm check can catch these
+        # the expansion forms no dot product, so only the norm check can catch these
         _, ds, Q, tau = _setup(d=4, ell0=1, n=10, m=20)
         X = ds.S.copy()
         X[3, 1] = bad
@@ -130,6 +130,44 @@ class TestPredict:
         Qb[5, 0] = bad
         with pytest.raises(ValueError, match="Q row 5 is not unit-norm"):
             predict(np.ones(20), ds.S, Qb, tau)
+
+    @pytest.mark.parametrize("expansion", [False, True])
+    @pytest.mark.parametrize("case", ["padded 1", "padded 2", "zero tau", "no rows"])
+    def test_trims_tau_to_its_last_channel(self, case, expansion, monkeypatch):
+        d, m = 5, 70
+        _, ds, Q, _ = _setup(d=d, ell0=2, n=40, m=m)
+        X = ds.S[:0] if case == "no rows" else ds.S
+        tau, ell_hat = {"padded 1": (oracle_weights(d, 1, 4), 1),
+                        "padded 2": (oracle_weights(d, 2, 4), 2),
+                        "zero tau": (np.zeros(5), 0),
+                        "no rows": (oracle_weights(d, 2, 4), 2)}[case]
+        a = np.random.default_rng(7).standard_normal(m)
+        ref = feature_matrix(X, Q, tau).T @ a
+        with monkeypatch.context() as mp:
+            mp.setattr(harmonics, "_expansion_is_cheaper", lambda *shape: False)
+            walk = predict(a, X, Q, tau)
+        degrees, projections = [], harmonics._degree_projections
+        monkeypatch.setattr(harmonics, "_degree_projections",
+                            lambda A, B, w, L: degrees.append(L) or projections(A, B, w, L))
+        monkeypatch.setattr(harmonics, "_expansion_is_cheaper", lambda *shape: expansion)
+        got = predict(a, X, Q, tau)
+        assert degrees == [ell_hat] and got.shape == (X.shape[0],)
+        atol = 1e-11 * np.max(np.abs(ref), initial=0.0)
+        np.testing.assert_allclose(got, walk, rtol=1e-11, atol=atol)
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=atol)
+
+    def test_benchmark_shapes_take_the_expansion(self, monkeypatch):
+        # mc_risk's batches in sweep-d6 (20000 points, m = 8000, d = 6) and
+        # cli-small (1000 points at most, m = 240, d = 3), oracle channels 0..1
+        def walk(*args):
+            raise AssertionError("predict walked")
+
+        monkeypatch.setattr(harmonics, "gegenbauer_blocks", walk)
+        for N, m, d, ell_hat in [(20000, 8000, 6, 1), (1000, 240, 3, 1)]:
+            assert harmonics._expansion_is_cheaper(N, m, d, ell_hat)
+            assert harmonics._expansion_error(d, ell_hat, harmonics._RHO) <= harmonics._FACTOR_RTOL
+            predict(np.ones(m), sample_sphere(N, d, 8), sample_sphere(m, d, 9),
+                    oracle_weights(d, ell_hat))
 
     def test_block_size_independent(self, monkeypatch):
         import sphattn.harmonics as harmonics_mod
@@ -458,7 +496,7 @@ class TestDomainScreen:
     """A point inside the unit tolerance whose dot product leaves the band."""
 
     # train's plain path walks the rows of Q, predict's walk those of X; the
-    # factored path and the degree-1 closed form form no dot product at all
+    # factored path and the expansion form no dot product at all
     @pytest.mark.parametrize("call, variant", [("train", False), ("train", True),
                                                ("predict", 1), ("predict", 2)])
     def test_every_route_raises_the_walks_error(self, call, variant, monkeypatch):
