@@ -23,6 +23,7 @@ from .complexity import (
     empirical_spectrum,
     kernel_complexity,
     population_complexity,
+    population_spectrum,
 )
 from .config import ConfigError, ExperimentConfig, _parse_value, parse_config_file
 from .experiments import (
@@ -82,10 +83,8 @@ def _complexity_curve(config: ExperimentConfig) -> tuple[RunReport, list]:
         )
         for e in eps_grid
     ]
-    radius_emp = critical_radius(lambda e: kernel_complexity(emp, e), config.sigma0)
-    radius_pop = critical_radius(
-        lambda e: population_complexity(d, ell_hat, n, e), config.sigma0
-    )
+    radius_emp = critical_radius(emp, config.sigma0)
+    radius_pop = critical_radius(population_spectrum(d, ell_hat, n), config.sigma0)
     report = RunReport(
         kind="complexity_curve",
         config=config.echo(),

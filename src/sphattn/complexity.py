@@ -6,11 +6,11 @@ complexity at scale eps is
 
     R(eps) = sqrt( (1/n) * sum_i min(lam_i, eps^2) ).
 
-sigma0 * R(eps) is a sub-root function of eps^2, so the fixed-point equation
-sigma0 * R(eps) = eps^2 has a unique positive solution (the critical
-radius) whenever R is not identically zero; it is found by bisection on the
-sign of sigma0 * R(eps) - eps^2.  For a rank-r kernel the radius has the
-closed form eps^2 = sigma0^2 * r / n whenever that value sits below the
+The critical radius solves sigma0 * R(eps) = eps^2.  In s = eps^2 the
+squared left side is concave and piecewise linear, the lower envelope of its
+linear pieces, so the fixed point is the smallest of the pieces' positive
+roots: a closed form, with no search (see critical_radius).  For a rank-r
+kernel it is eps^2 = sigma0^2 * r / n whenever that value sits below the
 smallest nonzero eigenvalue, which pins the expected risk scale r / n.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import as_seed_sequence, harmonic_dim, sample_sphere
+from .harmonics import _check_integer, as_seed_sequence, harmonic_dim, sample_sphere
 from .targets import ZonalTarget, eval_target
 
 __all__ = [
@@ -44,18 +44,20 @@ MC_BATCH_ROWS = 1 << 15
 
 @dataclass
 class KernelSpectrum:
-    """Non-increasing, non-negative eigenvalues with their normalization n."""
+    """Non-increasing, non-negative, finite eigenvalues with their normalization n."""
 
     eigenvalues: np.ndarray
     n: int
-    source: str = "empirical"
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.size == 0:
-            raise ValueError("empty spectrum")
+        if lam.ndim != 1 or lam.size == 0:
+            raise ValueError(f"need a non-empty 1-d spectrum, got shape {lam.shape}")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(lam < 0) or np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be non-negative and non-increasing")
+        _check_integer(self.n, "normalization count n", 1)
         self.eigenvalues = lam
 
 
@@ -64,7 +66,7 @@ def empirical_spectrum(K_n: np.ndarray) -> KernelSpectrum:
     from .kernels import gram_spectrum
 
     vals = gram_spectrum(K_n)
-    return KernelSpectrum(eigenvalues=vals, n=vals.size, source="empirical")
+    return KernelSpectrum(eigenvalues=vals, n=vals.size)
 
 
 def population_spectrum(d: int, ell_hat: int, n: int) -> KernelSpectrum:
@@ -73,21 +75,17 @@ def population_spectrum(d: int, ell_hat: int, n: int) -> KernelSpectrum:
     Padded with zeros past the kernel rank; generated from (d, ell_hat)
     directly, never from a large gram matrix.
     """
-    if n < 1:
-        raise ValueError(f"normalization count must be >= 1, got {n}")
-    vals: list[float] = []
-    for k in range(ell_hat + 1):
-        N = harmonic_dim(d, k)
-        vals.extend([1.0 / N] * N)
-    lam = np.sort(np.asarray(vals))[::-1]
-    if lam.size < n:
-        lam = np.concatenate([lam, np.zeros(n - lam.size)])
-    return KernelSpectrum(eigenvalues=lam, n=n, source="population")
+    _check_integer(ell_hat, "degree cutoff ell_hat")
+    _check_integer(n, "normalization count n", 1)
+    # N(d, k) does not decrease with k, so the values come out non-increasing
+    dims = [harmonic_dim(d, k) for k in range(int(ell_hat) + 1)]
+    lam = np.repeat(1.0 / np.asarray(dims, dtype=float), dims)
+    return KernelSpectrum(eigenvalues=np.pad(lam, (0, max(int(n) - lam.size, 0))), n=n)
 
 
 def kernel_complexity(spectrum: KernelSpectrum, eps: float) -> float:
     """R(eps) = sqrt((1/n) * sum_i min(lambda_i, eps^2))."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     lam = spectrum.eigenvalues
     return float(np.sqrt(np.sum(np.minimum(lam, eps**2)) / spectrum.n))
@@ -95,58 +93,38 @@ def kernel_complexity(spectrum: KernelSpectrum, eps: float) -> float:
 
 def population_complexity(d: int, ell_hat: int, n: int, eps: float) -> float:
     """Closed form over degrees: sqrt((1/n) * sum_k N(d,k) * min(1/N(d,k), eps^2))."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _check_integer(ell_hat, "degree cutoff ell_hat")
+    _check_integer(n, "normalization count n", 1)
     total = 0.0
-    for k in range(ell_hat + 1):
+    for k in range(int(ell_hat) + 1):
         N = harmonic_dim(d, k)
         total += N * min(1.0 / N, eps**2)
     return float(np.sqrt(total / n))
 
 
-def critical_radius(complexity, sigma0: float, bracket_hi: float | None = None) -> float:
-    """Smallest eps > 0 with sigma0 * R(eps) = eps^2, by bisection.
+def critical_radius(spectrum: KernelSpectrum, sigma0: float) -> float:
+    """The eps > 0 with sigma0 * R(eps) = eps^2, in closed form; 0.0 for a zero spectrum.
 
-    `complexity` maps eps to R(eps) and must be sub-root (non-negative,
-    non-decreasing, R(eps)/eps non-increasing), which every spectrum-derived
-    R here is by construction.  Returns 0.0 for R identically zero.  The
-    residual |sigma0 * R(eps) - eps^2| at the returned point is at most
-    1e-12 * max(1, eps^2).
+    With s = eps^2 and a = sigma0^2 / n the equation reads s^2 = h(s), h(s) =
+    a * sum_i min(lam_i, s).  h is the lower envelope of the lines
+    l_k(s) = a * (k s + T_k), k = 0..len(lam), with T_k the sum of the
+    eigenvalues from index k on: l_k replaces the k largest terms of the sum
+    by s, so l_k >= h everywhere, with equality where exactly k eigenvalues
+    exceed s.  The positive root s_k = (a k + sqrt((a k)^2 + 4 a T_k)) / 2 of
+    s^2 = l_k(s) is therefore never below the fixed point, and equals it for
+    the active piece: eps^2 = min_k s_k.  No term cancels, so eps^2 is exact
+    to a few roundings.  Zero eigenvalues are dropped first: past the rank r,
+    T_k = 0 and s_k = a k only grows.
     """
-    if sigma0 <= 0:
-        raise ValueError(f"noise scale must be positive, got {sigma0}")
-
-    def gap(eps: float) -> float:
-        return sigma0 * complexity(eps) - eps * eps
-
-    if complexity(1.0) == 0.0:  # R vanishes identically for a zero spectrum
-        return 0.0
-    lo = 1e-8
-    if bracket_hi is None:
-        bracket_hi = float(np.sqrt(sigma0 * complexity(1e8)) + 1.0)
-    hi = bracket_hi
-    if gap(hi) >= 0:
-        raise ValueError("no sign change in the bracket; complexity is not sub-root?")
-    # For a sub-root R the gap is positive for all small enough eps > 0;
-    # shrink the lower end if the default is already past the fixed point.
-    while gap(lo) <= 0:
-        lo /= 16.0
-        if lo < 1e-200:
-            return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(gap(mid)) <= 1e-12 * max(1.0, mid * mid):
-            return mid
-    eps = 0.5 * (lo + hi)
-    if abs(gap(eps)) > 1e-12 * max(1.0, eps * eps):
-        raise ArithmeticError("bisection failed to reach the fixed-point tolerance")
-    return eps
+    if not 0 < sigma0 < np.inf:
+        raise ValueError(f"noise scale must be positive and finite, got {sigma0}")
+    lam = spectrum.eigenvalues[spectrum.eigenvalues > 0]
+    a = sigma0**2 / spectrum.n
+    ak = a * np.arange(lam.size + 1)
+    tail = np.append(np.cumsum(lam[::-1])[::-1], 0.0)  # T_k, summed smallest first
+    return float(np.sqrt(np.min(0.5 * (ak + np.sqrt(ak * ak + 4.0 * a * tail)))))
 
 
 def mc_risk(predictor, target: ZonalTarget, num_samples: int, seed):

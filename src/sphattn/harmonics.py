@@ -79,9 +79,18 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _check_integer(value, what: str, least: int = 0) -> None:
+    """Reject a value that is not an integer >= least; 2.0 passes, 2.5, nan and inf do not."""
+    try:
+        ok = value == int(value) and value >= least
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value}")
+
+
 def _check_dim(d: int) -> None:
-    if d != int(d) or d < 2:
-        raise ValueError(f"ambient dimension must be an integer >= 2, got {d}")
+    _check_integer(d, "ambient dimension", 2)
 
 
 def harmonic_dim(d: int, ell: int) -> int:
@@ -92,8 +101,7 @@ def harmonic_dim(d: int, ell: int) -> int:
     ell = 0.  The division is exact; Python integers cannot overflow.
     """
     _check_dim(d)
-    if ell != int(ell) or ell < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {ell}")
+    _check_integer(ell, "degree")
     if ell == 0:
         return 1
     num = (2 * ell + d - 2) * math.comb(ell + d - 3, d - 2)
@@ -110,6 +118,7 @@ def cumulative_dim(d: int, ell: int) -> int:
     0..ell, so cumulative_dim(d, ell0) is the rank of the kernel matched to
     a degree-ell0 target.
     """
+    _check_integer(ell, "degree")
     return sum(harmonic_dim(d, k) for k in range(int(ell) + 1))
 
 
@@ -183,11 +192,6 @@ def _walk(nrows: int, ncols: int, fill, d: int, L: int):
         yield slice(lo, hi), _degrees(t, [b[: hi - lo] for b in bufs], d, L)
 
 
-def _check_degree(L: int) -> None:
-    if L != int(L) or L < 0:
-        raise ValueError(f"maximum degree must be a non-negative integer, got {L}")
-
-
 def _as_pair(A, B) -> tuple:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -217,7 +221,7 @@ def gegenbauer_blocks(A, B, d: int, L: int):
     before asking for the next; no array larger than one block is allocated.
     """
     _check_dim(d)
-    _check_degree(L)
+    _check_integer(L, "maximum degree")
     A, B = _as_pair(A, B)
     return _walk(A.shape[0], B.shape[0], _dot_fill(A, B), d, L)
 
@@ -245,7 +249,7 @@ def gegenbauer_all(t, d: int, L: int) -> np.ndarray:
     Work is linear in L.
     """
     _check_dim(d)
-    _check_degree(L)
+    _check_integer(L, "maximum degree")
     t = _clamp_domain(np.asarray(t, dtype=float))
     out = np.empty((L + 1,) + t.shape, dtype=float)
     out[0] = 1.0

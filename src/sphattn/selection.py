@@ -92,8 +92,7 @@ class SelectionResult:
 
 
 def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
-    if L != int(L) or L < 0:
-        raise ValueError(f"maximum channel degree must be a non-negative integer, got {L}")
+    harmonics._check_integer(L, "maximum channel degree")
     # screened as the walk over the rows of Q meets them
     X, Q = _require_unit_pair(dataset.S, Q, q_rows=True)
     if X.shape[0] == 0 or Q.shape[0] == 0:

@@ -24,8 +24,8 @@ from sphattn import (
     one_step_channel_weights,
     one_step_second_layer,
     oracle_weights,
-    population_complexity,
     population_gram,
+    population_spectrum,
     sample_sphere,
     train,
 )
@@ -231,7 +231,7 @@ def test_criterion_08_kernel_concentration():
 
 def test_criterion_09_critical_radius_closed_form():
     t0 = time.perf_counter()
-    eps = critical_radius(lambda e: population_complexity(3, 2, 900, e), 1.0)
+    eps = critical_radius(population_spectrum(3, 2, 900), 1.0)
     err = abs(eps**2 - 0.01)
     dt = time.perf_counter() - t0
     ok = err <= 1e-10 and dt < 1.0

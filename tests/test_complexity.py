@@ -37,6 +37,21 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             KernelSpectrum(eigenvalues=np.array([0.1, 0.5]), n=2)
 
+    def test_rejects_empty_or_2d(self):
+        for lam in (np.zeros(0), np.array([[1.0, 0.5], [0.2, 0.1]])):
+            with pytest.raises(ValueError, match="1-d"):
+                KernelSpectrum(eigenvalues=lam, n=2)
+
+    @pytest.mark.parametrize("lam", [[1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_non_finite(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpectrum(eigenvalues=np.array(lam), n=2)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, np.nan, np.inf, None])
+    def test_rejects_bad_normalization(self, n):
+        with pytest.raises(ValueError, match="normalization count"):
+            KernelSpectrum(eigenvalues=np.array([1.0, 0.5]), n=n)
+
     def test_population_layout(self):
         spec = population_spectrum(3, 2, 20)
         assert spec.eigenvalues.shape == (20,)
@@ -94,39 +109,85 @@ class TestComplexity:
             assert np.all(np.diff(ratio) <= 1e-15)
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            population_complexity(3, 1, 10, 0.0)
+        for eps in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                population_complexity(3, 1, 10, eps)
+            with pytest.raises(ValueError):
+                kernel_complexity(population_spectrum(3, 1, 10), eps)
+
+    @pytest.mark.parametrize(
+        "ell_hat, n, what",
+        [(2, 0, "normalization"), (2, -5, "normalization"), (2, 2.5, "normalization"),
+         (-1, 10, "ell_hat"), (1.5, 10, "ell_hat")],
+    )
+    def test_population_rejects_bad_counts(self, ell_hat, n, what):
+        with pytest.raises(ValueError, match=what):
+            population_complexity(3, ell_hat, n, 0.5)
+        with pytest.raises(ValueError, match=what):
+            population_spectrum(3, ell_hat, n)
 
 
 class TestCriticalRadius:
     def test_zero_complexity(self):
-        assert critical_radius(lambda e: 0.0, 1.0) == 0.0
+        assert critical_radius(KernelSpectrum(eigenvalues=np.zeros(4), n=4), 1.0) == 0.0
+
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_noise_scale(self, sigma0):
+        with pytest.raises(ValueError, match="noise scale"):
+            critical_radius(population_spectrum(3, 2, 900), sigma0)
 
     def test_closed_form_low_rank_regime(self):
         # rank 9 kernel, n = 900, sigma0 = 1: radius^2 = sigma0^2 * 9 / 900 = 0.01
-        eps = critical_radius(lambda e: population_complexity(3, 2, 900, e), 1.0)
+        eps = critical_radius(population_spectrum(3, 2, 900), 1.0)
         assert abs(eps**2 - 0.01) <= 1e-10
 
     def test_scales_with_noise_level(self):
         def radius(sigma0):
-            return critical_radius(lambda e: population_complexity(3, 2, 4000, e), sigma0)
+            return critical_radius(population_spectrum(3, 2, 4000), sigma0)
 
         # in the small-radius regime the squared radius scales as sigma0^2
         assert radius(2.0) ** 2 / radius(1.0) ** 2 == pytest.approx(4.0, rel=1e-8)
 
-    def test_bisection_matches_closed_form_across_scales(self):
+    def test_matches_closed_form_across_scales(self):
         for sigma0, n in [(0.5, 800), (1.0, 2500), (2.0, 40000)]:
             r = cumulative_dim(3, 2)
             closed = sigma0**2 * r / n
             assert closed <= 1 / 5  # stays in the small-eps regime
-            eps = critical_radius(lambda e: population_complexity(3, 2, n, e), sigma0)
+            eps = critical_radius(population_spectrum(3, 2, n), sigma0)
             assert abs(eps**2 - closed) <= 1e-10
+
+    @pytest.mark.parametrize("n, sigma0", [(900, 1.0), (40_000, 0.1), (10**6, 0.1), (10**8, 0.5)])
+    def test_relative_error_at_large_n(self, n, sigma0):
+        # the rank-9 eigenvalues alone: padding them with zeros up to n (800 MB
+        # at n = 1e8) changes no sum of min(lam, eps^2)
+        spec = KernelSpectrum(population_spectrum(3, 2, 1).eigenvalues, n)
+        closed = sigma0**2 * cumulative_dim(3, 2) / n
+        eps = critical_radius(spec, sigma0)
+        assert abs(eps**2 - closed) <= 1e-14 * closed
+        if n <= 10**6:
+            assert critical_radius(population_spectrum(3, 2, n), sigma0) == eps
+
+    @pytest.mark.parametrize("kind", ["empirical", "random", "tied"])
+    def test_relative_residual_against_kernel_complexity(self, kind):
+        if kind == "empirical":
+            X = sample_sphere(300, 3, 7)
+            spec = empirical_spectrum(normalized_gram(population_gram(X, None, 2), 300))
+        elif kind == "random":
+            lam = np.random.default_rng(8).exponential(size=40)
+            spec = KernelSpectrum(np.sort(lam)[::-1], 1000)
+        else:
+            spec = KernelSpectrum(np.array([0.5, 0.5, 0.5, 0.01, 0.01, 0.0]), 6)
+        # from deep in the low-rank regime to saturation at the trace
+        for sigma0 in np.geomspace(1e-3, 1e2, 26):
+            eps = critical_radius(spec, sigma0)
+            residual = abs(sigma0 * kernel_complexity(spec, eps) - eps**2)
+            assert residual <= 1e-14 * eps**2, (sigma0, residual / eps**2)
 
     def test_fixed_point_residual_and_uniqueness(self):
         spec = population_spectrum(4, 2, 300)
         R = lambda e: kernel_complexity(spec, e)
         sigma0 = 0.7
-        eps = critical_radius(R, sigma0)
+        eps = critical_radius(spec, sigma0)
         assert abs(sigma0 * R(eps) - eps**2) <= 1e-12 * max(1.0, eps**2)
         grid = np.geomspace(1e-6, 10, 2000)
         signs = np.sign([sigma0 * R(e) - e * e for e in grid])
@@ -135,12 +196,12 @@ class TestCriticalRadius:
     def test_empirical_vs_population_radius(self):
         """Gram-matrix radii track the analytic ones within a factor of 3."""
         d, ell_hat, n, sigma0 = 3, 2, 2000, 1.0
-        eps_pop = critical_radius(lambda e: population_complexity(d, ell_hat, n, e), sigma0)
+        eps_pop = critical_radius(population_spectrum(d, ell_hat, n), sigma0)
         ratios = []
         for seed in range(10):
             X = sample_sphere(n, d, 500 + seed)
             spec = empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), n))
-            eps_emp = critical_radius(lambda e: kernel_complexity(spec, e), sigma0)
+            eps_emp = critical_radius(spec, sigma0)
             ratios.append(eps_emp**2 / eps_pop**2)
         assert all(1 / 3 <= r <= 3 for r in ratios)
 

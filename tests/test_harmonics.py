@@ -56,12 +56,20 @@ class TestHarmonicDim:
             harmonic_dim(1, 2)
         with pytest.raises(ValueError):
             harmonic_dim(3, -1)
+        for ell in (2.5, float("inf")):
+            with pytest.raises(ValueError, match="degree"):
+                harmonic_dim(3, ell)
 
     @pytest.mark.parametrize(
         "d, ell, expected", [(5, 0, 1), (3, 2, 9), (2, 4, 9), (8, 4, 450)]
     )
     def test_cumulative(self, d, ell, expected):
         assert cumulative_dim(d, ell) == expected
+
+    @pytest.mark.parametrize("ell", [2.5, -1, float("nan")])
+    def test_cumulative_rejects_bad_degree(self, ell):
+        with pytest.raises(ValueError, match="degree"):
+            cumulative_dim(3, ell)
 
 
 class TestGegenbauerAll:

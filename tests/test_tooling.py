@@ -1,9 +1,13 @@
 """The benchmark tracer's call sites still name live attributes of the package,
-a traced run reaches them, and README.md names the public surface."""
+a traced run reaches them, README.md names the public surface, and every demo
+runs."""
 
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,13 @@ def test_readme_names_the_public_surface():
         or name not in importlib.import_module(mod).__all__
     ]
     assert not missing, f"README names these, but they are not public: {missing}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    src = str(ROOT / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
