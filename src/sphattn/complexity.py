@@ -44,7 +44,10 @@ MC_BATCH_ROWS = 1 << 15
 
 @dataclass
 class KernelSpectrum:
-    """Non-increasing, non-negative, finite eigenvalues with their normalization n."""
+    """Non-increasing, non-negative, finite eigenvalues with their normalization n.
+
+    Zero eigenvalues may be left out: no functional here depends on them.
+    """
 
     eigenvalues: np.ndarray
     n: int
@@ -72,15 +75,17 @@ def empirical_spectrum(K_n: np.ndarray) -> KernelSpectrum:
 def population_spectrum(d: int, ell_hat: int, n: int) -> KernelSpectrum:
     """Analytic operator spectrum: 1/N(d, k) with multiplicity N(d, k), k <= ell_hat.
 
-    Padded with zeros past the kernel rank; generated from (d, ell_hat)
-    directly, never from a large gram matrix.
+    Only the r = cumulative_dim(d, ell_hat) nonzero eigenvalues, with n
+    carried in KernelSpectrum.n: the n - r zeros past the rank change no sum
+    of min(lam, eps^2).  Generated from (d, ell_hat) directly, never from a
+    large gram matrix.
     """
     _check_integer(ell_hat, "degree cutoff ell_hat")
     _check_integer(n, "normalization count n", 1)
     # N(d, k) does not decrease with k, so the values come out non-increasing
     dims = [harmonic_dim(d, k) for k in range(int(ell_hat) + 1)]
     lam = np.repeat(1.0 / np.asarray(dims, dtype=float), dims)
-    return KernelSpectrum(eigenvalues=np.pad(lam, (0, max(int(n) - lam.size, 0))), n=n)
+    return KernelSpectrum(eigenvalues=lam, n=n)
 
 
 def kernel_complexity(spectrum: KernelSpectrum, eps: float) -> float:

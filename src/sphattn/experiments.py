@@ -14,8 +14,9 @@ any order or in parallel with identical results.  Reports echo their full
 config; feeding the echo back reproduces the report byte for byte (wall
 clock is kept out of the serialized form for that reason).
 
-The kernel gap's empirical kernel comes from the monomial expansion's
-factors where its rounding bound allows; both live in harmonics.
+The kernel gap's empirical kernel comes from _paired_kernel, which picks
+its route in harmonics: the monomial expansion's factors where their
+rounding bound allows, the Gegenbauer walk otherwise.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, harmonics
+from . import __version__
 from .complexity import mc_risk
 from .config import ConfigError, ExperimentConfig
-from .harmonics import gegenbauer_weighted_sum, sample_sphere
+from .harmonics import _paired_kernel, gegenbauer_weighted_sum, sample_sphere
 from .kernels import oracle_weights
 # one_step_second_layer and one_step_channel_weights are not called here; the
 # names stay bound because perfbench/tracer.py wraps them in this module.
@@ -261,25 +262,9 @@ ENVELOPE_FIT_STEP = 10
 KERNEL_GAP_PAIRS = 64
 
 
-def _empirical_kernel(X_a, X_b, Q, tau, d: int) -> np.ndarray:
-    """k_hat_i = (1/m) sum_r sigma_tau(<x_a,i, q_r>) sigma_tau(<x_b,i, q_r>).
-
-    On the Gram of the expansion's factors, v_a,i^T (U^T U) v_b,i at O(m p^2),
-    when harmonics._kernel_error allows; else by two walks over m directions.
-    """
-    g = harmonics._power_coefficients(d, tau)
-    if harmonics._kernel_error(d, tau, g) <= harmonics._FACTOR_RTOL:
-        U, Vt = harmonics._exact_factors(np.concatenate([X_a, X_b]), Q, g)
-        V_a, V_b = Vt[:, : len(X_a)], Vt[:, len(X_a) :]
-        return np.einsum("ci,ci->i", V_a, (U.T @ U) @ V_b)
-    dots_q_a = gegenbauer_weighted_sum(X_a @ Q.T, d, tau)
-    dots_q_b = gegenbauer_weighted_sum(X_b @ Q.T, d, tau)
-    return np.sum(dots_q_a * dots_q_b, axis=1) / Q.shape[0]
-
-
 def _kernel_gap(X_a, X_b, Q, tau, ell_hat: int, d: int) -> float:
     """Max |empirical - population| kernel deviation over paired points."""
-    k_hat = _empirical_kernel(X_a, X_b, Q, tau, d)
+    k_hat = _paired_kernel(X_a, X_b, Q, tau)
     k_pop = gegenbauer_weighted_sum(
         np.sum(X_a * X_b, axis=1), d, np.ones(ell_hat + 1)
     )

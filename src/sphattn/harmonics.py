@@ -30,10 +30,12 @@ from sums (:func:`_power_sums`) that split each power in half, <a, b>^j =
 monomials of degree <= ceil(L/2) against those of degree <= floor(L/2)
 serves every degree: two GEMMs at O((len(A) + len(B)) * p_h * p_l), with
 p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  Stage two's exact factors
-take all p monomials of the kept degrees.  Everything the expansion decides
-lives here: both, the rule that prices the degree projections' expansion
-against the walk, the tolerance _FACTOR_RTOL and the three rounding bounds
-compared with it, derived above it.
+take all p monomials of the kept degrees, and the kernel gap's paired
+kernel (:func:`_paired_kernel`) the Gram of the same factors.  Everything
+the expansion decides lives here: both routes of the degree projections and
+of the paired kernel, the rule that prices the degree projections'
+expansion against the walk, the tolerance _FACTOR_RTOL and the three
+rounding bounds compared with it, derived above it.
 :func:`_screen_dots`, run by the unit-row check of every entry point, gives
 each route the walk's domain check, forming only the dots it cannot clear.
 """
@@ -59,16 +61,13 @@ DOT_TOL = 1e-12
 UNIT_TOL = 1e-8
 
 __all__ = [
-    "DOT_TOL",
     "harmonic_dim",
     "cumulative_dim",
-    "BLOCK_ENTRIES",
     "gegenbauer_all",
     "gegenbauer_blocks",
     "gegenbauer_weighted_sum",
     "gegenbauer_weighted_matrix",
     "sample_sphere",
-    "as_seed_sequence",
 ]
 
 
@@ -80,9 +79,9 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _check_integer(value, what: str, least: int = 0) -> None:
-    """Reject a value that is not an integer >= least; 2.0 passes, 2.5, nan and inf do not."""
+    """Reject a value that is not an integer >= least; 2.0 passes, 2.5, nan, inf and True do not."""
     try:
-        ok = value == int(value) and value >= least
+        ok = not isinstance(value, (bool, np.bool_)) and value == int(value) and value >= least
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -489,7 +488,7 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   with g_j != 0, p = _factor_width(d, g) monomials in all:
 #   U[r, (j, alpha)] = g_j w_alpha q_r^alpha / sqrt(m), Vt[(j, alpha), i] = x_i^alpha;
 # - the kernel gap, (1/m) sum_r sigma_tau(<x_a, q_r>) sigma_tau(<x_b, q_r>)
-#   = v_a^T (U^T U) v_b on the Gram of the same factors.
+#   = v_a^T (U^T U) v_b on the Gram of the same factors (_paired_kernel).
 # The bounds are first order in the unit roundoff u = eps / 2 (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and
 # 19), with L the top degree, and share three facts:
@@ -688,6 +687,23 @@ def _degree_projections(A, B, w, L: int) -> np.ndarray:
         for k, P in degrees:
             V[k, rows] = P @ w
     return V
+
+
+def _paired_kernel(A, B, Q, tau) -> np.ndarray:
+    """Empirical kernel on paired rows: (1/m) sum_r sigma_tau(<a_i, q_r>) sigma_tau(<b_i, q_r>).
+
+    On the Gram of the expansion's factors, v_a,i^T (U^T U) v_b,i at O(m p^2),
+    when _kernel_error allows; else by two walks over the m directions.
+    """
+    d = Q.shape[1]
+    g = _power_coefficients(d, tau)
+    if _kernel_error(d, tau, g) <= _FACTOR_RTOL:
+        U, Vt = _exact_factors(np.concatenate([A, B]), Q, g)
+        V_a, V_b = Vt[:, : len(A)], Vt[:, len(A) :]
+        return np.einsum("ci,ci->i", V_a, (U.T @ U) @ V_b)
+    dots_q_a = gegenbauer_weighted_sum(A @ Q.T, d, tau)
+    dots_q_b = gegenbauer_weighted_sum(B @ Q.T, d, tau)
+    return np.sum(dots_q_a * dots_q_b, axis=1) / Q.shape[0]
 
 
 def sample_sphere(n: int, d: int, seed) -> np.ndarray:

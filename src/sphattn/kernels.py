@@ -23,10 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import harmonics
-from .harmonics import UNIT_TOL, gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
+from .harmonics import gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
 
 __all__ = [
-    "UNIT_TOL",
     "finalized_weights",
     "oracle_weights",
     "activation",
@@ -45,7 +44,7 @@ def _unit_norms(X, name: str) -> tuple:
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     off = np.abs(norms - 1.0)
     # NaN compares false, so rows with a NaN or infinite norm are caught too
-    if not np.all(off <= UNIT_TOL):
+    if not np.all(off <= harmonics.UNIT_TOL):
         i = int(np.argmax(off))
         raise ValueError(f"{name} row {i} is not unit-norm (|norm - 1| = {off[i]:.3e})")
     return X, norms
@@ -55,20 +54,18 @@ def _require_unit_rows(X, name: str) -> np.ndarray:
     return _unit_norms(X, name)[0]
 
 
-def _require_unit_pair(X, Q, q_rows: bool = False) -> tuple:
+def _require_unit_pair(X, Q) -> tuple:
     """Points X and directions Q as unit-row matrices of the same dimension.
 
     Their dot products are screened against the [-1, 1] band on the norms
-    just computed, so that every route rejects one with the index and value
-    of the walk over the rows of X (of Q with q_rows).
+    just computed, before any route forms them, so that every route of an
+    entry point rejects one with the same message: the (point, direction)
+    index and the value of the walk over the rows of X.
     """
     (X, x_norms), (Q, q_norms) = _unit_norms(X, "X"), _unit_norms(Q, "Q")
     if X.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: X has d={X.shape[1]}, Q has d={Q.shape[1]}")
-    if q_rows:
-        harmonics._screen_dots(Q, X, q_norms, x_norms)
-    else:
-        harmonics._screen_dots(X, Q, x_norms, q_norms)
+    harmonics._screen_dots(X, Q, x_norms, q_norms)
     return X, Q
 
 

@@ -22,7 +22,7 @@ harmonics' rule prices them below the Gegenbauer recurrence over the m x n
 dot products and their a-priori rounding bound is tight enough, and one
 blocked pass of that recurrence otherwise.  Neither route stores an m x n
 array, and the unit-row check rejects a dot product outside the [-1, 1] band
-for both, as the walk would.
+before either runs, with the same message on both.
 
 The raw channel weights are then thresholded: channel k survives when
 raw_k >= 2 * epsilon0 (inclusive), and every surviving channel is rescaled
@@ -93,8 +93,7 @@ class SelectionResult:
 
 def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
     harmonics._check_integer(L, "maximum channel degree")
-    # screened as the walk over the rows of Q meets them
-    X, Q = _require_unit_pair(dataset.S, Q, q_rows=True)
+    X, Q = _require_unit_pair(dataset.S, Q)
     if X.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("need at least one sample and one direction")
     return Q
@@ -144,11 +143,12 @@ def one_step_channel_weights(dataset: LabeledDataset, Q, a1, L: int) -> np.ndarr
 def threshold_channels(tau_raw, epsilon0: float, d: int) -> SelectionResult:
     """Keep channels with raw weight >= 2*epsilon0 and rescale them.
 
-    Raises EmptySelectionError when nothing survives.  A selected channel
+    Raises ValueError unless epsilon0 is positive and finite, and
+    EmptySelectionError when nothing survives.  A selected channel
     sitting above an unselected one is legal but unusual, so it warns.
     """
-    if epsilon0 <= 0:
-        raise ValueError(f"threshold must be positive, got {epsilon0}")
+    if not 0 < epsilon0 < np.inf:
+        raise ValueError(f"threshold must be positive and finite, got {epsilon0}")
     tau_raw = np.asarray(tau_raw, dtype=float)
     mask = tau_raw >= 2.0 * epsilon0
     if not np.any(mask):

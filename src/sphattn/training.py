@@ -77,17 +77,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainerState:
-    """Second-layer weights, step counter, and the frozen feature matrix.
+    """Second-layer weights, step counter and step size.
 
-    Z is the m x n feature matrix on the plain path and None on the factored
-    path of :func:`train`, which never forms it; feature_matrix(X, Q, tau)
-    rebuilds it when needed.
+    The same on every path of :func:`train`; the feature matrix the weights
+    act on is feature_matrix(X, Q, tau) of the training points.
     """
 
     a: np.ndarray
     t: int
     eta: float
-    Z: np.ndarray | None
 
 
 @dataclass
@@ -137,29 +135,27 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
     return tau[: ell_hat + 1] @ harmonics._degree_projections(X, Q, a, ell_hat) / np.sqrt(m)
 
 
-def gd_step(state: TrainerState, y) -> TrainerState:
-    """One exact gradient step on the quadratic loss; increments t.
+def _check_step_size(eta) -> None:
+    if not 0 < eta < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {eta}")
 
-    Needs the state's feature matrix: a state from the factored path of
-    :func:`train` (Z is None) is rejected.
+
+def gd_step(state: TrainerState, Z, y) -> TrainerState:
+    """One exact gradient step on the quadratic loss with feature matrix Z; increments t.
+
+    Z is the m x n matrix feature_matrix(X, Q, tau) of the training points.
     """
-    if state.Z is None:
-        raise ValueError(
-            "gd_step needs the feature matrix, but state.Z is None (a state from "
-            "train's factored path); set state.Z = feature_matrix(X, Q, tau) first"
-        )
-    if state.eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {state.eta}")
+    _check_step_size(state.eta)
     y = np.asarray(y, dtype=float)
     n = y.size
-    resid = state.Z.T @ state.a - y
+    resid = Z.T @ state.a - y
     if not np.all(np.isfinite(resid)):
         raise DivergenceError(
             f"non-finite residual at step {state.t}; "
             f"eta = {state.eta:g} likely exceeds 2 / lambda_max of the kernel"
         )
-    a_next = state.a - (state.eta / n) * (state.Z @ resid)
-    return TrainerState(a=a_next, t=state.t + 1, eta=state.eta, Z=state.Z)
+    a_next = state.a - (state.eta / n) * (Z @ resid)
+    return TrainerState(a=a_next, t=state.t + 1, eta=state.eta)
 
 
 def _record(trace: TrainingTrace, resid, clean_resid, a, keep_weights) -> None:
@@ -335,16 +331,15 @@ def train(
     m x n matrix.  On the factors with T >= min(p, m, n), no step is
     taken: the trace comes in closed form from the SVD of the factors.
 
-    Returns (TrainerState, TrainingTrace); the state's Z is None on the
-    factored path.  Raises DivergenceError when the residuals blow up
-    (learning rate beyond the stable range).
+    Returns (TrainerState, TrainingTrace), alike on every path.  Raises
+    ValueError unless eta is positive and finite and T a positive integer,
+    and DivergenceError when the residuals blow up (learning rate beyond the
+    stable range).
     """
-    if T < 1:
-        raise ValueError(f"need at least one step, got T={T}")
-    if eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
-    # screened as the plain path's walk over the rows of Q meets them
-    X, Q = _require_unit_pair(dataset.S, Q, q_rows=True)
+    harmonics._check_integer(T, "step count", 1)
+    T = int(T)
+    _check_step_size(eta)
+    X, Q = _require_unit_pair(dataset.S, Q)
     tau = np.asarray(tau_final, dtype=float)
     m, n = Q.shape[0], X.shape[0]
     y = np.asarray(dataset.y, dtype=float)
@@ -357,14 +352,13 @@ def train(
 
     # a(t) = QL @ c(t) on the factors of Z = QL @ B, and a(t) = c(t) with B = Z
     # on the plain path
-    Z = feature_matrix(X, Q, tau) if factors is None else None
-    QL, B = factors if factors is not None else (None, Z)
+    QL, B = factors if factors is not None else (None, feature_matrix(X, Q, tau))
     a = None
     if QL is not None and T >= min(B.shape):
         a = _spectral_trace(QL, B, y, f_star, eta, T, trace)
     if a is None:
         a = _gd_loop(QL, B, y, f_star, eta, T, trace)
-    return TrainerState(a=a, t=T, eta=float(eta), Z=Z), trace
+    return TrainerState(a=a, t=T, eta=float(eta)), trace
 
 
 def _gd_loop(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:

@@ -16,6 +16,7 @@ from test_training import force_path
 from sphattn import (
     critical_radius,
     empirical_gram,
+    feature_matrix,
     gegenbauer_all,
     gen_dataset,
     gram_spectrum,
@@ -113,7 +114,7 @@ def test_criterion_03_exact_gd_dynamics(monkeypatch):
         worst = max(worst, abs(np.linalg.norm(u) - trace.residual_norm[t]) / norm_y)
         u = u - eta * (K_n @ u)
     # also compare the full final residual vector, not only its norm
-    yhat = state.Z.T @ state.a
+    yhat = feature_matrix(ds.S, Q, tau).T @ state.a
     from sphattn import closed_form_residual
 
     final_err = np.linalg.norm((yhat - ds.y) - closed_form_residual(K_n, ds.y, eta, T)) / norm_y

@@ -53,10 +53,11 @@ class TestSpectrumType:
             KernelSpectrum(eigenvalues=np.array([1.0, 0.5]), n=n)
 
     def test_population_layout(self):
-        spec = population_spectrum(3, 2, 20)
-        assert spec.eigenvalues.shape == (20,)
-        np.testing.assert_allclose(spec.eigenvalues[:9], [1] + [1 / 3] * 3 + [1 / 5] * 5)
-        assert np.all(spec.eigenvalues[9:] == 0)
+        # the rank-9 eigenvalues only, whatever n; n is carried alongside
+        for n in (1, 20, 10**8):
+            spec = population_spectrum(3, 2, n)
+            assert spec.n == n
+            np.testing.assert_allclose(spec.eigenvalues, [1] + [1 / 3] * 3 + [1 / 5] * 5)
 
 
 class TestComplexity:
@@ -158,14 +159,12 @@ class TestCriticalRadius:
 
     @pytest.mark.parametrize("n, sigma0", [(900, 1.0), (40_000, 0.1), (10**6, 0.1), (10**8, 0.5)])
     def test_relative_error_at_large_n(self, n, sigma0):
-        # the rank-9 eigenvalues alone: padding them with zeros up to n (800 MB
-        # at n = 1e8) changes no sum of min(lam, eps^2)
-        spec = KernelSpectrum(population_spectrum(3, 2, 1).eigenvalues, n)
         closed = sigma0**2 * cumulative_dim(3, 2) / n
-        eps = critical_radius(spec, sigma0)
+        eps = critical_radius(population_spectrum(3, 2, n), sigma0)
         assert abs(eps**2 - closed) <= 1e-14 * closed
-        if n <= 10**6:
-            assert critical_radius(population_spectrum(3, 2, n), sigma0) == eps
+        # zeros past the rank change no sum of min(lam, eps^2)
+        padded = np.pad(population_spectrum(3, 2, n).eigenvalues, (0, 91))
+        assert critical_radius(KernelSpectrum(padded, n), sigma0) == eps
 
     @pytest.mark.parametrize("kind", ["empirical", "random", "tied"])
     def test_relative_residual_against_kernel_complexity(self, kind):

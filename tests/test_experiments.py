@@ -302,7 +302,7 @@ class TestTrainingRuns:
 
 
 class TestEmpiricalKernel:
-    """The kernel gap's Gram route on the stage-two factors against the walk."""
+    """The kernel gap's paired kernel: the Gram route on the stage-two factors against the walk."""
 
     @staticmethod
     def _walk(X_a, X_b, Q, tau, d):
@@ -311,10 +311,8 @@ class TestEmpiricalKernel:
         return np.sum(dots_a * dots_b, axis=1) / Q.shape[0]
 
     @staticmethod
-    def _population_only(G, *args):
-        # k_pop walks one dot product per pair; the Gram route walks nothing
-        assert np.ndim(G) == 1, "the kernel gap walked the m directions"
-        return gegenbauer_weighted_sum(G, *args)
+    def _no_walk(*args):
+        raise AssertionError("the paired kernel walked the m directions")
 
     @pytest.mark.parametrize("d, L", [(3, 2), (6, 1), (8, 4)])
     def test_gram_route_matches_the_walk(self, d, L, monkeypatch):
@@ -326,8 +324,8 @@ class TestEmpiricalKernel:
             ref = self._walk(X_a, X_b, Q, tau, d)
             k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, np.ones(L + 1))
             with monkeypatch.context() as patch:
-                patch.setattr(experiments, "gegenbauer_weighted_sum", self._population_only)
-                k_hat = experiments._empirical_kernel(X_a, X_b, Q, tau, d)
+                patch.setattr(harmonics, "gegenbauer_weighted_sum", self._no_walk)
+                k_hat = harmonics._paired_kernel(X_a, X_b, Q, tau)
                 gap = experiments._kernel_gap(X_a, X_b, Q, tau, L, d)
             np.testing.assert_allclose(k_hat, ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref)))
@@ -342,17 +340,17 @@ class TestEmpiricalKernel:
         pairs = sample_sphere(40, d, 43)
         Q = sample_sphere(300, d, 44)
         calls = []
-        walk = experiments.gegenbauer_weighted_sum
-        monkeypatch.setattr(experiments, "gegenbauer_weighted_sum",
+        walk = harmonics.gegenbauer_weighted_sum
+        monkeypatch.setattr(harmonics, "gegenbauer_weighted_sum",
                             lambda *args: calls.append(args) or walk(*args))
-        k_hat = experiments._empirical_kernel(pairs[:20], pairs[20:], Q, tau, d)
+        k_hat = harmonics._paired_kernel(pairs[:20], pairs[20:], Q, tau)
         assert len(calls) == 2
         assert np.array_equal(k_hat, self._walk(pairs[:20], pairs[20:], Q, tau, d))
 
     def test_zero_weights(self):
         pairs = sample_sphere(20, 4, 45)
         Q = sample_sphere(30, 4, 46)
-        k_hat = experiments._empirical_kernel(pairs[:10], pairs[10:], Q, np.zeros(3), 4)
+        k_hat = harmonics._paired_kernel(pairs[:10], pairs[10:], Q, np.zeros(3))
         assert np.array_equal(k_hat, np.zeros(10))
 
 

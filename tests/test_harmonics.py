@@ -288,6 +288,7 @@ def test_monte_carlo_orthogonality():
 def test_one_tolerance_reaches_every_user(monkeypatch):
     """With harmonics._FACTOR_RTOL at 0 no user of the expansion takes it."""
     from sphattn import experiments, selection, training
+    from test_training import plain_builds
     from sphattn.kernels import oracle_weights
     from sphattn.targets import gen_dataset, make_target
     from sphattn.training import predict
@@ -306,16 +307,17 @@ def test_one_tolerance_reaches_every_user(monkeypatch):
         predict(np.ones(400), ds.S, Q, oracle_weights(8, 4))
     # train on the factors: the walk's residual exceeds 0 too, so it falls back
     monkeypatch.setattr(training, "_factored_is_cheaper", lambda *shape: True)
+    built = plain_builds(monkeypatch)
     ds = gen_dataset(make_target(3, 1, [1.0, 1.0], 73), 60, 0.2, 74)
     with pytest.warns(RuntimeWarning, match="falling back to the m x n feature matrix"):
-        state, _ = training.train(ds, sample_sphere(200, 3, 75), oracle_weights(3, 2), 0.3, 5)
-    assert state.Z is not None
+        training.train(ds, sample_sphere(200, 3, 75), oracle_weights(3, 2), 0.3, 5)
+    assert len(built) == 1
     # the kernel gap walks both sides of its pairs
-    calls, walk = [], experiments.gegenbauer_weighted_sum
-    monkeypatch.setattr(experiments, "gegenbauer_weighted_sum",
+    calls, walk = [], harmonics_mod.gegenbauer_weighted_sum
+    monkeypatch.setattr(harmonics_mod, "gegenbauer_weighted_sum",
                         lambda *args: calls.append(args) or walk(*args))
     monkeypatch.setattr(harmonics_mod, "_exact_factors", expansion)
     pairs = sample_sphere(20, 3, 76)
-    experiments._empirical_kernel(pairs[:10], pairs[10:], sample_sphere(50, 3, 77),
-                                  oracle_weights(3, 1), 3)
+    experiments._kernel_gap(pairs[:10], pairs[10:], sample_sphere(50, 3, 77),
+                            oracle_weights(3, 1), 1, 3)
     assert len(calls) == 2

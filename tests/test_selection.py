@@ -132,7 +132,7 @@ class TestOneStepUpdates:
         # both rows pass the 1e-8 unit-norm check, their dot product does not
         S[5] = Q[7] * (1.0 + 5e-9)
         bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
-        with pytest.raises(ValueError, match=r"dot product outside .* at index \(7, 5\)"):
+        with pytest.raises(ValueError, match=r"dot product outside .* at index \(5, 7\)"):
             one_step_updates(bad, Q, 2)
         with pytest.raises(ValueError, match="dot product outside"):
             select_channels(bad, Q, 2, epsilon0=0.1)
@@ -186,9 +186,9 @@ def _walk_only(monkeypatch):
     monkeypatch.setattr(harmonics_mod, "_expansion_is_cheaper", lambda *args: False)
 
 
-def _walk_error(Q, S, d, L) -> str:
+def _walk_error(S, Q, d, L) -> str:
     with pytest.raises(ValueError) as err:
-        for _ in harmonics_mod.gegenbauer_blocks(Q, S, d, L):
+        for _ in harmonics_mod.gegenbauer_blocks(S, Q, d, L):
             pass
     return str(err.value)
 
@@ -380,16 +380,21 @@ class TestMonomialExpansion:
         with pytest.raises(ValueError, match="X row 17 is not unit-norm"):
             one_step_updates(bad, Q, L)
         # a row inside the unit tolerance whose dot product leaves the band
-        # meets the walk's own error, at the walk's index
+        # meets the error of the walk over the points, on either route
         j = {"nan": 40, "long": 123}[row]
         S[17] = Q[j] * (1.0 + 5e-9)
-        expected = _walk_error(Q, S, d, L)
+        expected = _walk_error(S, Q, d, L)
         bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
+        assert f"(17, {j})" in expected
+        with monkeypatch.context() as mp:
+            _walk_only(mp)
+            with pytest.raises(ValueError) as err:
+                one_step_updates(bad, Q, L)
+            assert str(err.value) == expected
         _no_walk(monkeypatch)
         with pytest.raises(ValueError) as err:
             one_step_updates(bad, Q, L)
         assert str(err.value) == expected
-        assert f"({j}, 17)" in expected
 
 
 class TestThreshold:
@@ -416,6 +421,12 @@ class TestThreshold:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             threshold_channels([0.5], 0.0, 3)
+
+    @pytest.mark.parametrize("epsilon0", [np.nan, np.inf])
+    def test_rejects_non_finite_threshold(self, epsilon0):
+        # a bad input, not an EmptySelectionError at 2*epsilon0 = nan or inf
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            threshold_channels([0.5, 0.3], epsilon0, 3)
 
     def test_json_round_trip(self, tmp_path):
         import json

@@ -50,17 +50,18 @@ def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
 def test_readme_names_the_public_surface():
     readme = (ROOT / "README.md").read_text()
     tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
-    named = []
+    rows = {}
     for row in tour.splitlines():
         cells = row.strip().strip("|").split("|")
         module = re.fullmatch(r"\s*`(sphattn\.\w+)`\s*", cells[0])
         # one module per row; the config / cli row lists no names
         if len(cells) == 2 and module:
-            named += [(module[1], name) for name in re.findall(r"`(\w+)`", cells[1])]
-    assert {mod for mod, _ in named} == {
+            rows[module[1]] = re.findall(r"`(\w+)`", cells[1])
+    assert set(rows) == {
         f"sphattn.{m}" for m in
         ("harmonics", "kernels", "targets", "selection", "training", "complexity", "experiments")
     }
+    named = [(mod, name) for mod, names in rows.items() for name in names]
     # dotted names elsewhere in the text, e.g. under "Output formats"
     named += re.findall(r"`(sphattn\.\w+)\.(\w+)`", readme)
     missing = [
@@ -69,6 +70,20 @@ def test_readme_names_the_public_surface():
         or name not in importlib.import_module(mod).__all__
     ]
     assert not missing, f"README names these, but they are not public: {missing}"
+    # and the other way: each module's row lists its whole __all__, which
+    # holds every name the package root re-exports
+    unlisted = [
+        f"{mod}.{name}" for mod, names in rows.items()
+        for name in importlib.import_module(mod).__all__ if name not in names
+    ]
+    assert not unlisted, f"these are public, but the library tour omits them: {unlisted}"
+    toured = {name for names in rows.values() for name in names}
+    root = importlib.import_module("sphattn")
+    reexported = {
+        name for name, value in vars(root).items()
+        if not name.startswith("_") and not isinstance(value, type(root))
+    }
+    assert reexported <= toured, f"the root exports these untoured: {reexported - toured}"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

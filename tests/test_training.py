@@ -43,6 +43,15 @@ def force_path(monkeypatch, factored: bool) -> None:
     monkeypatch.setattr(training, "_factored_is_cheaper", lambda *shape: factored)
 
 
+def plain_builds(monkeypatch) -> list:
+    """Spy on training.feature_matrix, which only train's plain path calls; returns its calls."""
+    calls = []
+    build = training.feature_matrix
+    monkeypatch.setattr(training, "feature_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
 def _no_walk(monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("the factor check walked Z")
@@ -192,47 +201,65 @@ class TestGdStep:
     def test_first_step_from_zero(self):
         _, ds, Q, tau = _setup(n=25, m=50)
         Z = feature_matrix(ds.S, Q, tau)
-        state = TrainerState(a=np.zeros(50), t=0, eta=0.3, Z=Z)
-        stepped = gd_step(state, ds.y)
+        state = TrainerState(a=np.zeros(50), t=0, eta=0.3)
+        stepped = gd_step(state, Z, ds.y)
         np.testing.assert_allclose(stepped.a, 0.3 / 25 * (Z @ ds.y), atol=1e-14)
         assert stepped.t == 1
 
     def test_zero_responses_stay_zero(self):
         _, ds, Q, tau = _setup(n=10, m=20)
         Z = feature_matrix(ds.S, Q, tau)
-        state = TrainerState(a=np.zeros(20), t=0, eta=0.5, Z=Z)
+        state = TrainerState(a=np.zeros(20), t=0, eta=0.5)
         for _ in range(5):
-            state = gd_step(state, np.zeros(10))
+            state = gd_step(state, Z, np.zeros(10))
         assert np.array_equal(state.a, np.zeros(20))
 
     def test_plain_training_loop_repeats_gd_step_bit_for_bit(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=90)
         force_path(monkeypatch, False)
         state, trace = train(ds, Q, tau, eta=0.3, T=25, record_weights=True)
-        ref = TrainerState(a=np.zeros(90), t=0, eta=0.3, Z=feature_matrix(ds.S, Q, tau))
+        Z = feature_matrix(ds.S, Q, tau)
+        ref = TrainerState(a=np.zeros(90), t=0, eta=0.3)
         for t in range(1, 26):
-            ref = gd_step(ref, ds.y)
-            resid = ref.Z.T @ ref.a - ds.y
+            ref = gd_step(ref, Z, ds.y)
+            resid = Z.T @ ref.a - ds.y
             assert trace.loss[t] == float(resid @ resid) / 40
             assert np.array_equal(trace.weights[t], ref.a)
         assert np.array_equal(state.a, ref.a)
 
     def test_rejects_non_positive_eta(self, monkeypatch):
         _, ds, Q, tau = _setup(n=10, m=20)
-        state = TrainerState(a=np.zeros(20), t=0, eta=0.0, Z=feature_matrix(ds.S, Q, tau))
+        state = TrainerState(a=np.zeros(20), t=0, eta=0.0)
         with pytest.raises(ValueError):
-            gd_step(state, ds.y)
+            gd_step(state, feature_matrix(ds.S, Q, tau), ds.y)
         force_path(monkeypatch, True)
         with pytest.raises(ValueError, match="learning rate"):
             train(ds, Q, tau, eta=0.0, T=3)
 
-    def test_rejects_factored_state(self, monkeypatch):
-        _, ds, Q, tau = _setup(n=60, m=200)
-        force_path(monkeypatch, True)
-        state, _ = train(ds, Q, tau, eta=0.3, T=3)
-        assert state.Z is None
-        with pytest.raises(ValueError, match="state.Z is None"):
-            gd_step(state, ds.y)
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_rejects_non_finite_eta(self, eta, monkeypatch):
+        # a bad input, not a DivergenceError at step 1, on either path
+        _, ds, Q, tau = _setup(n=10, m=20)
+        state = TrainerState(a=np.zeros(20), t=0, eta=eta)
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            gd_step(state, feature_matrix(ds.S, Q, tau), ds.y)
+        for factored in (False, True):
+            force_path(monkeypatch, factored)
+            with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+                train(ds, Q, tau, eta=eta, T=3)
+
+    def test_steps_after_train_on_either_path(self, monkeypatch):
+        # on these shapes T = 5 takes the plain path and T = 80 the factors
+        # (test_auto_takes_the_cheaper_path); gd_step continues either state
+        _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        Z = feature_matrix(ds.S, Q, tau)
+        for T, plain in ((5, True), (80, False)):
+            built = plain_builds(monkeypatch)
+            state, _ = train(ds, Q, tau, eta=0.3, T=T)
+            assert bool(built) == plain
+            stepped = gd_step(state, Z, ds.y)
+            assert stepped.t == T + 1 and stepped.eta == 0.3
+            assert np.array_equal(stepped.a, state.a - 0.3 / 60 * (Z @ (Z.T @ state.a - ds.y)))
 
 
 class TestClosedFormResidual:
@@ -326,34 +353,48 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, Q, tau, eta=0.1, T=0)
 
+    @pytest.mark.parametrize("T", [2.5, True])
+    def test_rejects_non_integer_step_count(self, T):
+        _, ds, Q, tau = _setup(n=10, m=10)
+        with pytest.raises(ValueError, match=f"step count must be an integer >= 1, got {T}"):
+            train(ds, Q, tau, eta=0.1, T=T)
+
+    def test_integral_float_step_count(self):
+        # the state and the loop hold it as an int
+        _, ds, Q, tau = _setup(n=10, m=10)
+        state, trace = train(ds, Q, tau, eta=0.1, T=2.0)
+        assert type(state.t) is int and state.t == 2 and len(trace.loss) == 3
+
     def test_lowrank_path_matches_plain(self, monkeypatch):
         # oracle channels at ell0 = 2 and 1, and the gapped mask [1, 0, 1]
         for ell0, mask in ((2, None), (1, None), (2, [1, 0, 1])):
             _, ds, Q, tau = _setup(ell0=ell0, n=60, m=200, seed=15)
             if mask is not None:
                 tau = finalized_weights(3, mask)
+            built = plain_builds(monkeypatch)
             force_path(monkeypatch, False)
             s1, t1 = train(ds, Q, tau, eta=0.3, T=80)
             force_path(monkeypatch, True)
             s2, t2 = train(ds, Q, tau, eta=0.3, T=80)
-            assert s1.Z is not None and s2.Z is None
+            assert len(built) == 1
             np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
             np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
             np.testing.assert_allclose(t2.clean_loss, t1.clean_loss, rtol=1e-9, atol=1e-14)
 
-    def test_auto_takes_the_cheaper_path(self):
+    def test_auto_takes_the_cheaper_path(self, monkeypatch):
         # d = 3, ell0 = 2: factor width p = 1 + 3 + 6 = 10.  Over 80 steps the
         # factors take less time than the 200 x 60 matrix (measured train,
         # best of 5, one BLAS thread: 0.53 against 2.11 ms)
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        built = plain_builds(monkeypatch)
         assert training._factored_is_cheaper(200, 60, 10, 80, 2)
-        state, _ = train(ds, Q, tau, eta=0.3, T=80)
-        assert state.Z is None
+        train(ds, Q, tau, eta=0.3, T=80)
+        assert not built
         # over 5 steps the expansion's calls and the QR outweigh the saving
         # (0.41 ms plain against 0.53 ms factored)
         assert not training._factored_is_cheaper(200, 60, 10, 5, 2)
-        state, _ = train(ds, Q, tau, eta=0.3, T=5)
-        assert state.Z is not None and state.Z.shape == (200, 60)
+        train(ds, Q, tau, eta=0.3, T=5)
+        assert len(built) == 1
 
     def test_cost_rule_weighs_width_and_steps(self):
         # outcomes from measured train times (best of 5, one BLAS thread),
@@ -386,9 +427,10 @@ class TestTrain:
         ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30)
         monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
+        built = plain_builds(monkeypatch)
         with pytest.warns(RuntimeWarning, match=r"relative residual .* factor width p = 10"):
             state, trace = train(ds, Q, tau, eta=0.3, T=30)
-        assert state.Z is not None
+        assert len(built) == 1
         assert np.array_equal(state.a, ref_state.a)
         assert trace.loss == ref_trace.loss
         assert trace.clean_loss == ref_trace.clean_loss
@@ -401,10 +443,11 @@ class TestTrain:
         ds = gen_dataset(target, 500, 0.5, 70)
         Q = sample_sphere(2000, 6, 71)
         _no_walk(monkeypatch)
-        state, _ = train(ds, Q, oracle_weights(6, 1), eta=0.8, T=100)
-        assert state.Z is None
+        built = plain_builds(monkeypatch)
+        train(ds, Q, oracle_weights(6, 1), eta=0.8, T=100)
+        assert not built
 
-    def test_factored_train_allocates_no_feature_matrix(self):
+    def test_factored_train_allocates_no_feature_matrix(self, monkeypatch):
         import tracemalloc
 
         target = make_target(5, 1, [1.0, 1.0], 27)
@@ -412,13 +455,14 @@ class TestTrain:
         Q = sample_sphere(1200, 5, 29)
         tau = oracle_weights(5, 1)
         train(ds, Q, tau, eta=0.5, T=20)  # warm up lazy allocations
+        built = plain_builds(monkeypatch)
         tracemalloc.start()
         try:
-            state, _ = train(ds, Q, tau, eta=0.5, T=20)
+            train(ds, Q, tau, eta=0.5, T=20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert state.Z is None
+        assert not built
         assert peak < 8 * ds.n * Q.shape[0] / 4
 
     def test_divergence_detected(self, monkeypatch):
@@ -495,8 +539,8 @@ def _walk_error(A, B, d, L) -> str:
 class TestDomainScreen:
     """A point inside the unit tolerance whose dot product leaves the band."""
 
-    # train's plain path walks the rows of Q, predict's walk those of X; the
-    # factored path and the expansion form no dot product at all
+    # the unit check screens the dots before any route forms them, in the
+    # order of the walk over the points, so every route raises that error
     @pytest.mark.parametrize("call, variant", [("train", False), ("train", True),
                                                ("predict", 1), ("predict", 2)])
     def test_every_route_raises_the_walks_error(self, call, variant, monkeypatch):
@@ -505,16 +549,16 @@ class TestDomainScreen:
         X[5] = Q[7] * (1.0 + 5e-9)
         if call == "train":
             force_path(monkeypatch, variant)
-            expected, at = _walk_error(Q, X, d, 1), "(7, 5)"
+            expected = _walk_error(X, Q, d, 1)
             ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
             with pytest.raises(ValueError) as err:
                 train(ds, Q, oracle_weights(d, 1), eta=0.3, T=3)
         else:
-            expected, at = _walk_error(X, Q, d, variant), "(5, 7)"
+            expected = _walk_error(X, Q, d, variant)
             with pytest.raises(ValueError) as err:
                 predict(np.ones(30), X, Q, oracle_weights(d, variant))
         assert str(err.value) == expected
-        assert f"tolerance band at index {at}" in expected
+        assert "tolerance band at index (5, 7)" in expected
 
 
 class TestCertificate:
@@ -546,9 +590,10 @@ class TestCertificate:
         # p = 0: Z is exactly 0, and train needs no walk to accept that
         _no_walk(monkeypatch)
         force_path(monkeypatch, True)
+        built = plain_builds(monkeypatch)
         ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
         state, trace = train(ds, Q, np.zeros(3), eta=0.3, T=4)
-        assert state.Z is None and np.array_equal(state.a, np.zeros(30))
+        assert not built and np.array_equal(state.a, np.zeros(30))
         assert trace.loss == [1.0] * 5
 
     def test_failed_bound_with_passing_walk_stays_factored(self, monkeypatch):
@@ -565,10 +610,11 @@ class TestCertificate:
         monkeypatch.setattr(training, "_factor_residual",
                             lambda *args: walks.append(args) or walk(*args))
         assert training._factored_is_cheaper(600, 300, 66, 50, 10)
+        built = plain_builds(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state, _ = train(ds, Q, tau, eta=1e-3, T=50)
-        assert state.Z is None and len(walks) == 1
+            train(ds, Q, tau, eta=1e-3, T=50)
+        assert not built and len(walks) == 1
 
     def test_failure_names_the_residual_and_the_bound(self, monkeypatch):
         # T = 30 >= w = 10: the fallback also replaces the closed form
@@ -577,11 +623,12 @@ class TestCertificate:
         ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
         monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
+        built = plain_builds(monkeypatch)
         with pytest.warns(RuntimeWarning, match=r"relative residual \S+ > 0 at factor width "
                           r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\); falling back to "
                           r"the m x n feature matrix"):
             state, trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
-        assert state.Z is not None and np.array_equal(state.Z, ref_state.Z)
+        assert len(built) == 1 and np.array_equal(built[0][2], tau)
         assert np.array_equal(state.a, ref_state.a)
         assert trace.loss == ref_trace.loss and trace.clean_loss == ref_trace.clean_loss
         assert trace.residual_norm == ref_trace.residual_norm
@@ -613,11 +660,12 @@ class TestSpectralTrace:
 
     @staticmethod
     def _assert_matches_plain(monkeypatch, ds, Q, tau, eta, T, record_weights=False):
+        built = plain_builds(monkeypatch)
         force_path(monkeypatch, False)
         s1, t1 = train(ds, Q, tau, eta, T, record_weights=record_weights)
         force_path(monkeypatch, True)
         s2, t2 = train(ds, Q, tau, eta, T, record_weights=record_weights)
-        assert s2.Z is None and s2.t == T and s2.eta == eta
+        assert len(built) == 1 and s2.t == T and s2.eta == eta
         np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
         np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
         np.testing.assert_allclose(t2.clean_loss, t1.clean_loss, rtol=1e-9, atol=1e-14)
@@ -739,6 +787,7 @@ class TestSpectralTrace:
         T, w = 20_000, 7
         force_path(monkeypatch, True)
         train(ds, Q, tau, eta=0.8, T=T)  # warm up lazy allocations
+        built = plain_builds(monkeypatch)
         tracemalloc.start()
         try:
             state, trace = train(ds, Q, tau, eta=0.8, T=T)
@@ -749,5 +798,5 @@ class TestSpectralTrace:
             sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values)
             for values in (trace.loss, trace.residual_norm, trace.clean_loss)
         )
-        assert state.Z is None and len(trace.loss) == T + 1
+        assert not built and len(trace.loss) == T + 1
         assert peak < (T + 1) * w * 8 + lists
