@@ -13,10 +13,8 @@ import numpy as np
 from sphattn import (
     critical_radius,
     cumulative_dim,
-    empirical_spectrum,
-    normalized_gram,
+    empirical_spectrum_from_points,
     population_complexity,
-    population_gram,
     population_spectrum,
     sample_sphere,
 )
@@ -37,9 +35,12 @@ print(f"\npopulation critical radius squared: {eps_pop**2:.12f}")
 print(f"closed form sigma0^2 * r / n:       {sigma0**2 * rank / n:.12f}")
 
 X = sample_sphere(n, d, seed=4)
-spec = empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), n))
+# the gram's nonzero eigenvalues, from the p x p middle matrix of the points'
+# monomials (p = 10 here) rather than an n x n eigendecomposition
+spec = empirical_spectrum_from_points(X, ell_hat)
 eps_emp = critical_radius(spec, sigma0)
 print(f"gram-matrix critical radius squared: {eps_emp**2:.6f} (tracks the analytic value)")
+print(f"  from {spec.eigenvalues.size} eigenvalues, {int((spec.eigenvalues > 1e-6).sum())} above 1e-6")
 
 print("\nradius scales linearly in sigma0 in the low-rank regime:")
 for s in (0.5, 1.0, 2.0):

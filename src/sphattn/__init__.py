@@ -65,6 +65,7 @@ from .complexity import (
     critical_radius,
     empirical_loss,
     empirical_spectrum,
+    empirical_spectrum_from_points,
     kernel_complexity,
     mc_risk,
     population_complexity,

@@ -20,12 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import _check_integer, as_seed_sequence, harmonic_dim, sample_sphere
+from . import harmonics
+from .harmonics import _check_integer, _fill_sphere, as_seed_sequence, harmonic_dim
+# sample_sphere is not called here; the name stays bound because
+# perfbench/tracer.py wraps it in this module.
+from .harmonics import sample_sphere  # noqa: F401
+from .kernels import _require_unit_pair, normalized_gram, population_gram
 from .targets import ZonalTarget, eval_target
 
 __all__ = [
     "KernelSpectrum",
     "empirical_spectrum",
+    "empirical_spectrum_from_points",
     "population_spectrum",
     "kernel_complexity",
     "population_complexity",
@@ -70,6 +76,35 @@ def empirical_spectrum(K_n: np.ndarray) -> KernelSpectrum:
 
     vals = gram_spectrum(K_n)
     return KernelSpectrum(eigenvalues=vals, n=vals.size)
+
+
+def empirical_spectrum_from_points(X, ell_hat: int) -> KernelSpectrum:
+    """Spectrum of population_gram(X, None, ell_hat) / n for the n unit rows of X.
+
+    Formed from the monomial expansion's factors when their a-priori
+    rounding bound is at most harmonics._FACTOR_RTOL of the trace ell_hat + 1
+    and the factor width p = sum of C(j + d - 1, d - 1) over the degrees j
+    kept is at most n: a thin QR of the n x p monomial matrix and an
+    eigvalsh of p x p, O(n p^2) time and O(n p) memory, with the p values
+    listed and the zeros past them left out.  Each value then lies within
+    that bound of the gram's; one below minus the bound raises ValueError
+    (the kernel is not PSD), and the rest of the negatives, rounding, are
+    set to 0.  Otherwise it is empirical_spectrum(normalized_gram(
+    population_gram(X, None, ell_hat), n)), the n x n gram and its eigvalsh,
+    with gram_spectrum's PSD rule.  The rows are checked as population_gram
+    checks them, with the same errors.
+    """
+    _check_integer(ell_hat, "degree cutoff ell_hat")
+    X = _require_unit_pair(X, X)[0]
+    factored = harmonics._gram_eigenvalues(X, int(ell_hat))
+    if factored is None:
+        return empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), len(X)))
+    lam, tol = factored
+    if lam[0] < -tol:
+        raise ValueError(
+            f"kernel is not PSD: eigenvalue {lam[0]:.3e} below -{tol:.3e}, the factors' bound"
+        )
+    return KernelSpectrum(eigenvalues=np.maximum(lam[::-1], 0.0), n=len(X))
 
 
 def population_spectrum(d: int, ell_hat: int, n: int) -> KernelSpectrum:
@@ -165,10 +200,12 @@ def mc_risk(predictor, target: ZonalTarget, num_samples: int, seed):
     total = 0.0
     total_sq = 0.0
     for batch in batches:
-        X = np.concatenate([sample_sphere(size, target.d, seq) for size, seq in batch])
+        ends = np.cumsum([size for size, _ in batch])
+        X = np.empty((int(ends[-1]), target.d))
+        for (size, seq), hi in zip(batch, ends):
+            _fill_sphere(X[hi - size : hi], seq)  # sample_sphere(size, d, seq), in place
         err = np.asarray(predictor(X), dtype=float) - eval_target(target, X)
-        bounds = np.cumsum([size for size, _ in batch])[:-1]
-        for sq in np.split(err * err, bounds):  # one slice per chunk, in chunk order
+        for sq in np.split(err * err, ends[:-1]):  # one slice per chunk, in chunk order
             total += float(np.sum(sq))
             total_sq += float(np.sum(sq * sq))
     mean = total / num_samples

@@ -30,12 +30,14 @@ from sums (:func:`_power_sums`) that split each power in half, <a, b>^j =
 monomials of degree <= ceil(L/2) against those of degree <= floor(L/2)
 serves every degree: two GEMMs at O((len(A) + len(B)) * p_h * p_l), with
 p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  Stage two's exact factors
-take all p monomials of the kept degrees, and the kernel gap's paired
-kernel (:func:`_paired_kernel`) the Gram of the same factors.  Everything
-the expansion decides lives here: both routes of the degree projections and
-of the paired kernel, the rule that prices the degree projections'
-expansion against the walk, the tolerance _FACTOR_RTOL and the three
-rounding bounds compared with it, derived above it.
+take all p monomials of the kept degrees, the kernel gap's paired
+kernel (:func:`_paired_kernel`) the Gram of the same factors, and the
+population gram's spectrum (:func:`_gram_eigenvalues`) a p x p middle
+matrix of the points' monomials.  Everything the expansion decides lives
+here: both routes of the degree projections and of the paired kernel, the
+rule that prices the degree projections' expansion against the walk, the
+tolerance _FACTOR_RTOL and the four rounding bounds compared with it,
+derived above it.
 :func:`_screen_dots`, run by the unit-row check of every entry point, gives
 each route the walk's domain check, forming only the dots it cannot clear.
 """
@@ -488,7 +490,13 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   with g_j != 0, p = _factor_width(d, g) monomials in all:
 #   U[r, (j, alpha)] = g_j w_alpha q_r^alpha / sqrt(m), Vt[(j, alpha), i] = x_i^alpha;
 # - the kernel gap, (1/m) sum_r sigma_tau(<x_a, q_r>) sigma_tau(<x_b, q_r>)
-#   = v_a^T (U^T U) v_b on the Gram of the same factors (_paired_kernel).
+#   = v_a^T (U^T U) v_b on the Gram of the same factors (_paired_kernel);
+# - the spectrum of the population gram K / n, K = sum_{k <= L} P_k(X X^T),
+#   tau = 1: K = F D F^T with F[i, (j, alpha)] = x_i^alpha over the kept
+#   degrees and D = diag(g_j w_alpha), so its nonzero eigenvalues are those
+#   of the p x p matrix R D R^T / n, R from the thin QR F = QF R
+#   (_gram_eigenvalues).  D is indefinite where g is (g = [0.875, -0.5,
+#   -2.25, 2.5, 4.375] at d = 3, L = 4), R D R^T is not: K is PSD.
 # The bounds are first order in the unit roundoff u = eps / 2 (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and
 # 19), with L the top degree, and share three facts:
@@ -545,6 +553,38 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   (p + 6 L + 5) eps (sum_j Gbar_j / sum_k |tau_k|)^2: 4e-15 at the sweep
 #   shape, 5e-13 at d = 8, L = 4, and with oracle channels above _FACTOR_RTOL
 #   from degree 8 at d = 2..6 and 7 at d = 8.
+# - the gram's spectrum (_gram_error), on each eigenvalue of K / n, relative
+#   to its trace L + 1 (each P_k(1) = 1).  Weyl's inequality moves each
+#   eigenvalue by at most ||dK||_2 / n <= max_ik |dK_ik| for a perturbation
+#   dK of K, and the factors perturb K in four places, each within a
+#   multiple of Gsum = sum_{j kept} Gbar_j rho^j, Gbar = 1 @ |C|.  First, the
+#   expansion: x^alpha takes j - 1 products on each side and D_(j, alpha)
+#   (4 L + 2) u Gbar_j w_alpha, so by the mass fact every entry of F D F^T is
+#   within 6 L u Gsum of K's.  Second, the QR: the computed R is the exact
+#   factor of F + E for an orthonormal QF, with ||E e_c|| <= eta ||F e_c||
+#   column by column (Higham, Theorem 19.4), so R D R^T has the nonzero
+#   eigenvalues of (F + E) D (F + E)^T.  With S = |D|^(1/2), that differs
+#   from F D F^T by (2 eta + eta^2) ||F S||_F^2 in norm, and ||F S||_F^2 =
+#   sum_i sum_j |g_j| |x_i|^(2 j) <= n Gsum (the mass fact with x' = x).
+#   The worst case eta = gamma(n p) grows with n and would send large n back
+#   to the n x n route that the factors avoid; the bound takes the
+#   probabilistic size sqrt(n p) u of Higham & Mary (SIAM J. Sci. Comput. 41,
+#   2019), not a worst case.  On d = 3..8, L = 2..4 and n = 1e3..4e5 the
+#   columnwise residual of numpy's QR stayed below 7 eps and the loss of
+#   orthogonality below 83 eps, against sqrt(n p) u = 50..2100 eps.  Third,
+#   forming (R D) R^T / n rounds each entry within (p + 2) u of sum_c
+#   |R_ac| |D_c| |R_bc| / n, a matrix of norm at most ||R S||_F^2 / n <=
+#   Gsum.  Fourth, eigvalsh is backward stable: its values are exact for a
+#   matrix within c u ||R D R^T / n||_2 <= c u Gsum, with c taken as p.
+#   Together, to first order, (sqrt(n p) + p + 3 L + 1) eps Gsum / (L + 1):
+#   2.4e-14 at the complexity-curve job (d = 3, L = 2, n = 400), 1.4e-13 at
+#   n = 20000, 4.3e-13 at d = 8, L = 4, n = 1000.  The mass grows fastest at
+#   small d (like (1 + sqrt(2))^L at d = 2), and at d = 2..4 the bound
+#   exceeds _FACTOR_RTOL from degree 12 at n = 400 and from degree 10 at
+#   n = 20000.  Rows off the sphere move the eigenvalues further, which the
+#   PSD check adds: the kernel on x_i / |x_i| is PSD, and K differs from it by
+#   at most sum_j Gbar_j ((1 + delta)^j - 1) per entry, delta = max_i
+#   ||x_i|^2 - 1|.
 
 # Users read it here at call time, so one patch reaches all of them.
 _FACTOR_RTOL = 1e-10
@@ -570,12 +610,17 @@ def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
     """
     m, d = Q.shape
     J = np.flatnonzero(g).tolist()
-    top = J[-1] if J else 0
+    U = _kept_monomials(Q, J)
+    U *= np.concatenate([g[j] / np.sqrt(m) * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])[:, None]
+    return U.T, _kept_monomials(X, J)
+
+
+def _kept_monomials(P: np.ndarray, J: list) -> np.ndarray:
+    """The monomials p_i^alpha of the rows of P over the degrees J, one per row (p x len(P))."""
+    d = P.shape[1]
     rows = np.concatenate(
         [np.arange(math.comb(j - 1 + d, d), math.comb(j + d, d)) for j in J] + [np.zeros(0, int)])
-    U = _monomial_powers(Q.T, top)[rows]
-    U *= np.concatenate([g[j] / np.sqrt(m) * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])[:, None]
-    return U.T, _monomial_powers(X.T, top)[rows]
+    return _monomial_powers(P.T, J[-1] if J else 0)[rows]
 
 
 def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
@@ -612,6 +657,45 @@ def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
         return 0.0  # tau == 0: every route gives exactly 0
     ratio = float(np.sum(_coefficient_mass(d, tau))) / float(np.sum(np.abs(tau)))
     return (sum(counts) + 6 * int(J[-1]) + 5) * _EPS * ratio**2
+
+
+def _gram_error(d: int, g: np.ndarray, n: int) -> float:
+    """The factored spectrum's bound on each eigenvalue of K / n, relative to its trace (see above).
+
+    g holds the power coefficients of tau = 1, so its length is the trace.
+    """
+    J, counts = _kept_degrees(d, g)
+    p, L = sum(counts), g.size - 1
+    mass = float(np.sum(_coefficient_mass(d, np.ones(g.size), _RHO)[J]))
+    return (math.sqrt(n * p) + p + 3 * L + 1) * _EPS * mass / g.size
+
+
+def _gram_eigenvalues(X: np.ndarray, ell_hat: int):
+    """Eigenvalues of K / n, K = sum_{k <= ell_hat} P_k(X @ X.T), from the expansion's factors.
+
+    Returns (lam, tol): the p eigenvalues of R D R^T / n in ascending order
+    (see above), of which those of K / n past the first p are zero, and the
+    bound tol on how far each lies from K / n's, rounding plus the rows'
+    distance from the sphere; a value below -tol shows a kernel that is not
+    PSD.  Returns None, forming nothing, when the rounding bound exceeds
+    _FACTOR_RTOL of the trace, or when p > n: then the QR costs more than an
+    eigvalsh of K, and F holds more entries than K (measured with one BLAS
+    thread at d = 6..20, ell_hat = 2..4 and p / n = 0.1..5: the factors took
+    0.02 to 0.6 times the n x n route's time for p / n <= 0.62, and 1.2 to
+    4.2 times from p / n = 1.05 on).  X's rows passed the unit check.
+    """
+    n, d = X.shape
+    g = _power_coefficients(d, np.ones(ell_hat + 1))
+    rtol = _gram_error(d, g, n)
+    if _factor_width(d, g) > n or rtol > _FACTOR_RTOL:
+        return None
+    J = np.flatnonzero(g).tolist()
+    D = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J])
+    R = np.linalg.qr(_kept_monomials(X, J).T, mode="r")
+    lam = np.linalg.eigvalsh((R * D) @ R.T / n)
+    delta = float(np.max(np.abs(np.einsum("ij,ij->i", X, X) - 1.0)))
+    grown = np.expm1(np.log1p(delta) * np.array(J))  # (1 + delta)^j - 1
+    return lam, rtol * (ell_hat + 1) + float(_coefficient_mass(d, np.ones(ell_hat + 1))[J] @ grown)
 
 
 # --- which route computes V ---------------------------------------------------
@@ -717,11 +801,22 @@ def sample_sphere(n: int, d: int, seed) -> np.ndarray:
     _check_dim(d)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    return _fill_sphere(np.empty((n, d)), seed)
+
+
+def _fill_sphere(X: np.ndarray, seed) -> np.ndarray:
+    """Fill the C-contiguous (n, d) block X with sample_sphere(n, d, seed)'s rows, in place.
+
+    The norms are linalg.norm's arithmetic, sqrt(add.reduce(X * X)), without
+    its overhead, and the rows are divided in place; a caller that draws
+    many small blocks (mc_risk) writes each into its batch buffer.
+    """
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    norms = np.linalg.norm(X, axis=1)
-    while np.any(norms == 0.0):
+    rng.standard_normal(out=X)
+    norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    while not norms.all():
         zero = norms == 0.0
-        X[zero] = rng.standard_normal((int(np.sum(zero)), d))
-        norms = np.linalg.norm(X, axis=1)
-    return X / norms[:, None]
+        X[zero] = rng.standard_normal((int(np.sum(zero)), X.shape[1]))
+        norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    X /= norms[:, None]
+    return X

@@ -50,8 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
-from .harmonics import _block_rows, gegenbauer_blocks
-from .kernels import _require_unit_pair, activation_matrix
+from .harmonics import _block_rows, gegenbauer_blocks, gegenbauer_weighted_matrix
+from .kernels import _require_unit_pair
+# activation_matrix is not called here; the name stays bound because
+# perfbench/tracer.py wraps it in this module.
+from .kernels import activation_matrix  # noqa: F401
 from .targets import LabeledDataset
 
 __all__ = [
@@ -107,11 +110,14 @@ class TrainingTrace:
 def feature_matrix(X, Q, tau_final) -> np.ndarray:
     """Fixed stage-two feature matrix Z of shape (m, n).
 
-    Z.T @ Z reproduces the empirical kernel matrix exactly.
+    Z.T @ Z reproduces the empirical kernel matrix exactly.  The rows are
+    checked as every entry point checks them, points first, so an error
+    names an X or Q row and a dot product's (point, direction) index.
     """
-    A = activation_matrix(Q, X, tau_final)  # (m, n)
-    A /= np.sqrt(A.shape[0])
-    return A
+    X, Q = _require_unit_pair(X, Q)
+    Z = gegenbauer_weighted_matrix(Q, X, X.shape[1], tau_final)  # walked over the rows of Q
+    Z /= np.sqrt(Z.shape[0])
+    return Z
 
 
 def predict(a, X, Q, tau_final) -> np.ndarray:

@@ -12,6 +12,7 @@ from sphattn import (
     cumulative_dim,
     empirical_loss,
     empirical_spectrum,
+    empirical_spectrum_from_points,
     eval_target,
     gen_dataset,
     kernel_complexity,
@@ -25,6 +26,7 @@ from sphattn import (
     predict,
     sample_sphere,
 )
+from sphattn import complexity, harmonics
 from sphattn.complexity import MC_BATCH_ROWS, complexity_curve_csv
 
 
@@ -199,10 +201,133 @@ class TestCriticalRadius:
         ratios = []
         for seed in range(10):
             X = sample_sphere(n, d, 500 + seed)
-            spec = empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), n))
-            eps_emp = critical_radius(spec, sigma0)
+            eps_emp = critical_radius(empirical_spectrum_from_points(X, ell_hat), sigma0)
             ratios.append(eps_emp**2 / eps_pop**2)
         assert all(1 / 3 <= r <= 3 for r in ratios)
+
+
+def _gram_eigenvalues(X, ell_hat):
+    """The n x n oracle: eigvalsh of the walked gram / n, descending, no clipping."""
+    return np.linalg.eigvalsh(population_gram(X, None, ell_hat) / len(X))[::-1]
+
+
+def _factor_width(d, ell_hat):
+    g = harmonics._power_coefficients(d, np.ones(ell_hat + 1))
+    return harmonics._factor_width(d, g)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Count the n x n grams the entry forms."""
+    calls = []
+    build = complexity.population_gram
+    monkeypatch.setattr(complexity, "population_gram",
+                        lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+# (d, ell_hat, n) on the factored route: d = 3..8 and ell_hat = 0..4, with
+# n = p (a square monomial matrix) where p >= 150; and at n = 400 and 900
+# the indefinite-g shape d = 3, ell_hat = 4
+FACTORED = [(d, L, max(_factor_width(d, L), 150)) for d in range(3, 9) for L in range(5)]
+
+
+class TestSpectrumFromPoints:
+    @pytest.mark.parametrize("d, ell_hat, n", FACTORED + [(3, 4, 400), (3, 4, 900)])
+    def test_matches_gram_route_within_bound(self, d, ell_hat, n, gram_calls):
+        X = sample_sphere(n, d, 100 * d + 10 * ell_hat + n)
+        spec = empirical_spectrum_from_points(X, ell_hat)
+        assert not gram_calls
+        p = _factor_width(d, ell_hat)
+        assert spec.n == n and spec.eigenvalues.size == p
+        _, tol = harmonics._gram_eigenvalues(X, ell_hat)
+        ref = _gram_eigenvalues(X, ell_hat)
+        # the oracle's own eigvalsh rounding, at its probabilistic size
+        tol += math.sqrt(n) * np.finfo(float).eps * (ell_hat + 1)
+        assert np.max(np.abs(spec.eigenvalues - ref[:p])) <= tol
+        assert np.max(np.abs(ref[p:]), initial=0.0) <= tol  # the zeros left out
+        # every sum of min(lam, eps^2) moves by at most tol per eigenvalue
+        gram = empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), n))
+        for eps in np.geomspace(1e-3, 3.0, 12):
+            r2 = kernel_complexity(spec, eps) ** 2
+            assert abs(r2 - kernel_complexity(gram, eps) ** 2) <= tol + 1e-15 * r2
+        # the fixed point s = eps^2 of s^2 = a sum min(lam, s), a = sigma0^2 / n,
+        # moves by at most a n tol / s: the slope of s^2 - h(s) there is >= s
+        for sigma0 in (0.1, 1.0):
+            s_f, s_g = critical_radius(spec, sigma0) ** 2, critical_radius(gram, sigma0) ** 2
+            assert abs(s_f - s_g) <= sigma0**2 * tol / s_g + 1e-14 * s_g
+
+    @pytest.mark.parametrize("d, ell_hat", [(3, 2), (4, 1), (5, 3), (8, 2), (3, 4), (6, 0)])
+    def test_rank_above_cutoff(self, d, ell_hat):
+        # criterion 4's count: exactly r = cumulative_dim(d, ell_hat) values
+        # above 1e-6 lambda_max; the p - r others are the sphere's relations
+        vals = empirical_spectrum_from_points(sample_sphere(600, d, 41), ell_hat).eigenvalues
+        assert int(np.sum(vals > 1e-6 * vals[0])) == cumulative_dim(d, ell_hat)
+
+    @pytest.mark.parametrize("d, ell_hat", [(3, 2), (6, 2), (3, 4)])
+    def test_converges_to_population_spectrum(self, d, ell_hat):
+        n = 20000
+        spec = empirical_spectrum_from_points(sample_sphere(n, d, 42), ell_hat)
+        pop = population_spectrum(d, ell_hat, n).eigenvalues
+        r = pop.size
+        # the gram's eigenvalues concentrate at the rate sqrt(r / n)
+        assert np.max(np.abs(spec.eigenvalues[:r] - pop) / pop) <= 4 * math.sqrt(r / n)
+        assert np.max(spec.eigenvalues[r:], initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("d, ell_hat, n", [(2, 12, 400), (3, 13, 300), (8, 4, 300), (6, 3, 60)])
+    def test_gram_route_where_factors_decline(self, d, ell_hat, n, gram_calls):
+        # the bound fails (d = 2, 3 at high degree) or p > n: the n x n route,
+        # bit for bit the old composition
+        X = sample_sphere(n, d, 43)
+        assert harmonics._gram_eigenvalues(X, ell_hat) is None
+        spec = empirical_spectrum_from_points(X, ell_hat)
+        assert len(gram_calls) == 1
+        old = empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), n))
+        assert np.array_equal(spec.eigenvalues, old.eigenvalues) and spec.n == old.n == n
+
+    def test_memory_at_large_n(self):
+        X = sample_sphere(20000, 3, 44)
+        tracemalloc.start()
+        try:
+            spec = empirical_spectrum_from_points(X, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gram alone would be 20000^2 * 8 bytes = 3.2 GB
+        assert peak < 20e6
+        assert spec.eigenvalues.size == 10
+
+    def test_rows_off_the_sphere(self):
+        # rows inside the unit check's band, with the indefinite g of d = 3,
+        # ell_hat = 4: within the bound, which counts their distance, of the gram
+        X = sample_sphere(400, 3, 45)
+        X *= 1.0 - 1e-9 * np.random.default_rng(46).random(400)[:, None]
+        spec = empirical_spectrum_from_points(X, 4)
+        _, tol = harmonics._gram_eigenvalues(X, 4)
+        assert np.max(np.abs(spec.eigenvalues - _gram_eigenvalues(X, 4)[:35])) <= tol
+
+    def test_negative_beyond_bound_raises(self, monkeypatch):
+        X = sample_sphere(50, 3, 47)
+        fake = lambda lam: lambda *args: (np.array(lam), 1e-12)
+        monkeypatch.setattr(harmonics, "_gram_eigenvalues", fake([-2e-12, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="not PSD"):
+            empirical_spectrum_from_points(X, 1)
+        monkeypatch.setattr(harmonics, "_gram_eigenvalues", fake([-5e-13, 0.5, 1.0]))
+        assert empirical_spectrum_from_points(X, 1).eigenvalues.tolist() == [1.0, 0.5, 0.0]
+
+    def test_rejects_what_population_gram_rejects(self):
+        X = sample_sphere(30, 4, 48)
+        X[3] *= 2
+        for call in (lambda: empirical_spectrum_from_points(X, 2),
+                     lambda: population_gram(X, None, 2)):
+            with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
+                call()
+        X = sample_sphere(30, 4, 48)
+        X[5] *= 1 + 5e-9  # its own dot product leaves the band
+        for call in (lambda: empirical_spectrum_from_points(X, 2),
+                     lambda: population_gram(X, None, 2)):
+            with pytest.raises(ValueError, match=r"at index \(5, 5\)"):
+                call()
 
 
 class TestMcRisk:

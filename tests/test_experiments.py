@@ -575,6 +575,19 @@ class TestCli:
         assert lines[0] == "eps,R_empirical,R_population"
         payload = json.loads(capsys.readouterr().out)
         assert payload["population_critical_radius_sq"] == pytest.approx(0.01, abs=1e-10)
+        # the empirical values lie within the factors' bound of the n x n route's
+        from sphattn import cli, critical_radius, empirical_spectrum, kernel_complexity
+        from sphattn.kernels import normalized_gram, population_gram
+
+        X = sample_sphere(900, 3, experiments.derive_seed(0, cli.STREAM_COMPLEXITY, 0, 0))
+        gram = empirical_spectrum(normalized_gram(population_gram(X, None, 2), 900))
+        _, tol = harmonics._gram_eigenvalues(X, 2)
+        for row in lines[1:]:
+            eps, r_emp, _ = map(float, row.split(","))
+            r2 = kernel_complexity(gram, eps) ** 2
+            assert abs(r_emp**2 - r2) <= tol + 1e-15 * r2
+        s_g = critical_radius(gram, 1.0) ** 2
+        assert abs(payload["empirical_critical_radius_sq"] - s_g) <= tol / s_g + 1e-14 * s_g
 
     def test_parser_built_once_gives_fresh_parser_outputs(self, tmp_path, capsys):
         from sphattn import cli

@@ -259,6 +259,32 @@ class TestSampleSphere:
         with pytest.raises(ValueError):
             sample_sphere(0, 3, 0)
 
+    @pytest.mark.parametrize("n, d, seed", [(1, 2, 0), (31, 3, 1), (625, 6, 2), (4000, 8, 3)])
+    def test_normalized_normal_draws(self, n, d, seed):
+        Z = np.random.default_rng(seed).standard_normal((n, d))
+        assert np.array_equal(sample_sphere(n, d, seed), Z / np.linalg.norm(Z, axis=1)[:, None])
+
+    def test_redraws_a_zero_row(self):
+        class ZeroRowOnce(np.random.Generator):
+            draws = 0
+
+            def standard_normal(self, *args, **kwargs):
+                Z = super().standard_normal(*args, **kwargs)
+                if self.draws == 0:
+                    Z[1] = 0.0
+                self.draws += 1
+                return Z
+
+        rng = ZeroRowOnce(np.random.PCG64(5))
+        X = sample_sphere(4, 3, rng)  # default_rng hands a Generator back as is
+        assert rng.draws == 2
+        np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-15)
+        ref = np.random.Generator(np.random.PCG64(5))
+        Z = ref.standard_normal((4, 3))
+        z = ref.standard_normal((1, 3))
+        assert np.array_equal(X[[0, 2, 3]], (Z / np.linalg.norm(Z, axis=1)[:, None])[[0, 2, 3]])
+        assert np.array_equal(X[1], (z / np.linalg.norm(z))[0])
+
     def test_accepts_seed_sequence(self):
         seq = np.random.SeedSequence(9)
         X1 = sample_sphere(4, 3, seq)

@@ -76,6 +76,20 @@ class TestFeatureMatrix:
         Z = feature_matrix(ds.S, Q[:1], tau)
         assert Z.shape == (1, 10)
 
+    def test_errors_name_points_and_directions(self):
+        # checked points first, as train and activation_matrix check them
+        _, ds, Q, tau = _setup(d=4, ell0=1, n=20, m=30)
+        Qb = Q.copy()
+        Qb[3] *= 2
+        with pytest.raises(ValueError, match="Q row 3 is not unit-norm"):
+            feature_matrix(ds.S, Qb, tau)
+        X = ds.S.copy()
+        X[5] = Q[7] * (1 + 5e-9)
+        with pytest.raises(ValueError, match=r"at index \(5, 7\)"):
+            feature_matrix(X, Q, tau)
+        with pytest.raises(ValueError, match=r"at index \(5, 7\)"):
+            activation_matrix(X, Q, tau)
+
 
 class TestPredict:
     def test_zero_weights_predict_zero(self):
