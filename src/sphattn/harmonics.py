@@ -80,6 +80,121 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+# SeedSequence's hash constants.  NumPy's compatibility policy (NEP 19) keeps
+# SeedSequence's output fixed, and the tests pin child_generators' words
+# against SeedSequence.spawn.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """init * mult**k mod 2**32 for k = 0..count: the multipliers of count hashmix steps."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value, h, h_next):
+    """SeedSequence's hashmix step on 32-bit words (ints or uint64 arrays)."""
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or uint64 arrays)."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _entropy_words(x) -> list:
+    """SeedSequence's coercion of entropy or a spawn key to 32-bit words, low word first."""
+    if isinstance(x, np.ndarray) and x.dtype == np.uint32:
+        return x.tolist()
+    if isinstance(x, str):  # the strings SeedSequence accepts: "0x" hex or decimal
+        x = int(x, 16) if x.startswith("0x") else int(x)
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        if x < 0:
+            raise ValueError(f"entropy must be non-negative, got {x}")
+        words = [x & _MASK32]
+        while x >> 32:
+            x >>= 32
+            words.append(x & _MASK32)
+        return words
+    return [w for v in x for w in _entropy_words(v)]
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """The ISeedSequence that hands PCG64 one child's generate_state(4, uint64) words.
+
+    Made on first use: NumPy loads numpy.random only when something draws,
+    and importing it with this module would add about 20 ms to
+    `import sphattn`.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds generate_state(4, uint64) only, not ({n_words}, {dtype})")
+            return self.words
+
+    return StateWords
+
+
+def child_generators(seed, count: int):
+    """Yield default_rng(child) for the next `count` children of the seed, without spawning.
+
+    With seq = as_seed_sequence(seed) and k = seq.n_children_spawned, child i
+    is SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (k + i,),
+    pool_size=seq.pool_size), the i-th of seq.spawn(count); its generator
+    draws the same numbers, but seq is not advanced, so a second call yields
+    the same generators again.  The children's entropy differs only in its
+    last word, the child index, so SeedSequence's mixing runs once, on
+    Python ints, over the shared words, and the last word's mixing and
+    generate_state(4, uint64) run as array operations over all children.
+    Generators are built one at a time, as they are asked for.
+    """
+    seq = as_seed_sequence(seed)
+    first, pool_size = seq.n_children_spawned, seq.pool_size
+    if first + count > 1 << 32:
+        raise ValueError(f"child index {first + count - 1} does not fit one 32-bit word")
+    # a spawn key is never empty in a child, so its entropy is padded to the pool
+    run = _entropy_words(seq.entropy)
+    words = run + [0] * (pool_size - len(run)) + _entropy_words(seq.spawn_key)
+    # the mixing takes pool_size hashmix steps per entropy word, the child index included
+    hs = _hash_constants(_INIT_A, _MULT_A, pool_size * (len(words) + 1))
+    pool = [_hashmix(w, hs[i], hs[i + 1]) for i, w in enumerate(words[:pool_size])]
+    k = pool_size
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hs[k], hs[k + 1]))
+                k += 1
+    for w in words[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], _hashmix(w, hs[k], hs[k + 1]))
+            k += 1
+    # the child index, mixed into every pool word: (count, pool_size)
+    h = np.array(hs[k : k + pool_size + 1], dtype=np.uint64)
+    index = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    pools = _mix(np.array(pool, dtype=np.uint64), _hashmix(index, h[:-1], h[1:]))
+    # generate_state(4, uint64): 8 words cycling over the pool, paired low word first
+    h = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint64)
+    state = _hashmix(pools[:, np.arange(8) % pool_size], h[:-1], h[1:])
+    state = state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    state_words = _state_words_type()
+    for child in state:
+        yield np.random.Generator(np.random.PCG64(state_words(child)))
+
+
 def _check_integer(value, what: str, least: int = 0) -> None:
     """Reject a value that is not an integer >= least; 2.0 passes, 2.5, nan, inf and True do not."""
     try:
@@ -801,22 +916,31 @@ def sample_sphere(n: int, d: int, seed) -> np.ndarray:
     _check_dim(d)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    return _fill_sphere(np.empty((n, d)), seed)
+    return _fill_sphere(np.empty((n, d)), [(n, np.random.default_rng(seed))])
 
 
-def _fill_sphere(X: np.ndarray, seed) -> np.ndarray:
-    """Fill the C-contiguous (n, d) block X with sample_sphere(n, d, seed)'s rows, in place.
+def _fill_sphere(X: np.ndarray, blocks) -> np.ndarray:
+    """Fill the C-contiguous (n, d) array X with uniform points on the sphere, in place.
 
-    The norms are linalg.norm's arithmetic, sqrt(add.reduce(X * X)), without
-    its overhead, and the rows are divided in place; a caller that draws
-    many small blocks (mc_risk) writes each into its batch buffer.
+    `blocks` lists (rows, generator) pairs whose rows sum to n; each block of
+    consecutive rows of X is sample_sphere(rows, d, generator), bit for bit.
+    The norms are linalg.norm's arithmetic, sqrt(add.reduce(X * X)), taken
+    once over all of X, and the rows are divided in place; a zero row is
+    redrawn from the generator of its block.
     """
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(out=X)
+    lo = 0
+    for rows, rng in blocks:
+        rng.standard_normal(out=X[lo : lo + rows])
+        lo += rows
     norms = np.sqrt(np.add.reduce(X * X, axis=1))
-    while not norms.all():
-        zero = norms == 0.0
-        X[zero] = rng.standard_normal((int(np.sum(zero)), X.shape[1]))
-        norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    if not norms.all():
+        lo = 0
+        for rows, rng in blocks:
+            block, block_norms = X[lo : lo + rows], norms[lo : lo + rows]
+            while not block_norms.all():
+                zero = block_norms == 0.0
+                block[zero] = rng.standard_normal((int(np.sum(zero)), X.shape[1]))
+                block_norms[:] = np.sqrt(np.add.reduce(block * block, axis=1))
+            lo += rows
     X /= norms[:, None]
     return X

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import as_seed_sequence, gegenbauer_all, harmonic_dim, sample_sphere
+from .harmonics import child_generators, gegenbauer_all, harmonic_dim, sample_sphere
 from .kernels import _require_unit_rows
 
 __all__ = [
@@ -114,14 +114,16 @@ def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledData
 
     Gaussian noise is the sub-Gaussian instance used throughout; its variance
     proxy is sigma0^2 exactly.  Deterministic under seed: the feature and
-    noise streams are split off the same seed sequence.
+    noise streams are the seed sequence's next two children (what spawn(2)
+    would give), derived without advancing it, so a seed passed twice gives
+    the same dataset twice.
     """
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     if sigma0 < 0:
         raise ValueError(f"noise scale must be >= 0, got {sigma0}")
-    feat_seq, noise_seq = as_seed_sequence(seed).spawn(2)
-    S = sample_sphere(n, target.d, feat_seq)
+    feat_rng, noise_rng = child_generators(seed, 2)
+    S = sample_sphere(n, target.d, feat_rng)
     # Exact duplicate rows are a probability-zero event under the continuous
     # uniform draw; seeing one means something is broken upstream.  Rows
     # whose first coordinates differ are distinct, so the full-row comparison
@@ -133,7 +135,7 @@ def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledData
         if np.any(counts > 1):
             raise RuntimeError("duplicate feature rows in a continuous uniform sample")
     f_star_S = eval_target(target, S)
-    noise = sigma0 * np.random.default_rng(noise_seq).standard_normal(n) if sigma0 > 0 else 0.0
+    noise = sigma0 * noise_rng.standard_normal(n) if sigma0 > 0 else 0.0
     return LabeledDataset(S=S, f_star_S=f_star_S, y=f_star_S + noise, sigma0=float(sigma0))
 
 

@@ -28,6 +28,7 @@ from sphattn import (
 )
 from sphattn import complexity, harmonics
 from sphattn.complexity import MC_BATCH_ROWS, complexity_curve_csv
+from sphattn.experiments import SUB_MC, derive_seed
 
 
 class TestSpectrumType:
@@ -351,6 +352,15 @@ class TestMcRisk:
         pooled = np.hypot(se1, se3)
         assert abs(est1 - est3) <= 3 * pooled
 
+    def test_does_not_advance_a_seed_sequence(self):
+        target = make_target(3, 1, [1.0, 1.0], 44)
+        pred = lambda X: 0.3 * np.ones(X.shape[0])
+        seq = np.random.SeedSequence(5)
+        first = mc_risk(pred, target, 1000, seq)
+        assert mc_risk(pred, target, 1000, seq) == first
+        assert seq.n_children_spawned == 0
+        assert first == mc_risk(pred, target, 1000, 5)
+
     def test_rejects_tiny_sample(self):
         target = make_target(3, 0, [1.0], 47)
         with pytest.raises(ValueError):
@@ -396,16 +406,22 @@ def test_complexity_curve_csv(tmp_path):
     assert len(lines) == 6
 
 
-def _per_chunk_mc_risk(predictor, target, num_samples, seed):
-    """The estimator evaluated chunk by chunk: 32 chunks, one predictor call each."""
-    seqs = np.random.SeedSequence(seed).spawn(32)
+def _per_chunk_mc_risk(predictor, target, num_samples, seed, rng_of=np.random.default_rng):
+    """The estimator evaluated chunk by chunk: 32 chunks, one predictor call each.
+
+    `seed` is an int or a SeedSequence, which is spawned as given; chunk c
+    draws from rng_of(c-th child).
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    seqs = seed.spawn(32)
     base, extra = divmod(num_samples, 32)
     total = total_sq = 0.0
     for c, seq in enumerate(seqs):
         size = base + (1 if c < extra else 0)
         if size == 0:
             continue
-        X = sample_sphere(size, target.d, seq)
+        X = sample_sphere(size, target.d, rng_of(seq))
         sq = (np.asarray(predictor(X), dtype=float) - eval_target(target, X)) ** 2
         total += float(np.sum(sq))
         total_sq += float(np.sum(sq * sq))
@@ -427,16 +443,94 @@ class _CountingPredictor:
         return predict(self.a, X, self.Q, self.tau)
 
 
+def _rowwise_predictor(X):
+    """A predictor whose every value is IEEE-exact elementwise arithmetic on its own row.
+
+    Its values do not depend on how rows are batched, unlike predict's, whose
+    GEMMs round differently (by about 1 ulp) for different row counts, and
+    unlike eval_target's dot products of degree >= 1, which round differently
+    on a one-row chunk.
+    """
+    return X[:, 0] * X[:, 1] - 0.5 * X[:, 2] * X[:, 2] * X[:, 2] + X[:, 3]
+
+
+# an int seed, and a seed shaped like an experiment trial's Monte Carlo seed
+MC_SEEDS = {"int": lambda: 62, "trial": lambda: derive_seed(62, 1, 2, 3).spawn(4)[SUB_MC]}
+
+
 class TestMcRiskBatches:
     @pytest.mark.parametrize("L", [1, 2])
     @pytest.mark.parametrize("num_samples", [2, 31, 32, 33, 1000, 20001, 200_000])
     def test_matches_per_chunk_oracle(self, L, num_samples):
+        # predict's rounding depends on the rows per call, and the oracle calls
+        # it per chunk, so the estimates agree to rounding only; the exact
+        # test below takes a predictor that is the same under any batching
         target = make_target(6, 2, [0.5, 1.0, 2.0], 60)
         pred = _CountingPredictor(6, L, 200, 61)
         est, se = mc_risk(pred, target, num_samples, 62)
         want_est, want_se = _per_chunk_mc_risk(pred, target, num_samples, 62)
         assert est == pytest.approx(want_est, rel=1e-13, abs=0)
         assert se == pytest.approx(want_se, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("seed_of", MC_SEEDS.values(), ids=MC_SEEDS.keys())
+    @pytest.mark.parametrize("num_samples", [2, 31, 32, 33, 1000, 20001, 200_000])
+    def test_matches_per_chunk_oracle_exactly(self, num_samples, seed_of):
+        """Same chunks, seeds, normalization and order of sums, bit for bit."""
+        target = make_target(6, 0, [1.5], 60)  # a constant f*: exact under any batching
+        est_se = mc_risk(_rowwise_predictor, target, num_samples, seed_of())
+        assert est_se == _per_chunk_mc_risk(_rowwise_predictor, target, num_samples, seed_of())
+
+    def test_redraws_a_zero_row_from_its_chunk(self, monkeypatch):
+        """A zero draw in chunk 5 is redrawn from chunk 5's generator, after the batch's draws."""
+
+        class ZeroRowOnce(np.random.Generator):
+            draws = 0
+
+            def standard_normal(self, *args, **kwargs):
+                Z = super().standard_normal(*args, **kwargs)
+                if self.draws == 0:
+                    Z[1] = 0.0
+                self.draws += 1
+                return Z
+
+        forced = []
+
+        def force_chunk_5(seed, count):
+            for c, rng in enumerate(harmonics.child_generators(seed, count)):
+                if c == 5:
+                    rng = ZeroRowOnce(rng.bit_generator)
+                    forced.append(rng)
+                yield rng
+
+        monkeypatch.setattr(complexity, "child_generators", force_chunk_5)
+        target = make_target(4, 0, [1.0], 72)
+        seen = []
+
+        def pred(X):
+            seen.append(X.copy())
+            return _rowwise_predictor(X)
+
+        est, se = mc_risk(pred, target, 100, 73)  # chunks 0..3 hold 4 rows, chunk 5 rows 19..21
+        assert forced[0].draws == 2
+        (X,) = seen
+        np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-15)
+        ref = np.random.default_rng(np.random.SeedSequence(73).spawn(32)[5])
+        Z = ref.standard_normal((3, 4))
+        z = ref.standard_normal((1, 4))
+        assert np.array_equal(X[[19, 21]], (Z / np.linalg.norm(Z, axis=1)[:, None])[[0, 2]])
+        assert np.array_equal(X[20], (z / np.linalg.norm(z))[0])
+
+        oracle_rngs = []
+
+        def rng_of(seq):
+            rng = np.random.default_rng(seq)
+            if len(oracle_rngs) == 5:
+                rng = ZeroRowOnce(rng.bit_generator)
+            oracle_rngs.append(rng)
+            return rng
+
+        assert (est, se) == _per_chunk_mc_risk(pred, target, 100, 73, rng_of)
+        assert oracle_rngs[5].draws == 2
 
     def test_sweep_size_is_one_call(self):
         target = make_target(6, 1, [1.0, 4.0], 63)

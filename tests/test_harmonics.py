@@ -292,6 +292,59 @@ class TestSampleSphere:
         assert np.array_equal(X1, X2)
 
 
+class TestChildGenerators:
+    ENTROPY = [
+        0,
+        5,
+        2**32 + 7,
+        2**64 + 3,
+        [1, 2, 3],
+        [2**40, 5, 0],
+        np.array([7, 2**31], dtype=np.uint32),
+        np.array([2**40, 9], dtype=np.uint64),
+        None,
+    ]
+    SPAWN_KEYS = [(), (3,), (2**33, 1), (0, 4, 2), (1, 2, 3, 2**40), (5, 0, 0, 0, 2**63)]
+
+    @pytest.mark.parametrize("entropy", ENTROPY, ids=range(len(ENTROPY)))
+    def test_matches_spawn(self, entropy):
+        """Same seed words and draws as default_rng(child) for child in seq.spawn(32)."""
+        for key in self.SPAWN_KEYS:
+            for pool_size in (4, 8):
+                for spawned in (0, 3):
+                    seq = np.random.SeedSequence(
+                        entropy, spawn_key=key, pool_size=pool_size, n_children_spawned=spawned
+                    )
+                    rngs = list(harmonics_mod.child_generators(seq, 32))
+                    assert seq.n_children_spawned == spawned
+                    children = seq.spawn(32)
+                    assert len(rngs) == 32
+                    for rng, child in zip(rngs, children):
+                        assert np.array_equal(
+                            rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                            child.generate_state(4, np.uint64),
+                        )
+                        ref = np.random.default_rng(child)
+                        assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+
+    def test_does_not_advance_the_seed(self):
+        seq = np.random.SeedSequence(11, spawn_key=(2,))
+        first = [rng.standard_normal(3) for rng in harmonics_mod.child_generators(seq, 4)]
+        again = [rng.standard_normal(3) for rng in harmonics_mod.child_generators(seq, 4)]
+        assert seq.n_children_spawned == 0
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_int_seed_is_its_seed_sequence(self):
+        a = next(harmonics_mod.child_generators(12, 32)).standard_normal(8)
+        b = np.random.default_rng(np.random.SeedSequence(12).spawn(1)[0]).standard_normal(8)
+        assert np.array_equal(a, b)
+
+    def test_rejects_an_index_past_one_word(self):
+        seq = np.random.SeedSequence(1, n_children_spawned=2**32 - 1)
+        with pytest.raises(ValueError, match="32-bit word"):
+            next(harmonics_mod.child_generators(seq, 2))
+
+
 def test_monte_carlo_orthogonality():
     """Sample mean of P_j(<x,w>) P_k(<x',w>) approximates the kernel identity:
     it converges to delta_jk * P_k(<x,x'>) / N(d,k)."""

@@ -157,6 +157,18 @@ class TestGenDataset:
         d2 = gen_dataset(target, 40, 0.5, 29)
         assert np.array_equal(d1.S, d2.S) and np.array_equal(d1.y, d2.y)
 
+    def test_does_not_advance_a_seed_sequence(self):
+        target = make_target(3, 1, [1.0, 1.0], 28)
+        seq = np.random.SeedSequence(29, spawn_key=(1, 2))
+        d1 = gen_dataset(target, 40, 0.5, seq)
+        d2 = gen_dataset(target, 40, 0.5, seq)
+        assert seq.n_children_spawned == 0
+        assert np.array_equal(d1.S, d2.S) and np.array_equal(d1.y, d2.y)
+        feat, noise = np.random.SeedSequence(29, spawn_key=(1, 2)).spawn(2)
+        assert np.array_equal(d1.S, sample_sphere(40, 3, feat))
+        f_star = eval_target(target, d1.S)
+        assert np.array_equal(d1.y, f_star + 0.5 * np.random.default_rng(noise).standard_normal(40))
+
     def test_rejects_empty(self):
         target = make_target(3, 0, [1.0], 30)
         with pytest.raises(ValueError):
