@@ -556,10 +556,19 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     degree-f blocks.  Both are GEMMs, about (len(A) + len(B)) p_h p_l
     multiply-adds in all.  Each block holds about BLOCK_ENTRIES / 2
     monomial values, in buffers reused in place, so memory grows with
-    neither len(A) nor len(B) beyond u itself.  The caller checks the domain
-    (:func:`_screen_dots`) and the accuracy (:func:`_expansion_error`).
+    neither len(A) nor len(B) beyond u itself.  At L <= 1 the monomials
+    are 1 and the coordinates, and the same sums are two matrix-vector
+    products, u[0] = sum_i y_i and u[1] = A @ (B.T @ y).  The caller checks
+    the domain (:func:`_screen_dots`) and the accuracy
+    (:func:`_expansion_error`).
     """
     A, B = _as_pair(A, B)
+    if L <= 1:
+        u = np.empty((L + 1, len(A)))
+        u[0] = np.sum(y)
+        if L == 1:
+            np.matmul(A, B.T @ y, out=u[1])
+        return u
     d = A.shape[1]
     h, l = _half_degrees(L)
     start = [math.comb(k + d - 1, d) for k in range(h + 2)]  # first row of degree k
@@ -605,7 +614,9 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   with g_j != 0, p = _factor_width(d, g) monomials in all:
 #   U[r, (j, alpha)] = g_j w_alpha q_r^alpha / sqrt(m), Vt[(j, alpha), i] = x_i^alpha;
 # - the kernel gap, (1/m) sum_r sigma_tau(<x_a, q_r>) sigma_tau(<x_b, q_r>)
-#   = v_a^T (U^T U) v_b on the Gram of the same factors (_paired_kernel);
+#   = v_a^T (U^T U) v_b on the Gram of the same factors, formed as
+#   S (Phi Phi^T) S / m from the directions' monomials Phi and
+#   S = diag(g_j w_alpha) (_paired_kernel);
 # - the spectrum of the population gram K / n, K = sum_{k <= L} P_k(X X^T),
 #   tau = 1: K = F D F^T with F[i, (j, alpha)] = x_i^alpha over the kept
 #   degrees and D = diag(g_j w_alpha), so its nonzero eigenvalues are those
@@ -635,7 +646,8 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   (x_i q_r)^beta (x_i q_r)^gamma have absolute values adding up to at most
 #   rho^j ||y||_1 (the mass fact at degrees c and f).  Each term takes n
 #   roundings in G's sum and fewer than p_h p_l in the contraction, which
-#   adds up fewer terms than that, in whatever order; p_k = C(k + d, d)
+#   adds up fewer terms than that, in whatever order (at L <= 1, B.T @ y is
+#   G and the product with A the contraction); p_k = C(k + d, d)
 #   counts the monomials of degree <= k, h = ceil(L / 2), l = floor(L / 2).
 #   eps = 2u covers the O(L) products and the L + 1 terms of V = C @ u, so
 #   V[k] is within (n + p_h p_l) eps G ||y||_1, G = max_k sum_j |C[k, j]|
@@ -650,10 +662,16 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   || |U| |Vt| ||_F <= ||U||_F ||Vt||_F.  Last term: an entry of U takes
 #   L + 3 roundings beyond g's (j - 1 products, sqrt(m), the quotient, two
 #   products), one of Vt at most L - 1: (6 L + 3) u ||Ubar||_F ||Vt||_F, with
-#   Ubar, U with Gbar_j in place of g_j.  Middle term: Householder QR gives
-#   gamma(m p) ||U||_F at worst, but for d = 2..20, L <= 14, p <= 495 and
-#   m = 500..2000 the computed residual stayed below 5 eps ||U||_F; the bound
-#   takes p u, an estimate of the observed size and not a worst case.  First
+#   Ubar, U with Gbar_j in place of g_j.  Middle term: QL^ is never formed;
+#   stage two keeps the QR's Householder reflectors and applies them, one at
+#   a time, to the vectors that need QL (training._reflect).  Their exact
+#   product QL is orthogonal, R^ is the exact factor of U + dU for it
+#   (Higham, Theorem 19.4), and each application adds a backward error of
+#   the same order to the vector it maps (Lemma 19.3), so the term is dU.
+#   That is gamma(m p) ||U||_F at worst, but for d = 2..20, L <= 14,
+#   p <= 495 and m = 500..2000 the computed residual stayed below
+#   5 eps ||U||_F; the bound takes p u, an estimate of the observed size
+#   and not a worst case.  First
 #   term: inner products of length p, and ||R||_F = ||U||_F, give
 #   p u ||U||_F ||Vt||_F.  As ||U||_F <= ||Ubar||_F the sum (2 p + 6 L + 3) u
 #   is rounded up to (p + 3 L + 2) eps ||Ubar||_F ||Vt||_F / ||B||_F, 20 to
@@ -661,13 +679,14 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   7e-15 at the sweep shape (d = 6, L = 1), 1e-11 at d = 8, L = 4, 2e-10 at
 #   d = 2, L = 10.
 # - the kernel gap (_kernel_error), relative to (sum_k |tau_k|)^2.  The terms
-#   add up to at most (sum_j Gbar_j)^2, and each takes 5 L + 4 roundings in
-#   its entry of U (covering g), L - 1 in each monomial of x, 2 products, the
-#   Gram's m-term sum (which the walk makes too, counted as one) and two
-#   p-term contractions, 12 L + 9 + 2 p in all, so the bound is
-#   (p + 6 L + 5) eps (sum_j Gbar_j / sum_k |tau_k|)^2: 4e-15 at the sweep
-#   shape, 5e-13 at d = 8, L = 4, and with oracle channels above _FACTOR_RTOL
-#   from degree 8 at d = 2..6 and 7 at d = 8.
+#   add up to at most (sum_j Gbar_j)^2, and each takes 4 L + 2 roundings in
+#   each scale g_j w_alpha (covering g), L - 1 in each monomial of q and of
+#   x, one product and the m-term sum in the Gram (which the walk makes too,
+#   counted as one), the quotient by m and two products scaling it, 2
+#   products and two p-term contractions, 12 L + 7 + 2 p in all, so the
+#   bound is (p + 6 L + 4) eps (sum_j Gbar_j / sum_k |tau_k|)^2: 4e-15 at
+#   the sweep shape, 5e-13 at d = 8, L = 4, and with oracle channels above
+#   _FACTOR_RTOL from degree 8 at d = 2..6 and 7 at d = 8.
 # - the gram's spectrum (_gram_error), on each eigenvalue of K / n, relative
 #   to its trace L + 1 (each P_k(1) = 1).  Weyl's inequality moves each
 #   eigenvalue by at most ||dK||_2 / n <= max_ik |dK_ik| for a perturbation
@@ -730,12 +749,18 @@ def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
     return U.T, _kept_monomials(X, J)
 
 
+def _kept_rows(d: int, J: list) -> np.ndarray:
+    """The rows of _monomial_powers(., J[-1]) that hold the monomials of the degrees J."""
+    return np.concatenate(
+        [np.arange(math.comb(j - 1 + d, d), math.comb(j + d, d)) for j in J] + [np.zeros(0, int)])
+
+
 def _kept_monomials(P: np.ndarray, J: list) -> np.ndarray:
     """The monomials p_i^alpha of the rows of P over the degrees J, one per row (p x len(P))."""
-    d = P.shape[1]
-    rows = np.concatenate(
-        [np.arange(math.comb(j - 1 + d, d), math.comb(j + d, d)) for j in J] + [np.zeros(0, int)])
-    return _monomial_powers(P.T, J[-1] if J else 0)[rows]
+    M = _monomial_powers(P.T, J[-1] if J else 0)
+    if J and J == list(range(len(J))):  # every degree up to the top: all of M, uncopied
+        return M
+    return M[_kept_rows(P.shape[1], J)]
 
 
 def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
@@ -771,7 +796,7 @@ def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
     if J.size == 0:
         return 0.0  # tau == 0: every route gives exactly 0
     ratio = float(np.sum(_coefficient_mass(d, tau))) / float(np.sum(np.abs(tau)))
-    return (sum(counts) + 6 * int(J[-1]) + 5) * _EPS * ratio**2
+    return (sum(counts) + 6 * int(J[-1]) + 4) * _EPS * ratio**2
 
 
 def _gram_error(d: int, g: np.ndarray, n: int) -> float:
@@ -893,13 +918,26 @@ def _paired_kernel(A, B, Q, tau) -> np.ndarray:
 
     On the Gram of the expansion's factors, v_a,i^T (U^T U) v_b,i at O(m p^2),
     when _kernel_error allows; else by two walks over the m directions.
+    U^T U = S (Phi Phi^T) S / m comes from the Gram of the directions'
+    monomials Phi, of every degree up to the top one, with the p kept rows
+    and columns taken from it and scaled on both sides by S = diag(g_j
+    w_alpha); U itself, m x p, is never formed.
     """
     d = Q.shape[1]
     g = _power_coefficients(d, tau)
     if _kernel_error(d, tau, g) <= _FACTOR_RTOL:
-        U, Vt = _exact_factors(np.concatenate([A, B]), Q, g)
-        V_a, V_b = Vt[:, : len(A)], Vt[:, len(A) :]
-        return np.einsum("ci,ci->i", V_a, (U.T @ U) @ V_b)
+        J = np.flatnonzero(g).tolist()
+        if not J:
+            return np.zeros(len(A))
+        rows = _kept_rows(d, J)
+        Phi = _monomial_powers(Q.T, J[-1])
+        scale = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J])
+        gram = (Phi @ Phi.T)[np.ix_(rows, rows)]
+        gram *= scale[:, None] / len(Q)
+        gram *= scale
+        V = _kept_monomials(np.concatenate([A, B]), J)
+        V_a, V_b = V[:, : len(A)], V[:, len(A) :]
+        return np.einsum("ci,ci->i", V_a, gram @ V_b)
     dots_q_a = gegenbauer_weighted_sum(A @ Q.T, d, tau)
     dots_q_b = gegenbauer_weighted_sum(B @ Q.T, d, tau)
     return np.sum(dots_q_a * dots_q_b, axis=1) / Q.shape[0]
@@ -924,15 +962,16 @@ def _fill_sphere(X: np.ndarray, blocks) -> np.ndarray:
 
     `blocks` lists (rows, generator) pairs whose rows sum to n; each block of
     consecutive rows of X is sample_sphere(rows, d, generator), bit for bit.
-    The norms are linalg.norm's arithmetic, sqrt(add.reduce(X * X)), taken
-    once over all of X, and the rows are divided in place; a zero row is
-    redrawn from the generator of its block.
+    The norms are linalg.norm's arithmetic, sqrt(add.reduce(X * X)) bit for
+    bit, taken once over all of X by columns (_row_sums_of_squares), and
+    the rows are divided in place; a zero row is redrawn from the generator
+    of its block.
     """
     lo = 0
     for rows, rng in blocks:
         rng.standard_normal(out=X[lo : lo + rows])
         lo += rows
-    norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    norms = np.sqrt(_row_sums_of_squares(X))
     if not norms.all():
         lo = 0
         for rows, rng in blocks:
@@ -940,7 +979,59 @@ def _fill_sphere(X: np.ndarray, blocks) -> np.ndarray:
             while not block_norms.all():
                 zero = block_norms == 0.0
                 block[zero] = rng.standard_normal((int(np.sum(zero)), X.shape[1]))
-                block_norms[:] = np.sqrt(np.add.reduce(block * block, axis=1))
+                block_norms[:] = np.sqrt(_row_sums_of_squares(block))
             lo += rows
     X /= norms[:, None]
     return X
+
+
+# NumPy's pairwise summation (pairwise_sum in its loops_utils), which
+# np.add.reduce runs on each row of a C-contiguous matrix along axis 1: fewer
+# than 8 entries in sequence, up to 128 in 8 interleaved accumulators joined
+# by a fixed tree, and more split in two, the first part a multiple of 8.
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _row_sums_of_squares(X: np.ndarray) -> np.ndarray:
+    """np.add.reduce(X * X, axis=1) bit for bit, summed column by column.
+
+    Each row's d squares are added in NumPy's own order (above), but one
+    column at a time over all rows, so no n x d temporary is formed: at
+    d = 6 a pass per column took a quarter of the time of the row-wise
+    reduction, whose inner loop runs once per row on d entries.  The tests
+    pin the identity for d from 2 to 300, so a NumPy release that changes
+    its order fails there.
+    """
+    return _pairwise_squares(X, 0, X.shape[1], np.empty(len(X)))
+
+
+def _pairwise_squares(X: np.ndarray, lo: int, hi: int, tmp: np.ndarray) -> np.ndarray:
+    """NumPy's pairwise sum of X[:, j]**2 over the columns lo..hi-1; tmp is scratch."""
+
+    def square(j, out=None):
+        return np.multiply(X[:, j], X[:, j], out=out)
+
+    k = hi - lo
+    if k < _PAIRWISE_UNROLL:
+        acc = square(lo)
+        for j in range(lo + 1, hi):
+            acc += square(j, tmp)
+        return acc
+    if k <= _PAIRWISE_BLOCK:
+        r = [square(lo + j) for j in range(_PAIRWISE_UNROLL)]
+        stop = hi - k % _PAIRWISE_UNROLL
+        for i in range(lo + _PAIRWISE_UNROLL, stop, _PAIRWISE_UNROLL):
+            for j, acc in enumerate(r):
+                acc += square(i + j, tmp)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
+        for step in (1, 2, 4):
+            for j in range(0, _PAIRWISE_UNROLL, 2 * step):
+                r[j] += r[j + step]
+        for j in range(stop, hi):
+            r[0] += square(j, tmp)
+        return r[0]
+    half = k // 2 - k // 2 % _PAIRWISE_UNROLL
+    acc = _pairwise_squares(X, lo, lo + half, tmp)
+    acc += _pairwise_squares(X, lo + half, hi, tmp)
+    return acc

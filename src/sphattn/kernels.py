@@ -42,9 +42,12 @@ def _unit_norms(X, name: str) -> tuple:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     # row sums of squares without an n x d temporary, which would raise peak memory
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    off = np.abs(norms - 1.0)
-    # NaN compares false, so rows with a NaN or infinite norm are caught too
-    if not np.all(off <= harmonics.UNIT_TOL):
+    # |norm - 1| is largest at the smallest or the largest norm, and min and
+    # max pass a NaN on, which compares false, so rows with a NaN or infinite
+    # norm are caught too; |norm - 1| is formed only to name a failing row
+    lo, hi = norms.min(initial=1.0), norms.max(initial=1.0)
+    if not (abs(lo - 1.0) <= harmonics.UNIT_TOL and abs(hi - 1.0) <= harmonics.UNIT_TOL):
+        off = np.abs(norms - 1.0)
         i = int(np.argmax(off))
         raise ValueError(f"{name} row {i} is not unit-norm (|norm - 1| = {off[i]:.3e})")
     return X, norms

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import child_generators, gegenbauer_all, harmonic_dim, sample_sphere
+from .harmonics import (
+    _clamp_domain, _given_blocks, child_generators, harmonic_dim, sample_sphere,
+)
 from .kernels import _require_unit_rows
 
 __all__ = [
@@ -85,15 +87,30 @@ def make_target(d: int, ell0: int, coeffs, seed) -> ZonalTarget:
 
 
 def eval_target(target: ZonalTarget, X) -> np.ndarray:
-    """Evaluate f* on the rows of X."""
+    """Evaluate f* on the rows of X.
+
+    Each value depends on its row alone, bit for bit: the dot products
+    <x, w_k> are summed over the coordinates in a fixed order, where a
+    matrix product would round differently with the number of rows.  They
+    are checked against the [-1, 1] band once, and one walk of the
+    recurrence over all ell0 + 1 directions gives P_k(<x, w_k>) for every k.
+    """
     X = _require_unit_rows(X, "X")
-    if X.shape[1] != target.d:
-        raise ValueError(f"points have d={X.shape[1]}, target has d={target.d}")
-    dots = X @ target.directions.T  # (n, ell0 + 1)
-    out = np.zeros(X.shape[0])
-    for k, c in enumerate(target.coeffs):
-        if c != 0.0:
-            out += c * gegenbauer_all(dots[:, k], target.d, k)[k]
+    d, c = target.d, target.coeffs
+    if X.shape[1] != d:
+        raise ValueError(f"points have d={X.shape[1]}, target has d={d}")
+    dots = np.empty((target.ell0 + 1, X.shape[0]))  # row k: <x_i, w_k>
+    term = np.empty(X.shape[0])
+    for w, row in zip(target.directions, dots):
+        np.multiply(X[:, 0], w[0], out=row)
+        for j in range(1, d):
+            row += np.multiply(X[:, j], w[j], out=term)
+    _clamp_domain(dots.T, "dot product", out=dots.T)  # an error names (point, degree)
+    out = np.full(X.shape[0], c[0])  # P_0 = 1
+    for rows, degrees in _given_blocks(dots, d, target.ell0)[1]:
+        for k, P in degrees:
+            if rows.start <= k < rows.stop and c[k] != 0.0:
+                out += c[k] * P[k - rows.start]
     return out
 
 

@@ -24,7 +24,8 @@ accepts them and its tolerance are the monomial expansion's, in harmonics.
 :func:`train` picks its path from the shapes alone: when a rule priced from
 timings of both paths expects the factors to take less time for these m, n,
 p, T and degrees, it never allocates Z and runs on the thin QR factors
-Z = QL @ B.  Only when the bound, which costs O((m + n) * p), is too loose
+Z = QL @ B, with QL kept as the QR's Householder reflectors and applied
+only to the weights.  Only when the bound, which costs O((m + n) * p), is too loose
 are the factors checked against the recurrence in a streamed pass over Z,
 and a failed check warns and falls back to the m x n matrix (see the exact
 low-rank fast path below).
@@ -34,8 +35,9 @@ B.T = H diag(s) W.T (w = min(p, m, n) columns), beta = H.T @ y and
 rho = 1 - eta * s^2 / n, the residual's component along H is
 e(t) = -beta * rho^t and the rest of y is never fitted, so every step's
 loss, clean loss and weights have a closed form.  When T >= w the whole
-trace comes from one SVD at O(n * w^2) plus O(T * w), in blocks of t, and no
-step is taken; fewer steps run the same loop as the plain path on (QL, B).
+trace comes from a thin QR of B.T and the SVD of its w x w triangle at
+O(n * w^2) plus O(T * w), in blocks of t, and no step is taken; fewer steps
+run the same loop as the plain path on (QL, B).
 A step that is not stable (some |rho_i| > 1) also runs the loop, which
 raises DivergenceError where it always has.
 """
@@ -190,10 +192,13 @@ def _check_divergence(norms: list, t: int) -> None:
 # Z = U @ Vt (_exact_factors), with p = _factor_width(d, g) rows in Vt; the
 # factors, the a-priori bound that accepts them (_certificate) and its
 # derivation live there.  A thin QR, U = QL @ R, gives Z = QL @ B with
-# orthonormal QL and B = R @ Vt.  Z itself is never formed.  With
-# T >= w = min(p, m, n) the trace comes in closed form from the thin SVD of B
-# (_spectral_trace); fewer steps run the GD loop on (QL, B) at
-# O((m + n) * p) per step.
+# orthonormal QL and B = R @ Vt.  Neither Z nor QL is formed: the QR is kept
+# as its Householder reflectors (_householder), and only the weights
+# a = QL @ c, where they are asked for, go through them (_reflect).  The GD
+# state is c, and Z enters only through B.
+# With T >= w = min(p, m, n) the trace comes in closed form from the thin
+# SVD of B (_spectral_trace); fewer steps run the GD loop on B at
+# O(n * w) per step.
 #
 # Closed form.  With B.T = H diag(s) Wt, c(t) = Wt.T @ z(t) and a(t) = QL @
 # c(t), one step maps s z - beta to rho (s z - beta), so from z(0) = 0
@@ -207,8 +212,14 @@ def _check_divergence(norms: list, t: int) -> None:
 #     n loss(t) = ||e(t)||^2 + ||y_perp||^2,
 #     n clean_loss(t) = ||e(t) + delta||^2 + ||f_perp||^2,
 #
-# sums of non-negative terms, so nothing cancels.  rho^t is the power, not
-# exp(t log1p(-eta s^2 / n)): rho < 0 is stable for 1 < eta s^2 / n < 2.
+# sums of non-negative terms, so nothing cancels.  The SVD comes from a QR
+# first (Chan, ACM TOMS 8, 1982): B.T = Qb Rb, kept as reflectors like U's,
+# and the SVD Rb = Us diag(s) Wt of the small triangle, so H = Qb Us.  Then
+# Qb.T y holds Us beta in its first min(n, w) entries and y_perp, in Qb's
+# coordinates, in the rest, and alike for f*: ||y_perp||^2 is the sum of
+# squares of those entries, and no n x w matrix beyond the QR's is made.
+# rho^t is the power, not exp(t log1p(-eta s^2 / n)): rho < 0 is stable
+# for 1 < eta s^2 / n < 2.
 # Rows of t go in blocks of about BLOCK_ENTRIES // w, so the extra memory is
 # O(BLOCK_ENTRIES) whatever T; only the recorded weights, T + 1 vectors of
 # m, grow with T, as on the loop.
@@ -258,14 +269,49 @@ def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
     return factored < plain
 
 
-def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> float:
+def _householder(U: np.ndarray):
+    """(R, F): the thin QR U = QL @ R with QL kept as F, its Householder reflectors.
+
+    F = (h, scales) comes from np.linalg.qr(U, mode="raw"), with R's
+    diagonal in h overwritten by the reflectors' unit leading entries:
+    v_j = h[j, j:] below j zeros and H_j = I - scales[j] v_j v_j^T, so that
+    Q = H_0 H_1 ... H_(k-1), k = min(m, p), and QL is its first k columns.
+    R (k x p) is the reduced mode's R bit for bit; QL, m x k, is not formed.
+    """
+    h, scales = np.linalg.qr(U, mode="raw")
+    R = np.triu(h.T[: scales.size])
+    h[np.diag_indices(scales.size)] = 1.0
+    return R, (h, scales)
+
+
+def _reflect(F, Y, transpose: bool = False) -> np.ndarray:
+    """Q @ y, or Q.T @ y with transpose, for every vector y along Y's last axis.
+
+    Q is the m x m orthogonal factor held by the reflectors F of _householder.
+    A last axis shorter than m is padded with zeros, so k entries c give
+    QL @ c.  The reflectors are applied one at a time to a copy of Y,
+    O(m k) per vector.
+    """
+    h, scales = F
+    Y = np.asarray(Y, dtype=float)
+    out = np.zeros(Y.shape[:-1] + (h.shape[1],))
+    out[..., : Y.shape[-1]] = Y
+    for j in range(scales.size) if transpose else reversed(range(scales.size)):
+        v = h[j, j:]
+        out[..., j:] -= np.multiply.outer(scales[j] * (out[..., j:] @ v), v)
+    return out
+
+
+def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, F, B) -> float:
     """Relative Frobenius error of QL @ B against Z, with Z from the recurrence.
 
+    F holds QL as reflectors (_householder); QL.T is formed from them once.
     Walks Z.T = sum_k tau_k P_k(X @ Q.T) / sqrt(m) in gegenbauer_blocks row
     blocks and compares each with the same rows of B.T @ QL.T; besides the
-    walk's own buffers it allocates two blocks.
+    walk's own buffers and QL it allocates two blocks.
     """
     m = Q.shape[0]
+    QLt = _reflect(F, np.eye(B.shape[0], m))  # row i is QL @ e_i
     err2 = ref2 = 0.0
     zbuf = pbuf = None
     for rows, degrees in gegenbauer_blocks(X, Q, X.shape[1], tau.size - 1):
@@ -279,7 +325,7 @@ def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> fl
                 np.multiply(P, tau[k], out=pred)
                 z += pred
         z /= np.sqrt(m)
-        np.matmul(B[:, rows].T, QL.T, out=pred)
+        np.matmul(B[:, rows].T, QLt, out=pred)
         ref2 += float(np.vdot(z, z))
         z -= pred
         err2 += float(np.vdot(z, z))
@@ -289,7 +335,9 @@ def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, QL, B) -> fl
 
 
 def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray):
-    """Certified exact factors (QL, B) of Z, or None after a RuntimeWarning.
+    """Certified exact factors (F, B) of Z = QL @ B, or None after a RuntimeWarning.
+
+    F holds QL as the reflectors of _householder.
 
     g = harmonics._power_coefficients(d, tau) are the power coefficients of
     sigma_tau.
@@ -298,15 +346,15 @@ def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray):
     (_factor_residual).
     """
     U, Vt = harmonics._exact_factors(X, Q, g)
-    QL, R = np.linalg.qr(U)
+    R, F = _householder(U)
     B = R @ Vt
     bound = harmonics._certificate(X.shape[1], tau, g, U, Vt, B)
     # NaN compares false and goes to the walk
     if bound <= harmonics._FACTOR_RTOL:
-        return QL, B
-    resid = _factor_residual(X, Q, tau, QL, B)
+        return F, B
+    resid = _factor_residual(X, Q, tau, F, B)
     if resid <= harmonics._FACTOR_RTOL:
-        return QL, B
+        return F, B
     warnings.warn(
         f"exact low-rank factors failed verification: relative residual "
         f"{resid:.3e} > {harmonics._FACTOR_RTOL:g} at factor width p = {U.shape[1]} "
@@ -356,29 +404,28 @@ def train(
     cheaper = _factored_is_cheaper(m, n, harmonics._factor_width(X.shape[1], g), T, tau.size - 1)
     factors = _try_factor(X, Q, tau, g) if cheaper else None
 
-    # a(t) = QL @ c(t) on the factors of Z = QL @ B, and a(t) = c(t) with B = Z
-    # on the plain path
-    QL, B = factors if factors is not None else (None, feature_matrix(X, Q, tau))
+    # a(t) = QL @ c(t) on the factors of Z = QL @ B, QL held by the reflectors
+    # F, and a(t) = c(t) with B = Z on the plain path
+    F, B = factors if factors is not None else (None, feature_matrix(X, Q, tau))
     a = None
-    if QL is not None and T >= min(B.shape):
-        a = _spectral_trace(QL, B, y, f_star, eta, T, trace)
+    if F is not None and T >= min(B.shape):
+        a = _spectral_trace(F, B, y, f_star, eta, T, trace)
     if a is None:
-        a = _gd_loop(QL, B, y, f_star, eta, T, trace)
+        a = _gd_loop(F, B, y, f_star, eta, T, trace)
     return TrainerState(a=a, t=T, eta=float(eta)), trace
 
 
-def _gd_loop(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
-    """T gradient steps on c, a = QL @ c (a = c when QL is None); returns a(T)."""
+def _gd_loop(F, B, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
+    """T gradient steps on c, a = QL @ c (a = c when F is None); returns a(T).
+
+    On the factors, the recorded c(t) become weights as one block at the end.
+    """
     n = y.size
     keep = trace.weights is not None
-
-    def weights(c):
-        return c if QL is None else QL @ c
-
     # resid = yhat - y, formed once per step for the check, the record and the gradient
     c = np.zeros(B.shape[0])
     resid = -y
-    _record(trace, resid, -f_star, weights(c), keep)
+    _record(trace, resid, -f_star, c, keep)
     for t in range(1, T + 1):
         if not np.all(np.isfinite(resid)):
             raise DivergenceError(
@@ -388,34 +435,40 @@ def _gd_loop(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.n
         c = c - (eta / n) * (B @ resid)
         yhat = B.T @ c
         resid = yhat - y
-        _record(trace, resid, yhat - f_star, weights(c) if keep else None, keep)
+        _record(trace, resid, yhat - f_star, c, keep)
         _check_divergence(trace.residual_norm, t)
-    return weights(c)
+    if F is None:
+        return c
+    if keep:
+        trace.weights[:] = list(_reflect(F, np.array(trace.weights)))
+    return _reflect(F, c)
 
 
-def _spectral_trace(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace):
+def _spectral_trace(F, B, y, f_star, eta: float, T: int, trace: TrainingTrace):
     """The loop's whole trace in closed form on the thin SVD of B; returns a(T).
 
-    Returns None, recording nothing, when a step is unstable (|rho_i| > 1)
-    or y is not finite; the loop then runs and raises where it does.
+    F holds QL as reflectors.  Returns None, recording nothing, when a step
+    is unstable (|rho_i| > 1) or y is not finite; the loop then runs and
+    raises where it does.
     """
     n = y.size
-    H, s, Wt = np.linalg.svd(B.T, full_matrices=False)  # B.T = H diag(s) Wt
+    Rb, Fb = _householder(B.T)  # B.T = Qb Rb, Qb's first k = min(n, w) columns
+    Us, s, Wt = np.linalg.svd(Rb, full_matrices=False)  # B.T = H diag(s) Wt, H = Qb Us
     rho = 1.0 - (eta / n) * s**2
     if not (np.all(np.abs(rho) <= 1.0) and np.all(np.isfinite(y))):
         return None
-    beta, beta_f = H.T @ y, H.T @ f_star
+    # rows y and f*: Qb.T splits each into its part along H and the rest
+    yf = _reflect(Fb, np.stack([y, f_star]), transpose=True)
+    (beta, beta_f), rest = yf[:, : s.size] @ Us, yf[:, s.size :]
     delta = beta - beta_f
-    y_perp = y - H @ beta
-    f_perp = f_star - H @ beta_f
-    y_perp2, f_perp2 = float(y_perp @ y_perp), float(f_perp @ f_perp)
+    y_perp2, f_perp2 = (float(r @ r) for r in rest)
     # z(t) = beta (1 - rho^t) / s, and 0 where s = 0; c(t) = Wt.T @ z(t)
     gain = np.divide(beta, s, out=np.zeros_like(s), where=s > 0)
     rows = _block_rows(T + 1, s.size)
     for lo in range(0, T + 1, rows):
         P = rho ** np.arange(lo, min(lo + rows, T + 1))[:, None]  # rho^t, one row per t
         if trace.weights is not None:
-            trace.weights.extend(((gain * (1.0 - P)) @ Wt) @ QL.T)
+            trace.weights.extend(_reflect(F, (gain * (1.0 - P)) @ Wt))
         P *= beta  # -e(t)
         nloss = np.einsum("tw,tw->t", P, P) + y_perp2
         np.subtract(delta, P, out=P)  # e(t) + delta
@@ -423,7 +476,7 @@ def _spectral_trace(QL, B, y, f_star, eta: float, T: int, trace: TrainingTrace):
         trace.loss.extend((nloss / n).tolist())
         trace.residual_norm.extend(np.sqrt(nloss).tolist())
         trace.clean_loss.extend((nclean / n).tolist())
-    return QL @ (Wt.T @ (gain * (1.0 - rho**T)))
+    return _reflect(F, Wt.T @ (gain * (1.0 - rho**T)))
 
 
 def closed_form_residual(K_hat_n, y, eta: float, t: int, method: str = "auto") -> np.ndarray:

@@ -447,9 +447,8 @@ def _rowwise_predictor(X):
     """A predictor whose every value is IEEE-exact elementwise arithmetic on its own row.
 
     Its values do not depend on how rows are batched, unlike predict's, whose
-    GEMMs round differently (by about 1 ulp) for different row counts, and
-    unlike eval_target's dot products of degree >= 1, which round differently
-    on a one-row chunk.
+    GEMMs round differently (by about 1 ulp) for different row counts.
+    eval_target's values depend on their own rows alone, like these.
     """
     return X[:, 0] * X[:, 1] - 0.5 * X[:, 2] * X[:, 2] * X[:, 2] + X[:, 3]
 
@@ -479,6 +478,13 @@ class TestMcRiskBatches:
         target = make_target(6, 0, [1.5], 60)  # a constant f*: exact under any batching
         est_se = mc_risk(_rowwise_predictor, target, num_samples, seed_of())
         assert est_se == _per_chunk_mc_risk(_rowwise_predictor, target, num_samples, seed_of())
+
+    @pytest.mark.parametrize("num_samples", [33, 20001])
+    def test_targets_of_any_degree_match_exactly(self, num_samples):
+        """f* of degree 3 is evaluated the same in a batch as chunk by chunk."""
+        target = make_target(6, 3, [0.5, 1.0, 2.0, 1.5], 64)
+        est_se = mc_risk(_rowwise_predictor, target, num_samples, 62)
+        assert est_se == _per_chunk_mc_risk(_rowwise_predictor, target, num_samples, 62)
 
     def test_redraws_a_zero_row_from_its_chunk(self, monkeypatch):
         """A zero draw in chunk 5 is redrawn from chunk 5's generator, after the batch's draws."""

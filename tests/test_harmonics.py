@@ -285,6 +285,17 @@ class TestSampleSphere:
         assert np.array_equal(X[[0, 2, 3]], (Z / np.linalg.norm(Z, axis=1)[:, None])[[0, 2, 3]])
         assert np.array_equal(X[1], (z / np.linalg.norm(z))[0])
 
+    @pytest.mark.parametrize("d", [2, 3, 6, 7, 8, 9, 12, 15, 16, 17, 30, 64, 129, 200, 300])
+    def test_column_sums_of_squares_follow_numpys_row_order(self, d):
+        # entries spread over many magnitudes, so that any other order of the
+        # sums rounds differently; a NumPy release that changes the order of
+        # add.reduce along rows fails here, and the draws with it
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((500, d)) * np.exp(3.0 * rng.standard_normal((500, d)))
+        for rows in (X, X[7:300]):
+            assert np.array_equal(harmonics_mod._row_sums_of_squares(rows),
+                                  np.add.reduce(rows * rows, axis=1))
+
     def test_accepts_seed_sequence(self):
         seq = np.random.SeedSequence(9)
         X1 = sample_sphere(4, 3, seq)

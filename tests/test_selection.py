@@ -239,10 +239,24 @@ class TestMonomialExpansion:
          (3, 2, 400, 400), (6, 1, 400, 400), (8, 2, 400, 400),
          (3, 0, 400, 400), (3, 4, 10**5, 100),
          (8, 3, 400, 400), (8, 1, 400, 400), (16, 4, 400, 400), (20, 4, 2000, 2000),
+         (2, 1, 400, 400), (6, 0, 400, 400), (20, 1, 2000, 2000), (6, 1, 10**5, 100),
          (8, 4, _WIDTH_8_4 + 1, _WIDTH_8_4 + 1)],
     )
     def test_matches_walk(self, d, L, n, m, monkeypatch):
         _assert_matches_walk(d, L, n, m, monkeypatch)
+
+    @pytest.mark.parametrize("d, n, m", [(2, 300, 200), (6, 8000, 2000), (20, 50, 700)])
+    def test_degree_one_sums_match_the_gram(self, d, n, m):
+        # at L <= 1 the sums are sum(y) and A @ (B.T @ y); the Gram route at
+        # L = 2 yields the same two rows first
+        A, B = sample_sphere(m, d, 70 + d), sample_sphere(n, d, 71 + d)
+        y = np.random.default_rng(72 + d).standard_normal(n)
+        gram = harmonics_mod._power_sums(A, B, y, 2)
+        for L in (0, 1):
+            u = harmonics_mod._power_sums(A, B, y, L)
+            assert u.shape == (L + 1, m)
+            np.testing.assert_allclose(u, gram[: L + 1], rtol=1e-12,
+                                       atol=1e-13 * np.sum(np.abs(y)))
 
     def test_one_sample_matches_walk(self, monkeypatch):
         # too few pairs for the rule to take the expansion, so it is forced

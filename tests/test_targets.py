@@ -68,6 +68,15 @@ class TestEvalTarget:
         # P_2(-1) = 1 for the classical Legendre polynomial
         assert eval_target(target, x[None, :])[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [3, 6, 8])
+    @pytest.mark.parametrize("ell0", [1, 2, 3])
+    def test_each_value_depends_on_its_row_alone(self, d, ell0):
+        # bit for bit, so that a batch of rows gives what each row gives alone
+        target = make_target(d, ell0, np.linspace(0.5, 2.0, ell0 + 1), 11 + d)
+        X = sample_sphere(257, d, 12 + ell0)
+        f = eval_target(target, X)
+        assert all(f[i] == eval_target(target, X[i : i + 1])[0] for i in range(len(X)))
+
     def test_rejects_non_unit(self):
         target = make_target(3, 0, [1.0], 10)
         with pytest.raises(ValueError):

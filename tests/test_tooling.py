@@ -1,6 +1,6 @@
 """The benchmark tracer's call sites still name live attributes of the package,
-a traced run reaches them, README.md names the public surface, and every demo
-runs."""
+a traced run reaches them, two benchmark workloads reproduce their stored
+reference outputs, README.md names the public surface, and every demo runs."""
 
 import importlib
 import json
@@ -45,6 +45,18 @@ def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
     expected = {"cli.main", "config.parse_config_file", "experiments.run", "experiments.trial",
                 "experiments.kernel_gap", "training.train", "experiments.emit_report"}
     assert expected <= names, f"spans never recorded: {sorted(expected - names)}"
+
+
+@pytest.mark.parametrize("name", ["sweep-d6", "select-d8"])
+def test_benchmark_outputs_match_the_reference(tracer, name, tmp_path):
+    # the workload's own check against perfbench/reference.json, on pool key 0:
+    # a change that moves a benchmark output shows here, not only in a run
+    import workloads
+
+    workload = workloads.WORKLOADS[name](tmp_path)
+    reference = json.loads(workloads.REFERENCE.read_text())[name]["0"]
+    attempted, failed = workload.check(workload.iteration(0), reference)
+    assert attempted > 0 and failed == 0
 
 
 def test_readme_names_the_public_surface():

@@ -525,7 +525,8 @@ class TestExactFactors:
         for tau in (oracle_weights(d, L), finalized_weights(d, [1, 0, 1]), np.array([0.7, 0, 0])):
             factors = training._try_factor(X, Q, tau, harmonics._power_coefficients(d, tau))
             assert factors is not None
-            QL, B = factors
+            F, B = factors
+            QL = training._reflect(F, np.eye(B.shape[0], 90)).T  # QL formed from the reflectors
             np.testing.assert_allclose(QL.T @ QL, np.eye(QL.shape[1]), atol=1e-12)
             Z = feature_matrix(X, Q, tau)
             assert np.linalg.norm(QL @ B - Z) <= 1e-12 * np.linalg.norm(Z)
@@ -541,6 +542,53 @@ class TestExactFactors:
         assert g[1] == 0.0
         assert harmonics._factor_width(4, g) == 11
         assert harmonics._exact_factors(X, Q, g)[0].shape == (6, 11)
+
+
+def _qr_cases():
+    rng = np.random.default_rng(35)
+    zero_cols = rng.standard_normal((200, 6))
+    zero_cols[:, [1, 4]] = 0.0
+    return {
+        "8000x7": rng.standard_normal((8000, 7)),
+        "300x45": rng.standard_normal((300, 45)),
+        "p>m": rng.standard_normal((5, 9)),
+        "zero-columns": zero_cols,
+        "scales=0": np.zeros((40, 3)),
+    }
+
+
+class TestReflectors:
+    """QL kept as Householder reflectors against the QL that numpy forms."""
+
+    @staticmethod
+    def _close(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * max(np.max(np.abs(ref)), 1.0))
+
+    @pytest.mark.parametrize("case", _qr_cases().keys())
+    def test_match_the_reduced_qr(self, case):
+        U = _qr_cases()[case]
+        QL, R_ref = np.linalg.qr(U, mode="reduced")
+        R, F = training._householder(U)
+        assert np.array_equal(R, R_ref)
+        (m, k), rng = QL.shape, np.random.default_rng(36)
+        if case == "scales=0":
+            assert not np.any(F[1])
+        # Q @ x on k entries padded with zeros, one vector and a block of rows
+        c, C = rng.standard_normal(k), rng.standard_normal((4, k))
+        self._close(training._reflect(F, c), QL @ c)
+        self._close(training._reflect(F, C), C @ QL.T)
+        # Q.T @ x: the first k entries are QL.T @ x, the rest hold the part
+        # of x off QL's columns, with its norm
+        y, Y = rng.standard_normal(m), rng.standard_normal((3, m))
+        for x in (y, *Y):
+            full = training._reflect(F, x, transpose=True)
+            self._close(full[:k], QL.T @ x)
+            perp = x - QL @ (QL.T @ x)
+            assert np.linalg.norm(full[k:]) == pytest.approx(np.linalg.norm(perp),
+                                                             rel=1e-12, abs=1e-13)
+        self._close(training._reflect(F, Y, transpose=True)[:, :k], Y @ QL)
+        # and back: Q @ (Q.T @ x) = x
+        self._close(training._reflect(F, training._reflect(F, Y, transpose=True)), Y)
 
 
 def _walk_error(A, B, d, L) -> str:
@@ -583,10 +631,10 @@ class TestCertificate:
         d = X.shape[1]
         g = harmonics._power_coefficients(d, tau)
         U, Vt = harmonics._exact_factors(X, Q, g)
-        QL, R = np.linalg.qr(U)
+        R, F = training._householder(U)  # QL as reflectors, formed by the walk
         B = R @ Vt
         return (harmonics._certificate(d, tau, g, U, Vt, B),
-                training._factor_residual(X, Q, tau, QL, B))
+                training._factor_residual(X, Q, tau, F, B))
 
     @pytest.mark.parametrize("d, L", [(2, 10), (2, 14), (3, 8), (8, 4), (6, 1)])
     def test_bound_is_never_below_the_walk(self, d, L):
