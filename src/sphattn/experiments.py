@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .complexity import mc_risk
 from .config import ConfigError, ExperimentConfig
-from .harmonics import _paired_kernel, gegenbauer_weighted_sum, sample_sphere
+from .harmonics import _paired_kernel, gegenbauer_weighted_sum, harmonic_dim, sample_sphere
 from .kernels import oracle_weights
 # one_step_second_layer and one_step_channel_weights are not called here; the
 # names stay bound because perfbench/tracer.py wraps them in this module.
@@ -262,12 +262,17 @@ ENVELOPE_FIT_STEP = 10
 KERNEL_GAP_PAIRS = 64
 
 
-def _kernel_gap(X_a, X_b, Q, tau, ell_hat: int, d: int) -> float:
-    """Max |empirical - population| kernel deviation over paired points."""
+def _kernel_gap(X_a, X_b, Q, tau, d: int) -> float:
+    """Max |empirical - population| kernel deviation over paired points.
+
+    The empirical kernel's mean over the directions is
+    sum_k tau_k^2 / N(d, k) P_k (Funk-Hecke), so channels that tau drops,
+    gapped or not, are compared with 0.
+    """
     k_hat = _paired_kernel(X_a, X_b, Q, tau)
-    k_pop = gegenbauer_weighted_sum(
-        np.sum(X_a * X_b, axis=1), d, np.ones(ell_hat + 1)
-    )
+    tau = np.asarray(tau, dtype=float)
+    weights = tau**2 / np.array([harmonic_dim(d, k) for k in range(tau.size)])
+    k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, weights)
     return float(np.max(np.abs(k_hat - k_pop)))
 
 
@@ -315,9 +320,7 @@ def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) 
         # well below the risk being measured (gap^2 <= risk / 10 heuristic)
         pair_seq = derive_seed(cfg.base_seed, stream, g, k, 7)
         pairs = sample_sphere(2 * KERNEL_GAP_PAIRS, cfg.d, pair_seq)
-        gap = _kernel_gap(
-            pairs[:KERNEL_GAP_PAIRS], pairs[KERNEL_GAP_PAIRS:], Q, tau, ell_hat, cfg.d
-        )
+        gap = _kernel_gap(pairs[:KERNEL_GAP_PAIRS], pairs[KERNEL_GAP_PAIRS:], Q, tau, cfg.d)
         rec["kernel_gap"] = gap
         rec["kernel_gap_ok"] = bool(gap * gap <= 0.1 * max(risk, 1e-300))
     except (EmptySelectionError, DivergenceError) as exc:
@@ -418,7 +421,7 @@ def run_kernel_convergence(config: ExperimentConfig) -> RunReport:
         m = m_grid[g]
         q_seq = derive_seed(config.base_seed, STREAM_KERNEL, g, k)
         Q = sample_sphere(m, config.d, q_seq)
-        gap = _kernel_gap(X_a, X_b, Q, tau, ell_hat, config.d)
+        gap = _kernel_gap(X_a, X_b, Q, tau, config.d)
         return {"trial": k, "m": m, "ok": True, "sup_error": gap}
 
     def aggregate(records):

@@ -29,15 +29,16 @@ from sums (:func:`_power_sums`) that split each power in half, <a, b>^j =
 <a, b>^ceil(j/2) <a, b>^floor(j/2), so that one Gram matrix of the
 monomials of degree <= ceil(L/2) against those of degree <= floor(L/2)
 serves every degree: two GEMMs at O((len(A) + len(B)) * p_h * p_l), with
-p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  Stage two's exact factors
-take all p monomials of the kept degrees, the kernel gap's paired
-kernel (:func:`_paired_kernel`) the Gram of the same factors, and the
-population gram's spectrum (:func:`_gram_eigenvalues`) a p x p middle
-matrix of the points' monomials.  Everything the expansion decides lives
-here: both routes of the degree projections and of the paired kernel, the
-rule that prices the degree projections' expansion against the walk, the
-tolerance _FACTOR_RTOL and the four rounding bounds compared with it,
-derived above it.
+p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  The other users take all p
+monomials of the kept degrees, and meet in a p x p middle matrix: the
+kernel gap's paired kernel (:func:`_paired_kernel`) and stage two share
+the Gram of the directions' monomials (:func:`_middle_matrix`), and stage
+two and the population gram's spectrum (:func:`_gram_eigenvalues`) the QR
+of the points' monomials (:func:`_points_qr`).  Everything the expansion
+decides lives here: both routes of the degree projections and of the
+paired kernel, the rule that prices the degree projections' expansion
+against the walk, the tolerance _FACTOR_RTOL and the three rounding bounds
+compared with it, derived above it.
 :func:`_screen_dots`, run by the unit-row check of every entry point, gives
 each route the walk's domain check, forming only the dots it cannot clear.
 """
@@ -605,24 +606,28 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 # --- the expansion's users, tolerance and rounding bounds ----------------------
 #
 # sigma_tau(t) = sum_k tau_k P_k(t) = sum_j g_j t^j, g = tau @ C
-# (_power_coefficients), has three users.  Each takes the expansion only where
+# (_power_coefficients), has four users.  Each takes the expansion only where
 # an a-priori bound on its rounding error is at most _FACTOR_RTOL, and else
-# the Gegenbauer walk, which shares no code with it:
+# the Gegenbauer walk, which shares no code with it.  Over the degrees j with
+# g_j != 0, p = _factor_width(d, g) monomials in all, the feature matrix
+# factors as Z = U @ F^T with U[r, (j, alpha)] = g_j w_alpha q_r^alpha /
+# sqrt(m) and F[i, (j, alpha)] = x_i^alpha, so every pair sum goes through the
+# p x p middle matrix M = U^T U = S (Phi Phi^T) S / m of the directions'
+# monomials Phi and S = diag(g_j w_alpha) (_middle_matrix); U itself, m x p,
+# is never formed.  The users:
 # - the degree projections V = C @ u, u from _power_sums (stage one's, and
 #   predict's with the two sides swapped);
-# - stage two's exact factors Z = U @ Vt (_exact_factors) over the degrees j
-#   with g_j != 0, p = _factor_width(d, g) monomials in all:
-#   U[r, (j, alpha)] = g_j w_alpha q_r^alpha / sqrt(m), Vt[(j, alpha), i] = x_i^alpha;
 # - the kernel gap, (1/m) sum_r sigma_tau(<x_a, q_r>) sigma_tau(<x_b, q_r>)
-#   = v_a^T (U^T U) v_b on the Gram of the same factors, formed as
-#   S (Phi Phi^T) S / m from the directions' monomials Phi and
-#   S = diag(g_j w_alpha) (_paired_kernel);
+#   = v_a^T M v_b (_paired_kernel);
+# - stage two's kernel Z^T Z = F M F^T: with the thin QR F = QF R of the
+#   points' monomials (_points_qr), its nonzero eigenpairs are those of the
+#   p x p matrix R M R^T, on which training._try_factor runs GD in closed form;
 # - the spectrum of the population gram K / n, K = sum_{k <= L} P_k(X X^T),
-#   tau = 1: K = F D F^T with F[i, (j, alpha)] = x_i^alpha over the kept
-#   degrees and D = diag(g_j w_alpha), so its nonzero eigenvalues are those
-#   of the p x p matrix R D R^T / n, R from the thin QR F = QF R
+#   tau = 1: K = F D F^T with D = diag(g_j w_alpha), so its nonzero
+#   eigenvalues are those of R D R^T / n, R from the same QR
 #   (_gram_eigenvalues).  D is indefinite where g is (g = [0.875, -0.5,
-#   -2.25, 2.5, 4.375] at d = 3, L = 4), R D R^T is not: K is PSD.
+#   -2.25, 2.5, 4.375] at d = 3, L = 4), R D R^T is not: K is PSD.  As m grows
+#   M tends to D, so the m = infinity trainer is stage two's with D for M.
 # The bounds are first order in the unit roundoff u = eps / 2 (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3 and
 # 19), with L the top degree, and share three facts:
@@ -656,28 +661,6 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   1.3e-12 at the criterion-5 shape (d = 8, L = 4, p_h = p_l = 45,
 #   G = 2.9), 2e-11 at d = 20, L = 4.  Chebyshev coefficients grow like
 #   (1 + sqrt(2))^L, so d = 2 walks from L = 10 on (3.3e-10).
-# - the factors (_certificate), relative to ||Z||_F = ||B||_F for the thin QR
-#   U = QL @ R and B = R @ Vt.  With hats on computed quantities,
-#   QL^ B^ - Z = QL^ (B^ - R^ Vt^) + (QL^ R^ - U^) Vt^ + (U^ Vt^ - U Vt), and
-#   || |U| |Vt| ||_F <= ||U||_F ||Vt||_F.  Last term: an entry of U takes
-#   L + 3 roundings beyond g's (j - 1 products, sqrt(m), the quotient, two
-#   products), one of Vt at most L - 1: (6 L + 3) u ||Ubar||_F ||Vt||_F, with
-#   Ubar, U with Gbar_j in place of g_j.  Middle term: QL^ is never formed;
-#   stage two keeps the QR's Householder reflectors and applies them, one at
-#   a time, to the vectors that need QL (training._reflect).  Their exact
-#   product QL is orthogonal, R^ is the exact factor of U + dU for it
-#   (Higham, Theorem 19.4), and each application adds a backward error of
-#   the same order to the vector it maps (Lemma 19.3), so the term is dU.
-#   That is gamma(m p) ||U||_F at worst, but for d = 2..20, L <= 14,
-#   p <= 495 and m = 500..2000 the computed residual stayed below
-#   5 eps ||U||_F; the bound takes p u, an estimate of the observed size
-#   and not a worst case.  First
-#   term: inner products of length p, and ||R||_F = ||U||_F, give
-#   p u ||U||_F ||Vt||_F.  As ||U||_F <= ||Ubar||_F the sum (2 p + 6 L + 3) u
-#   is rounded up to (p + 3 L + 2) eps ||Ubar||_F ||Vt||_F / ||B||_F, 20 to
-#   10^4 times the walk's measured residual (the tests assert never below):
-#   7e-15 at the sweep shape (d = 6, L = 1), 1e-11 at d = 8, L = 4, 2e-10 at
-#   d = 2, L = 10.
 # - the kernel gap (_kernel_error), relative to (sum_k |tau_k|)^2.  The terms
 #   add up to at most (sum_j Gbar_j)^2, and each takes 4 L + 2 roundings in
 #   each scale g_j w_alpha (covering g), L - 1 in each monomial of q and of
@@ -687,38 +670,55 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 #   bound is (p + 6 L + 4) eps (sum_j Gbar_j / sum_k |tau_k|)^2: 4e-15 at
 #   the sweep shape, 5e-13 at d = 8, L = 4, and with oracle channels above
 #   _FACTOR_RTOL from degree 8 at d = 2..6 and 7 at d = 8.
-# - the gram's spectrum (_gram_error), on each eigenvalue of K / n, relative
-#   to its trace L + 1 (each P_k(1) = 1).  Weyl's inequality moves each
-#   eigenvalue by at most ||dK||_2 / n <= max_ik |dK_ik| for a perturbation
-#   dK of K, and the factors perturb K in four places, each within a
-#   multiple of Gsum = sum_{j kept} Gbar_j rho^j, Gbar = 1 @ |C|.  First, the
-#   expansion: x^alpha takes j - 1 products on each side and D_(j, alpha)
-#   (4 L + 2) u Gbar_j w_alpha, so by the mass fact every entry of F D F^T is
-#   within 6 L u Gsum of K's.  Second, the QR: the computed R is the exact
-#   factor of F + E for an orthonormal QF, with ||E e_c|| <= eta ||F e_c||
-#   column by column (Higham, Theorem 19.4), so R D R^T has the nonzero
-#   eigenvalues of (F + E) D (F + E)^T.  With S = |D|^(1/2), that differs
-#   from F D F^T by (2 eta + eta^2) ||F S||_F^2 in norm, and ||F S||_F^2 =
-#   sum_i sum_j |g_j| |x_i|^(2 j) <= n Gsum (the mass fact with x' = x).
-#   The worst case eta = gamma(n p) grows with n and would send large n back
-#   to the n x n route that the factors avoid; the bound takes the
-#   probabilistic size sqrt(n p) u of Higham & Mary (SIAM J. Sci. Comput. 41,
-#   2019), not a worst case.  On d = 3..8, L = 2..4 and n = 1e3..4e5 the
-#   columnwise residual of numpy's QR stayed below 7 eps and the loss of
-#   orthogonality below 83 eps, against sqrt(n p) u = 50..2100 eps.  Third,
-#   forming (R D) R^T / n rounds each entry within (p + 2) u of sum_c
-#   |R_ac| |D_c| |R_bc| / n, a matrix of norm at most ||R S||_F^2 / n <=
-#   Gsum.  Fourth, eigvalsh is backward stable: its values are exact for a
-#   matrix within c u ||R D R^T / n||_2 <= c u Gsum, with c taken as p.
-#   Together, to first order, (sqrt(n p) + p + 3 L + 1) eps Gsum / (L + 1):
-#   2.4e-14 at the complexity-curve job (d = 3, L = 2, n = 400), 1.4e-13 at
-#   n = 20000, 4.3e-13 at d = 8, L = 4, n = 1000.  The mass grows fastest at
-#   small d (like (1 + sqrt(2))^L at d = 2), and at d = 2..4 the bound
-#   exceeds _FACTOR_RTOL from degree 12 at n = 400 and from degree 10 at
-#   n = 20000.  Rows off the sphere move the eigenvalues further, which the
-#   PSD check adds: the kernel on x_i / |x_i| is PSD, and K differs from it by
-#   at most sum_j Gbar_j ((1 + delta)^j - 1) per entry, delta = max_i
-#   ||x_i|^2 - 1|.
+# - the two spectra (_spectrum_error), on each eigenvalue of F W F^T / n with
+#   the middle matrix W = D (the population gram, tau = 1) or W = M (stage
+#   two's kernel), relative to (sum_k |tau_k|)^e, which bounds the kernel's
+#   diagonal: e = 1 for D (the trace L + 1, as each P_k(1) = 1) and e = 2
+#   for M (|sigma_tau| <= sum_k |tau_k|, squared).  Weyl's inequality moves
+#   each eigenvalue by at most ||dK||_2 / n <= max_ik |dK_ik| for a
+#   perturbation dK of the kernel matrix, and the factors perturb it in four
+#   places, each within a multiple of Gsum^e, Gsum = sum_{j kept} Gbar_j
+#   rho^j.  First, the entries: for D, x^alpha takes j - 1 products on each
+#   side and D_(j, alpha) (4 L + 2) u Gbar_j w_alpha, so by the mass fact
+#   every entry of F D F^T is within 6 L u Gsum of K's; for M, the kernel
+#   gap's terms less its contraction (2 + 2 p), 12 L + 5 u Gsum^2.  Second,
+#   the QR: the computed R is the exact factor of F + E for an orthonormal
+#   QF, with ||E e_c|| <= eta ||F e_c|| column by column (Higham, Theorem
+#   19.4), so R W R^T has the nonzero eigenvalues of (F + E) W (F + E)^T.
+#   That differs from F W F^T by at most (2 eta + eta^2) n Gsum^e in norm:
+#   for D, with S = |D|^(1/2), ||F S||_F^2 = sum_i sum_j |g_j| |x_i|^(2 j)
+#   <= n Gsum (the mass fact with x' = x); for M = U^T U, ||E U^T||_F <= eta
+#   sum_c ||F e_c|| ||U e_c|| <= eta sqrt(n) Gsum by Cauchy-Schwarz on the
+#   same sum over the points and its like over the directions, and
+#   ||F U^T||_F = ||Z||_F <= sqrt(n) Gsum.  The worst case eta = gamma(n p)
+#   grows with n and would send large n back to the n x n route that the
+#   factors avoid; the bound takes the probabilistic size sqrt(n p) u of
+#   Higham & Mary (SIAM J. Sci. Comput. 41, 2019), not a worst case.  On
+#   d = 3..8, L = 2..4 and n = 1e3..4e5 the columnwise residual of numpy's QR
+#   stayed below 7 eps and the loss of orthogonality below 83 eps, against
+#   sqrt(n p) u = 50..2100 eps.  Third, forming R W R^T / n rounds each entry
+#   within p + 2 (D) or 2 p + 1 (M) u of the same sum in absolute values, a
+#   matrix of norm at most Gsum^e (||R S||_F^2 / n for D, and for M, as
+#   |U^T U| <= |U|^T |U|, (sum_c ||R e_c|| ||U e_c||)^2 / n).  Fourth, eigh
+#   and eigvalsh are backward stable: their values are exact for a matrix
+#   within c u ||R W R^T / n||_2 <= c u Gsum^e, with c taken as p.  Together,
+#   to first order, (sqrt(n p) + e (p + 3 L + 2) - 1) eps (Gsum / sum_k
+#   |tau_k|)^e, which for M rounds 12 L + 3 p + 6 u up to 12 L + 4 p + 6.
+#   For D: 2.4e-14 at the complexity-curve job (d = 3, L = 2, n = 400),
+#   1.4e-13 at n = 20000, 4.3e-13 at d = 8, L = 4, n = 1000.  For M, with
+#   oracle channels: 1.8e-14 to 5.8e-14 at the sweep shapes (d = 6, L = 1,
+#   n = 500..8000), 1.8e-12 at d = 8, L = 4, n = 1000.  The mass is squared,
+#   so at n = 8000 stage two keeps its factors up to degree 6 at every
+#   d = 2..8 and takes the m x n matrix from degree 7 (at n = 400, from
+#   degree 8 at d = 3, 4; at n = 20000, from 6 at d = 2).  The mass grows
+#   fastest at small d (like (1 + sqrt(2))^L at d = 2), and for D at
+#   d = 2..4 the bound exceeds _FACTOR_RTOL from degree 12 at n = 400 and
+#   from degree 10 at n = 20000.  Rows off the sphere move the population gram's
+#   eigenvalues further, which its PSD check adds: the kernel on x_i / |x_i|
+#   is PSD, and K differs from it by at most sum_j Gbar_j ((1 + delta)^j - 1)
+#   per entry, delta = max_i ||x_i|^2 - 1|.  Z^T Z is PSD on any rows, so
+#   stage two's negative eigenvalues are rounding, within the bound, and are
+#   clipped to 0.
 
 # Users read it here at call time, so one patch reaches all of them.
 _FACTOR_RTOL = 1e-10
@@ -737,18 +737,6 @@ def _factor_width(d: int, g: np.ndarray) -> int:
     return sum(_kept_degrees(d, g)[1])
 
 
-def _exact_factors(X: np.ndarray, Q: np.ndarray, g: np.ndarray):
-    """(U, Vt) with U @ Vt = Z, from the monomial expansion of sum_j g_j t^j.
-
-    U is m x p and Vt is p x n; both are built one monomial per row.
-    """
-    m, d = Q.shape
-    J = np.flatnonzero(g).tolist()
-    U = _kept_monomials(Q, J)
-    U *= np.concatenate([g[j] / np.sqrt(m) * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])[:, None]
-    return U.T, _kept_monomials(X, J)
-
-
 def _kept_rows(d: int, J: list) -> np.ndarray:
     """The rows of _monomial_powers(., J[-1]) that hold the monomials of the degrees J."""
     return np.concatenate(
@@ -761,6 +749,42 @@ def _kept_monomials(P: np.ndarray, J: list) -> np.ndarray:
     if J and J == list(range(len(J))):  # every degree up to the top: all of M, uncopied
         return M
     return M[_kept_rows(P.shape[1], J)]
+
+
+def _middle_matrix(Q: np.ndarray, g: np.ndarray) -> tuple:
+    """The directions' side of the factors: (Phi, rows, scale, M), see above.
+
+    Phi holds the monomials of Q's rows of every degree up to the top kept
+    one (one row per monomial, one column per direction), rows indexes the
+    p kept ones in it, scale = diag(S) = g_j w_alpha over them, and M =
+    S (Phi Phi^T) S / m is U^T U, p x p, from Phi's Gram.  So
+    U @ c = Phi[rows].T @ (scale * c) / sqrt(m).
+    """
+    m, d = Q.shape
+    J = np.flatnonzero(g).tolist()
+    rows = _kept_rows(d, J)
+    Phi = _monomial_powers(Q.T, J[-1] if J else 0)
+    scale = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])
+    M = Phi @ Phi.T
+    if rows.size < len(Phi):  # a gapped mask: the kept rows and columns
+        M = M[np.ix_(rows, rows)]
+    M *= scale[:, None] / m
+    M *= scale
+    return Phi, rows, scale, M
+
+
+def _points_qr(X: np.ndarray, J: list, *columns) -> np.ndarray:
+    """R of the thin QR [F, columns] = Q @ R, F the kept monomials of X's rows (n x p).
+
+    np.linalg.qr(mode="r"); with no columns, F = QF @ R.  Appended columns
+    go through the same Householder reflectors, so in R's first k =
+    min(n, p) rows they hold QF.T @ column, and below, in a triangle, their
+    parts off QF's span, whose squared norms are those rows' sums of
+    squares (Golub & Van Loan, Matrix Computations, 4th ed., 2013, 5.3).
+    Neither QF nor the reflectors are kept.
+    """
+    F = _kept_monomials(X, J).T
+    return np.linalg.qr(np.column_stack([F, *columns]) if columns else F, mode="r")
 
 
 def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
@@ -776,20 +800,6 @@ def _expansion_error(d: int, L: int, rho: float) -> float:
     return (1 + math.comb(h + d, d) * math.comb(l + d, d)) * _EPS * float(G)
 
 
-def _certificate(d: int, tau: np.ndarray, g: np.ndarray, U, Vt, B) -> float:
-    """The factors' bound on ||QL @ B - Z||_F / ||Z||_F (see above), in O((m + n) p)."""
-    J, counts = _kept_degrees(d, g)
-    if J.size == 0:
-        return 0.0  # tau == 0: every route gives exactly 0
-    ref = float(np.linalg.norm(B))
-    if not ref > 0.0:
-        return math.inf
-    # ||Ubar||_F from the column norms of U, each degree's block scaled by Gbar_j / |g_j|
-    scale = np.repeat(_coefficient_mass(d, tau)[J] / np.abs(g[J]), counts)
-    ubar = math.sqrt(float(scale**2 @ np.einsum("rc,rc->c", U, U)))
-    return (U.shape[1] + 3 * int(J[-1]) + 2) * _EPS * ubar * float(np.linalg.norm(Vt)) / ref
-
-
 def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
     """The kernel gap's bound on the Gram route, relative to (sum |tau|)^2 (see above)."""
     J, counts = _kept_degrees(d, g)
@@ -799,15 +809,18 @@ def _kernel_error(d: int, tau: np.ndarray, g: np.ndarray) -> float:
     return (sum(counts) + 6 * int(J[-1]) + 4) * _EPS * ratio**2
 
 
-def _gram_error(d: int, g: np.ndarray, n: int) -> float:
-    """The factored spectrum's bound on each eigenvalue of K / n, relative to its trace (see above).
+def _spectrum_error(d: int, tau: np.ndarray, g: np.ndarray, n: int, e: int) -> float:
+    """The bound on each eigenvalue of F W F^T / n, relative to (sum |tau|)^e (see above).
 
-    g holds the power coefficients of tau = 1, so its length is the trace.
+    e = 1 for the population gram's W = D (tau = 1), e = 2 for stage two's
+    W = M; g holds tau's power coefficients.
     """
     J, counts = _kept_degrees(d, g)
-    p, L = sum(counts), g.size - 1
-    mass = float(np.sum(_coefficient_mass(d, np.ones(g.size), _RHO)[J]))
-    return (math.sqrt(n * p) + p + 3 * L + 1) * _EPS * mass / g.size
+    if J.size == 0:
+        return 0.0  # tau == 0: the kernel is exactly 0
+    p, L = sum(counts), tau.size - 1
+    ratio = float(np.sum(_coefficient_mass(d, tau, _RHO)[J])) / float(np.sum(np.abs(tau)))
+    return (math.sqrt(n * p) + e * (p + 3 * L + 2) - 1) * _EPS * ratio**e
 
 
 def _gram_eigenvalues(X: np.ndarray, ell_hat: int):
@@ -825,17 +838,18 @@ def _gram_eigenvalues(X: np.ndarray, ell_hat: int):
     4.2 times from p / n = 1.05 on).  X's rows passed the unit check.
     """
     n, d = X.shape
-    g = _power_coefficients(d, np.ones(ell_hat + 1))
-    rtol = _gram_error(d, g, n)
+    tau = np.ones(ell_hat + 1)
+    g = _power_coefficients(d, tau)
+    rtol = _spectrum_error(d, tau, g, n, 1)
     if _factor_width(d, g) > n or rtol > _FACTOR_RTOL:
         return None
     J = np.flatnonzero(g).tolist()
     D = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J])
-    R = np.linalg.qr(_kept_monomials(X, J).T, mode="r")
+    R = _points_qr(X, J)
     lam = np.linalg.eigvalsh((R * D) @ R.T / n)
     delta = float(np.max(np.abs(np.einsum("ij,ij->i", X, X) - 1.0)))
     grown = np.expm1(np.log1p(delta) * np.array(J))  # (1 + delta)^j - 1
-    return lam, rtol * (ell_hat + 1) + float(_coefficient_mass(d, np.ones(ell_hat + 1))[J] @ grown)
+    return lam, rtol * (ell_hat + 1) + float(_coefficient_mass(d, tau)[J] @ grown)
 
 
 # --- which route computes V ---------------------------------------------------
@@ -916,12 +930,9 @@ def _degree_projections(A, B, w, L: int) -> np.ndarray:
 def _paired_kernel(A, B, Q, tau) -> np.ndarray:
     """Empirical kernel on paired rows: (1/m) sum_r sigma_tau(<a_i, q_r>) sigma_tau(<b_i, q_r>).
 
-    On the Gram of the expansion's factors, v_a,i^T (U^T U) v_b,i at O(m p^2),
-    when _kernel_error allows; else by two walks over the m directions.
-    U^T U = S (Phi Phi^T) S / m comes from the Gram of the directions'
-    monomials Phi, of every degree up to the top one, with the p kept rows
-    and columns taken from it and scaled on both sides by S = diag(g_j
-    w_alpha); U itself, m x p, is never formed.
+    On the middle matrix M = U^T U of the expansion's factors
+    (_middle_matrix), v_a,i^T M v_b,i at O(m p^2), when _kernel_error
+    allows; else by two walks over the m directions.
     """
     d = Q.shape[1]
     g = _power_coefficients(d, tau)
@@ -929,12 +940,7 @@ def _paired_kernel(A, B, Q, tau) -> np.ndarray:
         J = np.flatnonzero(g).tolist()
         if not J:
             return np.zeros(len(A))
-        rows = _kept_rows(d, J)
-        Phi = _monomial_powers(Q.T, J[-1])
-        scale = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J])
-        gram = (Phi @ Phi.T)[np.ix_(rows, rows)]
-        gram *= scale[:, None] / len(Q)
-        gram *= scale
+        gram = _middle_matrix(Q, g)[3]
         V = _kept_monomials(np.concatenate([A, B]), J)
         V_a, V_b = V[:, : len(A)], V[:, len(A) :]
         return np.einsum("ci,ci->i", V_a, gram @ V_b)

@@ -9,13 +9,15 @@ products over m random unit directions q_r gives the empirical kernel
 
     Khat(x, x') = (1/m) * sum_r sigma_tau(x, q_r) * sigma_tau(q_r, x'),
 
-whose expectation over uniform directions is the population kernel
+whose expectation over uniform directions is, by the Funk-Hecke formula,
 
-    K(x, x') = sum_{k <= ell_hat} P_k(<x, x'>)
+    K(x, x') = sum_k tau_k^2 / N(d, k) * P_k(<x, x'>) ,
 
-when tau is in finalized form (tau_k = sqrt(N(d, k)) on the kept channels,
-0 elsewhere).  All gram matrices here are assembled from dot products alone;
-explicit harmonic bases are never needed.
+which for tau in finalized form (tau_k = sqrt(N(d, k)) on the kept
+channels, 0 elsewhere) is the sum of P_k over the kept channels, and
+population_gram's sum_{k <= ell_hat} P_k when they are 0..ell_hat.  All
+gram matrices here are assembled from dot products alone; explicit harmonic
+bases are never needed.
 """
 
 from __future__ import annotations

@@ -18,28 +18,19 @@ is implemented independently in :func:`closed_form_residual` and serves as
 the strongest correctness oracle for the trainer.
 
 The activation is a polynomial of degree ell_hat in <x, q>, so Z has the
-exact factorization Z = U @ V.T through the monomials of the points and the
-directions, with p columns; the factors, the a-priori rounding bound that
-accepts them and its tolerance are the monomial expansion's, in harmonics.
+exact factorization Z = U @ F.T through the monomials of the directions and
+the points, with p columns, and Z.T Z = F M F.T with the p x p middle
+matrix M = U.T U; the factors, the a-priori rounding bound that accepts
+them and its tolerance are the monomial expansion's, in harmonics.
 :func:`train` picks its path from the shapes alone: when a rule priced from
 timings of both paths expects the factors to take less time for these m, n,
-p, T and degrees, it never allocates Z and runs on the thin QR factors
-Z = QL @ B, with QL kept as the QR's Householder reflectors and applied
-only to the weights.  Only when the bound, which costs O((m + n) * p), is too loose
-are the factors checked against the recurrence in a streamed pass over Z,
-and a failed check warns and falls back to the m x n matrix (see the exact
-low-rank fast path below).
-
-On the factors, GD is a spectral filter of B.  With the thin SVD
-B.T = H diag(s) W.T (w = min(p, m, n) columns), beta = H.T @ y and
-rho = 1 - eta * s^2 / n, the residual's component along H is
-e(t) = -beta * rho^t and the rest of y is never fitted, so every step's
-loss, clean loss and weights have a closed form.  When T >= w the whole
-trace comes from a thin QR of B.T and the SVD of its w x w triangle at
-O(n * w^2) plus O(T * w), in blocks of t, and no step is taken; fewer steps
-run the same loop as the plain path on (QL, B).
-A step that is not stable (some |rho_i| > 1) also runs the loop, which
-raises DivergenceError where it always has.
+p, T and degrees, it never allocates Z.  It takes M from the directions'
+monomial Gram and the thin QR F = QF R of the points' monomials, and runs
+GD in closed form on the eigenpairs of the small N = R M R.T: every step's
+loss, clean loss and weights, for any T, with no step taken.  When the
+bound, which costs nothing but the shapes, exceeds the tolerance, train
+warns and runs the plain loop on the m x n matrix (see the factored path
+below).
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
-from .harmonics import _block_rows, gegenbauer_blocks, gegenbauer_weighted_matrix
+from .harmonics import _block_rows, gegenbauer_weighted_matrix
 from .kernels import _require_unit_pair
 # activation_matrix is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
@@ -175,87 +166,92 @@ def _record(trace: TrainingTrace, resid, clean_resid, a, keep_weights) -> None:
         trace.weights.append(a.copy())
 
 
+def _non_finite(t: int, eta: float) -> DivergenceError:
+    return DivergenceError(
+        f"non-finite residual at step {t}; "
+        f"eta = {eta:g} likely exceeds 2 / lambda_max of the kernel"
+    )
+
+
 def _check_divergence(norms: list, t: int) -> None:
-    if len(norms) > DIVERGENCE_WINDOW:
-        prev = norms[-1 - DIVERGENCE_WINDOW]
-        if prev > 0 and norms[-1] > DIVERGENCE_FACTOR * prev:
+    """Raise when norms[t], the residual norm after step t, grew too much over the window."""
+    if t >= DIVERGENCE_WINDOW:
+        prev = norms[t - DIVERGENCE_WINDOW]
+        if prev > 0 and norms[t] > DIVERGENCE_FACTOR * prev:
             raise DivergenceError(
-                f"residual norm grew {norms[-1] / prev:.2f}x over "
+                f"residual norm grew {norms[t] / prev:.2f}x over "
                 f"{DIVERGENCE_WINDOW} steps at step {t}; reduce eta"
             )
 
 
-# --- exact low-rank fast path -------------------------------------------------
+# --- the factored path ---------------------------------------------------------
 #
-# The activation is a polynomial of degree ell_hat in t = <x, q>, and the
-# monomial expansion in harmonics factors the feature matrix exactly as
-# Z = U @ Vt (_exact_factors), with p = _factor_width(d, g) rows in Vt; the
-# factors, the a-priori bound that accepts them (_certificate) and its
-# derivation live there.  A thin QR, U = QL @ R, gives Z = QL @ B with
-# orthonormal QL and B = R @ Vt.  Neither Z nor QL is formed: the QR is kept
-# as its Householder reflectors (_householder), and only the weights
-# a = QL @ c, where they are asked for, go through them (_reflect).  The GD
-# state is c, and Z enters only through B.
-# With T >= w = min(p, m, n) the trace comes in closed form from the thin
-# SVD of B (_spectral_trace); fewer steps run the GD loop on B at
-# O(n * w) per step.
+# The monomial expansion in harmonics factors the feature matrix exactly as
+# Z = U @ F.T, over p = _factor_width(d, g) monomials of the kept degrees,
+# and the kernel as Z.T Z = F M F.T with the p x p middle matrix M = U.T U
+# (harmonics._middle_matrix, from the Gram of the directions' monomials).
+# With the thin QR F = QF R of the points' monomials (harmonics._points_qr),
+# the kernel's nonzero eigenpairs are those of the k x k matrix
+# N = R M R.T, k = min(n, p): from N = Us diag(lam) Us.T, Z.T Z =
+# H diag(lam) H.T with H = QF Us.  Neither Z nor U nor QF is formed.
 #
-# Closed form.  With B.T = H diag(s) Wt, c(t) = Wt.T @ z(t) and a(t) = QL @
-# c(t), one step maps s z - beta to rho (s z - beta), so from z(0) = 0
+# Closed form.  From a(0) = 0, GD keeps a(t) = U c(t) with c(t) = R.T Us
+# z(t), and one step maps z to z + (eta / n) (beta - lam z), beta = H.T y, so
 #
-#     e(t) = s z(t) - beta = -beta rho^t,       z(t) = beta (1 - rho^t) / s,
+#     z(t) = gain(t) beta,    gain_i(t) = (1 - rho_i^t) / lam_i,    rho = 1 - eta lam / n,
 #
-# with z_i = 0 where s_i = 0.  The residual yhat - y is H e(t) - y_perp,
+# with gain_i(t) = eta t / n, its limit, where rho_i = 1 (lam_i = 0, or too
+# small to move 1 - eta lam_i / n); gain is continuous in lam and at most
+# eta t / n, so nothing divides by a small lam.  The residual yhat - y is
+# H e(t) - y_perp, with e(t) = lam z(t) - beta = -rho^t beta and
 # y_perp = y - H beta, and yhat - f* is H (e(t) + delta) - f_perp, with
-# delta = H.T (y - f*) and f_perp = f* - H H.T f*.  Hence
+# delta = beta - H.T f* and f_perp = f* - H H.T f*.  Hence
 #
-#     n loss(t) = ||e(t)||^2 + ||y_perp||^2,
-#     n clean_loss(t) = ||e(t) + delta||^2 + ||f_perp||^2,
+#     n loss(t) = ||rho^t beta||^2 + ||y_perp||^2,
+#     n clean_loss(t) = ||delta - rho^t beta||^2 + ||f_perp||^2,
 #
-# sums of non-negative terms, so nothing cancels.  The SVD comes from a QR
-# first (Chan, ACM TOMS 8, 1982): B.T = Qb Rb, kept as reflectors like U's,
-# and the SVD Rb = Us diag(s) Wt of the small triangle, so H = Qb Us.  Then
-# Qb.T y holds Us beta in its first min(n, w) entries and y_perp, in Qb's
-# coordinates, in the rest, and alike for f*: ||y_perp||^2 is the sum of
-# squares of those entries, and no n x w matrix beyond the QR's is made.
-# rho^t is the power, not exp(t log1p(-eta s^2 / n)): rho < 0 is stable
-# for 1 < eta s^2 / n < 2.
-# Rows of t go in blocks of about BLOCK_ENTRIES // w, so the extra memory is
-# O(BLOCK_ENTRIES) whatever T; only the recorded weights, T + 1 vectors of
-# m, grow with T, as on the loop.
+# sums of non-negative terms, so nothing cancels.  y and f* are appended to
+# F's columns in the QR, whose reflectors map them to QF.T y = Us beta in
+# R's first k rows and to a triangle below, whose rows' sums of squares are
+# ||y_perp||^2 and ||f_perp||^2.  The weights are
+# a(t) = U c(t) = Phi[rows].T @ (S R.T Us z(t)) / sqrt(m), one GEMM per block
+# of t.  N is PSD in exact arithmetic (M = U.T U), so its negative
+# eigenvalues are rounding, within the bound below, and are set to 0.
+# rho^t is the power, not exp(t log1p(-eta lam / n)): rho < 0 is stable for
+# 1 < eta lam / n < 2.  Rows of t go in blocks of about BLOCK_ENTRIES // k,
+# so the extra memory is O(BLOCK_ENTRIES) whatever T; only the recorded
+# weights, T + 1 vectors of m, grow with T, as on the loop.  When a step is
+# unstable (some |rho_i| > 1) or y is not finite, the plain loop's two
+# checks run on the closed form's residual norms, so DivergenceError comes
+# at the same step with the same message.
 #
-# Check.  When the certificate exceeds harmonics._FACTOR_RTOL, the factors
-# are checked against the Gegenbauer recurrence in a streamed pass over row
-# blocks, which shares no code with the expansion (_factor_residual); that
-# costs an m x n walk, and only ill-conditioned expansions pay it (with
-# oracle channels, from degree 10 at d = 2, 9 at d = 3 and 8 at d = 4).  When
-# the walk's relative Frobenius residual exceeds the tolerance too, train
-# warns (the residual, the bound and p) and falls back to the plain loop on
-# the m x n matrix.
+# Check.  harmonics._spectrum_error bounds the rounding of N / n's
+# eigenvalues, relative to (sum_k |tau_k|)^2, from d, tau and n alone.  When
+# it exceeds harmonics._FACTOR_RTOL, nothing is formed: train warns (the
+# bound, the tolerance and p) and runs the plain loop on the m x n matrix.
 #
 # Speed.  train takes the path that _factored_is_cheaper prices lower, in
-# nanoseconds on one core, from timings of train on both paths (best of 3,
-# one BLAS thread, 424 shapes; the grid and the fit are in CHANGES.md):
-# - plain: 85 us of set-up, the recurrence walk that builds Z at 3.3 ns per
-#   entry and degree, m n (L + 1) with L = len(tau) - 1, then per step 14 us
+# nanoseconds on one core, from timings of train on both paths (one BLAS
+# thread, 424 shapes; the grid and the fit are in CHANGES.md):
+# - plain: 140 us of set-up, the recurrence walk that builds Z at 3.6 ns per
+#   entry and degree, m n (L + 1) with L = len(tau) - 1, then per step 8.6 us
 #   of loop work (the residual check, the record, the divergence check and
-#   the calls) and 0.74 ns per entry of Z for the two matrix-vector products;
-# - factored: 240 us of set-up; per monomial value, 23 + 0.2 w ns in U (the
-#   expansion and the thin QR) and 13 ns in Vt (the expansion and
-#   B = R @ V.T), with w = min(p, m) the width of QL; then min(T, p, m, n)
-#   steps at the same 14 us plus 0.43 ns per entry of B (w x n).  With
-#   T >= min(p, m, n) no step is taken, and those min(p, m, n) steps price
-#   the SVD of B.T, about n w^2, which the closed form costs instead; its
-#   O(T w) evaluation, about 20 ns per entry, costs less per t than a plain
-#   step, so it is left out.
-# The certificate costs O((m + n) p) and is inside the set-up; a certificate
-# that fails adds the walk, which the rule does not foresee, since only
-# ill-conditioned expansions fail it.  On the grid the rule took the slower
-# path at 10 of 424 points, by at most 1.45x (d = 8, L = 3, p = 165, m = 4000,
-# n = 500, T = 10).
-# The switch to the closed form at T >= w = min(p, m, n) is measured too
-# (n = 60..8000 crossed with w = 3..495): the break-even lies between 0.35 w
-# steps (w = 495) and 2.1 w steps (w <= 7, n = 8000).
+#   the calls) and 0.86 ns per entry of Z for the two matrix-vector products;
+# - factored: 300 us of set-up; per monomial of a direction, 5.5 + 0.03 p
+#   ns (its value and its row of the Gram M); per monomial of a point,
+#   17 + 0.15 p ns (its value and its column of the QR); 0.3 k^3 for the
+#   eigh of N and the products around it; and 16 (k + 8) ns per t of the
+#   trace.  No step is taken, so T costs only the trace.
+# Fitted by non-negative least squares on relative error and rounded; the
+# prices lie within 0.36 to 1.55 times the measured times, which drifted by
+# up to 2x between runs of one shape on a shared host.  On the grid the rule
+# took the slower path at 14 of 424 points, by at most 1.66x (d = 8, p = 45,
+# m = 200, n = 60, T = 30: 1.16 ms factored against 0.70 ms plain).  Every
+# step count pays for the whole factorization, so with few steps and
+# n > m, where the points' QR outweighs the directions' Gram, the factors
+# cost up to twice what a few steps on them would; when m << n that sends
+# the path to the m x n matrix (d = 8, p = 165, m = 200, n = 4000, T = 10:
+# 20 ms plain, 43 ms factored).
 
 def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
     """Whether train on the factors at width p is priced below the m x n matrix.
@@ -263,105 +259,43 @@ def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
     L is the top degree of tau (len(tau) - 1), which the plain walk runs to;
     the costs are measured (see above).
     """
-    w = min(p, m)
-    plain = 85e3 + m * n * (3.3 * (L + 1) + 0.74 * T) + 14e3 * T
-    factored = 240e3 + p * (m * (23 + 0.2 * w) + 13 * n) + min(T, w, n) * (14e3 + 0.43 * n * w)
+    k = min(p, n)
+    plain = 140e3 + m * n * (3.6 * (L + 1) + 0.86 * T) + 8.6e3 * T
+    factored = (300e3 + p * (m * (5.5 + 0.03 * p) + n * (17 + 0.15 * p))
+                + 0.3 * k**3 + 16 * T * (k + 8))
     return factored < plain
 
 
-def _householder(U: np.ndarray):
-    """(R, F): the thin QR U = QL @ R with QL kept as F, its Householder reflectors.
-
-    F = (h, scales) comes from np.linalg.qr(U, mode="raw"), with R's
-    diagonal in h overwritten by the reflectors' unit leading entries:
-    v_j = h[j, j:] below j zeros and H_j = I - scales[j] v_j v_j^T, so that
-    Q = H_0 H_1 ... H_(k-1), k = min(m, p), and QL is its first k columns.
-    R (k x p) is the reduced mode's R bit for bit; QL, m x k, is not formed.
-    """
-    h, scales = np.linalg.qr(U, mode="raw")
-    R = np.triu(h.T[: scales.size])
-    h[np.diag_indices(scales.size)] = 1.0
-    return R, (h, scales)
-
-
-def _reflect(F, Y, transpose: bool = False) -> np.ndarray:
-    """Q @ y, or Q.T @ y with transpose, for every vector y along Y's last axis.
-
-    Q is the m x m orthogonal factor held by the reflectors F of _householder.
-    A last axis shorter than m is padded with zeros, so k entries c give
-    QL @ c.  The reflectors are applied one at a time to a copy of Y,
-    O(m k) per vector.
-    """
-    h, scales = F
-    Y = np.asarray(Y, dtype=float)
-    out = np.zeros(Y.shape[:-1] + (h.shape[1],))
-    out[..., : Y.shape[-1]] = Y
-    for j in range(scales.size) if transpose else reversed(range(scales.size)):
-        v = h[j, j:]
-        out[..., j:] -= np.multiply.outer(scales[j] * (out[..., j:] @ v), v)
-    return out
-
-
-def _factor_residual(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, F, B) -> float:
-    """Relative Frobenius error of QL @ B against Z, with Z from the recurrence.
-
-    F holds QL as reflectors (_householder); QL.T is formed from them once.
-    Walks Z.T = sum_k tau_k P_k(X @ Q.T) / sqrt(m) in gegenbauer_blocks row
-    blocks and compares each with the same rows of B.T @ QL.T; besides the
-    walk's own buffers and QL it allocates two blocks.
-    """
-    m = Q.shape[0]
-    QLt = _reflect(F, np.eye(B.shape[0], m))  # row i is QL @ e_i
-    err2 = ref2 = 0.0
-    zbuf = pbuf = None
-    for rows, degrees in gegenbauer_blocks(X, Q, X.shape[1], tau.size - 1):
-        h = rows.stop - rows.start
-        if zbuf is None:
-            zbuf, pbuf = np.empty((h, m)), np.empty((h, m))
-        z, pred = zbuf[:h], pbuf[:h]
-        z[...] = tau[0]
-        for k, P in degrees:
-            if tau[k] != 0.0:
-                np.multiply(P, tau[k], out=pred)
-                z += pred
-        z /= np.sqrt(m)
-        np.matmul(B[:, rows].T, QLt, out=pred)
-        ref2 += float(np.vdot(z, z))
-        z -= pred
-        err2 += float(np.vdot(z, z))
-    if ref2 > 0.0:
-        return math.sqrt(err2 / ref2)
-    return 0.0 if err2 == 0.0 else math.inf
-
-
-def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray):
-    """Certified exact factors (F, B) of Z = QL @ B, or None after a RuntimeWarning.
-
-    F holds QL as the reflectors of _householder.
+def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray, Y: np.ndarray):
+    """The factored path's spectrum and maps (see above), or None after a RuntimeWarning.
 
     g = harmonics._power_coefficients(d, tau) are the power coefficients of
-    sigma_tau.
-    The factors are accepted on the a-priori bound (_certificate) and, only
-    when that exceeds harmonics._FACTOR_RTOL, on the walk's residual
-    (_factor_residual).
+    sigma_tau, and Y's two rows are y and f*.  Returns (lam, coef, Phi,
+    proj, perp2): N = Us diag(lam) Us.T with lam clipped at 0; coef, whose
+    product Phi.T @ (coef @ z) with the directions' monomials Phi gives the
+    weights U R.T Us z; proj = (beta, H.T f*) and perp2 = (||y_perp||^2,
+    ||f_perp||^2).  The bound is checked first; when it exceeds
+    harmonics._FACTOR_RTOL, nothing is formed.
     """
-    U, Vt = harmonics._exact_factors(X, Q, g)
-    R, F = _householder(U)
-    B = R @ Vt
-    bound = harmonics._certificate(X.shape[1], tau, g, U, Vt, B)
-    # NaN compares false and goes to the walk
-    if bound <= harmonics._FACTOR_RTOL:
-        return F, B
-    resid = _factor_residual(X, Q, tau, F, B)
-    if resid <= harmonics._FACTOR_RTOL:
-        return F, B
-    warnings.warn(
-        f"exact low-rank factors failed verification: relative residual "
-        f"{resid:.3e} > {harmonics._FACTOR_RTOL:g} at factor width p = {U.shape[1]} "
-        f"(a-priori bound {bound:.3e}); falling back to the m x n feature matrix",
-        RuntimeWarning, stacklevel=3,
-    )
-    return None
+    n, d = X.shape
+    bound = harmonics._spectrum_error(d, tau, g, n, 2)
+    if not bound <= harmonics._FACTOR_RTOL:  # NaN too
+        warnings.warn(
+            f"exact low-rank factors rejected: a-priori bound {bound:.3e} on the kernel's "
+            f"eigenvalues > {harmonics._FACTOR_RTOL:g} at factor width "
+            f"p = {harmonics._factor_width(d, g)}; falling back to the m x n feature matrix",
+            RuntimeWarning, stacklevel=3,
+        )
+        return None
+    Phi, rows, scale, M = harmonics._middle_matrix(Q, g)
+    p, k = rows.size, min(n, rows.size)
+    RY = harmonics._points_qr(X, np.flatnonzero(g).tolist(), *Y)
+    R = RY[:k, :p]
+    lam, Us = np.linalg.eigh(R @ M @ R.T)
+    coef = np.zeros((Phi.shape[0], k))
+    coef[rows] = (scale / np.sqrt(Q.shape[0]))[:, None] * (R.T @ Us)
+    perp2 = np.einsum("ij,ij->j", RY[k:, p:], RY[k:, p:])
+    return np.maximum(lam, 0.0), coef, Phi, RY[:k, p:].T @ Us, perp2
 
 
 def train(
@@ -375,20 +309,19 @@ def train(
     """Run T gradient steps from a(0) = 0, recording the loss trace.
 
     The path follows from the shapes alone (_factored_is_cheaper): the
-    same update runs on exact factors of the feature matrix when that is
+    same dynamics run on exact factors of the feature matrix when that is
     priced below the m x n matrix for these m, n, T, degrees and factor
     width p (the number of monomials in the expansion of sigma_tau), and
-    on the matrix itself otherwise.  The factors are accepted on an
-    a-priori rounding bound, or, where that bound exceeds 1e-10, on a
-    streamed check against the recurrence; when both fail, train warns
-    (RuntimeWarning, naming the residual, the bound and p) and runs on the
-    m x n matrix.  On the factors with T >= min(p, m, n), no step is
-    taken: the trace comes in closed form from the SVD of the factors.
+    on the matrix itself otherwise.  On the factors no step is taken: the
+    trace comes in closed form from the eigenpairs of a p x p middle
+    matrix.  The factors are accepted on an a-priori rounding bound; when
+    it exceeds 1e-10, train warns (RuntimeWarning, naming the bound and p)
+    and runs on the m x n matrix.
 
     Returns (TrainerState, TrainingTrace), alike on every path.  Raises
     ValueError unless eta is positive and finite and T a positive integer,
     and DivergenceError when the residuals blow up (learning rate beyond the
-    stable range).
+    stable range), at the same step on every path.
     """
     harmonics._check_integer(T, "step count", 1)
     T = int(T)
@@ -402,81 +335,69 @@ def train(
 
     g = harmonics._power_coefficients(X.shape[1], tau)
     cheaper = _factored_is_cheaper(m, n, harmonics._factor_width(X.shape[1], g), T, tau.size - 1)
-    factors = _try_factor(X, Q, tau, g) if cheaper else None
-
-    # a(t) = QL @ c(t) on the factors of Z = QL @ B, QL held by the reflectors
-    # F, and a(t) = c(t) with B = Z on the plain path
-    F, B = factors if factors is not None else (None, feature_matrix(X, Q, tau))
-    a = None
-    if F is not None and T >= min(B.shape):
-        a = _spectral_trace(F, B, y, f_star, eta, T, trace)
-    if a is None:
-        a = _gd_loop(F, B, y, f_star, eta, T, trace)
+    factors = _try_factor(X, Q, tau, g, np.stack([y, f_star])) if cheaper else None
+    if factors is None:
+        a = _gd_loop(feature_matrix(X, Q, tau), y, f_star, eta, T, trace)
+    else:
+        a = _spectral_trace(factors, y, eta, T, trace)
     return TrainerState(a=a, t=T, eta=float(eta)), trace
 
 
-def _gd_loop(F, B, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
-    """T gradient steps on c, a = QL @ c (a = c when F is None); returns a(T).
-
-    On the factors, the recorded c(t) become weights as one block at the end.
-    """
+def _gd_loop(Z, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
+    """T gradient steps on the m x n feature matrix Z; returns a(T)."""
     n = y.size
     keep = trace.weights is not None
     # resid = yhat - y, formed once per step for the check, the record and the gradient
-    c = np.zeros(B.shape[0])
+    a = np.zeros(Z.shape[0])
     resid = -y
-    _record(trace, resid, -f_star, c, keep)
+    _record(trace, resid, -f_star, a, keep)
     for t in range(1, T + 1):
         if not np.all(np.isfinite(resid)):
-            raise DivergenceError(
-                f"non-finite residual at step {t - 1}; "
-                f"eta = {eta:g} likely exceeds 2 / lambda_max of the kernel"
-            )
-        c = c - (eta / n) * (B @ resid)
-        yhat = B.T @ c
+            raise _non_finite(t - 1, eta)
+        a = a - (eta / n) * (Z @ resid)
+        yhat = Z.T @ a
         resid = yhat - y
-        _record(trace, resid, yhat - f_star, c, keep)
+        _record(trace, resid, yhat - f_star, a, keep)
         _check_divergence(trace.residual_norm, t)
-    if F is None:
-        return c
-    if keep:
-        trace.weights[:] = list(_reflect(F, np.array(trace.weights)))
-    return _reflect(F, c)
+    return a
 
 
-def _spectral_trace(F, B, y, f_star, eta: float, T: int, trace: TrainingTrace):
-    """The loop's whole trace in closed form on the thin SVD of B; returns a(T).
-
-    F holds QL as reflectors.  Returns None, recording nothing, when a step
-    is unstable (|rho_i| > 1) or y is not finite; the loop then runs and
-    raises where it does.
-    """
-    n = y.size
-    Rb, Fb = _householder(B.T)  # B.T = Qb Rb, Qb's first k = min(n, w) columns
-    Us, s, Wt = np.linalg.svd(Rb, full_matrices=False)  # B.T = H diag(s) Wt, H = Qb Us
-    rho = 1.0 - (eta / n) * s**2
-    if not (np.all(np.abs(rho) <= 1.0) and np.all(np.isfinite(y))):
-        return None
-    # rows y and f*: Qb.T splits each into its part along H and the rest
-    yf = _reflect(Fb, np.stack([y, f_star]), transpose=True)
-    (beta, beta_f), rest = yf[:, : s.size] @ Us, yf[:, s.size :]
+def _spectral_trace(factors, y, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
+    """The loop's whole trace in closed form on _try_factor's factors; returns a(T)."""
+    lam, coef, Phi, (beta, beta_f), (y_perp2, f_perp2) = factors
+    n, k = y.size, lam.size
+    rho = 1.0 - (eta / n) * lam
+    checked = not (np.all(np.abs(rho) <= 1.0) and np.all(np.isfinite(y)))
     delta = beta - beta_f
-    y_perp2, f_perp2 = (float(r @ r) for r in rest)
-    # z(t) = beta (1 - rho^t) / s, and 0 where s = 0; c(t) = Wt.T @ z(t)
-    gain = np.divide(beta, s, out=np.zeros_like(s), where=s > 0)
-    rows = _block_rows(T + 1, s.size)
-    for lo in range(0, T + 1, rows):
-        P = rho ** np.arange(lo, min(lo + rows, T + 1))[:, None]  # rho^t, one row per t
-        if trace.weights is not None:
-            trace.weights.extend(_reflect(F, (gain * (1.0 - P)) @ Wt))
-        P *= beta  # -e(t)
-        nloss = np.einsum("tw,tw->t", P, P) + y_perp2
-        np.subtract(delta, P, out=P)  # e(t) + delta
-        nclean = np.einsum("tw,tw->t", P, P) + f_perp2
-        trace.loss.extend((nloss / n).tolist())
-        trace.residual_norm.extend(np.sqrt(nloss).tolist())
-        trace.clean_loss.extend((nclean / n).tolist())
-    return _reflect(F, Wt.T @ (gain * (1.0 - rho**T)))
+
+    def weights(t, P):
+        # a(t) for the rows t of rho^t in P: Phi.T @ (coef @ (gain(t) beta))
+        gain = np.divide(1.0 - P, lam, out=np.multiply.outer(t * (eta / n), np.ones(k)),
+                         where=rho != 1.0)
+        return ((gain * beta) @ coef.T) @ Phi
+
+    norms = trace.residual_norm
+    rows = _block_rows(T + 1, k)
+    # an unstable rho^t may overflow in the block that holds the step that raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, T + 1, rows):
+            t = np.arange(lo, min(lo + rows, T + 1))
+            P = rho ** t[:, None]  # rho^t, one row per t
+            if trace.weights is not None:
+                trace.weights.extend(weights(t, P))
+            P *= beta  # -e(t)
+            nloss = np.einsum("tw,tw->t", P, P) + y_perp2
+            np.subtract(delta, P, out=P)  # e(t) + delta
+            nclean = np.einsum("tw,tw->t", P, P) + f_perp2
+            trace.loss.extend((nloss / n).tolist())
+            norms.extend(np.sqrt(nloss).tolist())
+            trace.clean_loss.extend((nclean / n).tolist())
+            # the plain loop's checks at steps lo..t[-1], in its order
+            for s in range(max(lo, 1), t[-1] + 1) if checked else ():
+                if not math.isfinite(norms[s - 1]):
+                    raise _non_finite(s - 1, eta)
+                _check_divergence(norms, s)
+        return weights(np.array(T), rho**T)
 
 
 def closed_form_residual(K_hat_n, y, eta: float, t: int, method: str = "auto") -> np.ndarray:

@@ -23,7 +23,7 @@ from sphattn.experiments import (
     run_risk_sweep,
     run_training_run,
 )
-from sphattn.harmonics import _power_coefficients, gegenbauer_weighted_sum
+from sphattn.harmonics import _power_coefficients, gegenbauer_weighted_sum, harmonic_dim
 
 SELECT_KW = {
     "d": 4,
@@ -322,14 +322,28 @@ class TestEmpiricalKernel:
         gapped = finalized_weights(d, [1] + [0] * (L - 1) + [1] if L > 1 else [0, 1])
         for tau in (oracle_weights(d, L), gapped):
             ref = self._walk(X_a, X_b, Q, tau, d)
-            k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, np.ones(L + 1))
+            # the kernel sigma_tau concentrates to: sum_k tau_k^2 / N_k P_k
+            dims = np.array([harmonic_dim(d, k) for k in range(L + 1)])
+            k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, tau**2 / dims)
             with monkeypatch.context() as patch:
                 patch.setattr(harmonics, "gegenbauer_weighted_sum", self._no_walk)
                 k_hat = harmonics._paired_kernel(X_a, X_b, Q, tau)
-                gap = experiments._kernel_gap(X_a, X_b, Q, tau, L, d)
+                gap = experiments._kernel_gap(X_a, X_b, Q, tau, d)
             np.testing.assert_allclose(k_hat, ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref)))
             assert gap == pytest.approx(float(np.max(np.abs(ref - k_pop))), rel=1e-12)
+
+    def test_gap_measures_concentration_under_a_gapped_mask(self):
+        # mask [1, 0, 1] at d = 3: the empirical kernel concentrates to
+        # P_0 + P_2, so the gap shrinks with m; against P_0 + P_1 + P_2 it
+        # would stay near max |P_1| over the pairs, about 1
+        d = 3
+        pairs = sample_sphere(128, d, 47)
+        X_a, X_b = pairs[:64], pairs[64:]
+        tau = finalized_weights(d, [1, 0, 1])
+        gap = experiments._kernel_gap(X_a, X_b, sample_sphere(20000, d, 48), tau, d)
+        assert gap < 0.1
+        assert float(np.max(np.abs(np.sum(X_a * X_b, axis=1)))) > 0.9
 
     def test_ill_conditioned_expansion_takes_the_walk(self, monkeypatch):
         # d = 2, degree 14: the Chebyshev coefficients grow like (1 + sqrt 2)^14

@@ -395,7 +395,7 @@ def test_one_tolerance_reaches_every_user(monkeypatch):
         mp.setattr(harmonics_mod, "_power_sums", expansion)
         selection.one_step_updates(ds, Q, 4)
         predict(np.ones(400), ds.S, Q, oracle_weights(8, 4))
-    # train on the factors: the walk's residual exceeds 0 too, so it falls back
+    # train on the factors: the bound exceeds 0, so it falls back
     monkeypatch.setattr(training, "_factored_is_cheaper", lambda *shape: True)
     built = plain_builds(monkeypatch)
     ds = gen_dataset(make_target(3, 1, [1.0, 1.0], 73), 60, 0.2, 74)
@@ -406,8 +406,8 @@ def test_one_tolerance_reaches_every_user(monkeypatch):
     calls, walk = [], harmonics_mod.gegenbauer_weighted_sum
     monkeypatch.setattr(harmonics_mod, "gegenbauer_weighted_sum",
                         lambda *args: calls.append(args) or walk(*args))
-    monkeypatch.setattr(harmonics_mod, "_exact_factors", expansion)
+    monkeypatch.setattr(harmonics_mod, "_middle_matrix", expansion)
     pairs = sample_sphere(20, 3, 76)
     experiments._kernel_gap(pairs[:10], pairs[10:], sample_sphere(50, 3, 77),
-                            oracle_weights(3, 1), 1, 3)
+                            oracle_weights(3, 1), 3)
     assert len(calls) == 2

@@ -43,8 +43,13 @@ def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
     assert code == 0
     names = {span[0] for span in t.spans}
     expected = {"cli.main", "config.parse_config_file", "experiments.run", "experiments.trial",
-                "experiments.kernel_gap", "training.train", "experiments.emit_report"}
+                "experiments.kernel_gap", "training.train", "training.factor",
+                "experiments.emit_report"}
     assert expected <= names, f"spans never recorded: {sorted(expected - names)}"
+    # d = 3, ell0 = 1 takes the factors at every n, so a trainer that stops
+    # going through _try_factor, or fails it, shows here
+    factor = [span[6] for span in t.spans if span[0] == "training.factor"]
+    assert len(factor) == 4 and all(attrs["ok"] == 1 for attrs in factor)
 
 
 @pytest.mark.parametrize("name", ["sweep-d6", "select-d8"])

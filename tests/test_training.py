@@ -52,13 +52,6 @@ def plain_builds(monkeypatch) -> list:
     return calls
 
 
-def _no_walk(monkeypatch):
-    def walk(*args, **kwargs):
-        raise AssertionError("the factor check walked Z")
-
-    monkeypatch.setattr(training, "_factor_residual", walk)
-
-
 class TestFeatureMatrix:
     def test_zero_weights(self):
         _, ds, Q, _ = _setup()
@@ -263,11 +256,11 @@ class TestGdStep:
                 train(ds, Q, tau, eta=eta, T=3)
 
     def test_steps_after_train_on_either_path(self, monkeypatch):
-        # on these shapes T = 5 takes the plain path and T = 80 the factors
+        # on these shapes T = 1 takes the plain path and T = 80 the factors
         # (test_auto_takes_the_cheaper_path); gd_step continues either state
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         Z = feature_matrix(ds.S, Q, tau)
-        for T, plain in ((5, True), (80, False)):
+        for T, plain in ((1, True), (80, False)):
             built = plain_builds(monkeypatch)
             state, _ = train(ds, Q, tau, eta=0.3, T=T)
             assert bool(built) == plain
@@ -398,32 +391,35 @@ class TestTrain:
     def test_auto_takes_the_cheaper_path(self, monkeypatch):
         # d = 3, ell0 = 2: factor width p = 1 + 3 + 6 = 10.  Over 80 steps the
         # factors take less time than the 200 x 60 matrix (measured train,
-        # best of 5, one BLAS thread: 0.53 against 2.11 ms)
+        # best of 5 or more, interleaved, one BLAS thread: 0.31 against 1.52 ms)
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         built = plain_builds(monkeypatch)
         assert training._factored_is_cheaper(200, 60, 10, 80, 2)
         train(ds, Q, tau, eta=0.3, T=80)
         assert not built
-        # over 5 steps the expansion's calls and the QR outweigh the saving
-        # (0.41 ms plain against 0.53 ms factored)
-        assert not training._factored_is_cheaper(200, 60, 10, 5, 2)
-        train(ds, Q, tau, eta=0.3, T=5)
+        # for one step the expansion's calls, the QR and the eigh outweigh
+        # the saving (0.21 ms plain against 0.28 ms factored)
+        assert not training._factored_is_cheaper(200, 60, 10, 1, 2)
+        train(ds, Q, tau, eta=0.3, T=1)
         assert len(built) == 1
 
     def test_cost_rule_weighs_width_and_steps(self):
-        # outcomes from measured train times (best of 5, one BLAS thread),
-        # plain against factored
+        # outcomes from measured train times (best of 5 or more, interleaved,
+        # one BLAS thread), plain against factored
         m = n = 2000
-        assert training._factored_is_cheaper(m, n, 7, 62, 1)  # 192 vs 0.75 ms
-        # d = 8, channels 0..4: p = 495 pays for its QR after a few steps
-        assert training._factored_is_cheaper(m, n, 495, 62, 4)  # 241 vs 162 ms
-        assert not training._factored_is_cheaper(m, n, 495, 5, 4)  # 83 vs 117 ms
+        assert training._factored_is_cheaper(m, n, 7, 62, 1)  # 273 vs 0.56 ms
+        # d = 8, channels 0..4: p = 495 pays for its Gram, QR and eigh after
+        # a few steps
+        assert training._factored_is_cheaper(m, n, 495, 62, 4)  # 339 vs 108 ms
+        assert not training._factored_is_cheaper(m, n, 495, 5, 4)  # 98 vs 109 ms
         # d = 8, channels 0..5: p = 1287 costs more than 62 plain steps
-        assert not training._factored_is_cheaper(m, n, 1287, 62, 5)  # 272 vs 605 ms
-        # a width above m: the QR does not pay for 3 steps, but the closed
-        # form prices only min(p, m, n) = 60 steps, whatever T
-        assert not training._factored_is_cheaper(200, 60, 495, 3, 4)  # 0.27 vs 3.8 ms
-        assert training._factored_is_cheaper(200, 60, 495, 3000, 4)  # 48 vs 8.0 ms
+        assert not training._factored_is_cheaper(m, n, 1287, 62, 5)  # 416 vs 1170 ms
+        # a width above m and n: the factors do not pay for 3 steps, but
+        # the closed form adds only O(T min(p, n)) per step count
+        assert not training._factored_is_cheaper(200, 60, 495, 3, 4)  # 0.36 vs 5.4 ms
+        assert training._factored_is_cheaper(200, 60, 495, 3000, 4)  # 54 vs 8.0 ms
+        # m << n at few steps: the points' QR costs more than the walk
+        assert not training._factored_is_cheaper(200, 4000, 165, 10, 3)  # 20 vs 43 ms
         assert training._factored_is_cheaper(m, n, 0, 1, 0)
 
     @pytest.mark.parametrize("m, n, p, eta, d", [
@@ -442,7 +438,7 @@ class TestTrain:
         monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
         built = plain_builds(monkeypatch)
-        with pytest.warns(RuntimeWarning, match=r"relative residual .* factor width p = 10"):
+        with pytest.warns(RuntimeWarning, match=r"a-priori bound .* factor width p = 10"):
             state, trace = train(ds, Q, tau, eta=0.3, T=30)
         assert len(built) == 1
         assert np.array_equal(state.a, ref_state.a)
@@ -450,34 +446,54 @@ class TestTrain:
         assert trace.clean_loss == ref_trace.clean_loss
 
     def test_sweep_shape_is_certified_without_the_walk(self, monkeypatch):
-        # d = 6, ell0 = 1 is the sweep-d6 benchmark's degree pair: with the
-        # walk patched to raise, a change that sends its factors back to the
-        # m x n check fails here
+        # d = 6, ell0 = 1 is the sweep-d6 benchmark's degree pair: a change
+        # that sends its factors back to the m x n matrix fails here
         target = make_target(6, 1, [1.0, 4.0], 69)
         ds = gen_dataset(target, 500, 0.5, 70)
         Q = sample_sphere(2000, 6, 71)
-        _no_walk(monkeypatch)
+        tau = oracle_weights(6, 1)
+        g = harmonics._power_coefficients(6, tau)
+        assert harmonics._spectrum_error(6, tau, g, 8000, 2) <= harmonics._FACTOR_RTOL
         built = plain_builds(monkeypatch)
-        train(ds, Q, oracle_weights(6, 1), eta=0.8, T=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train(ds, Q, tau, eta=0.8, T=100)
         assert not built
 
     def test_factored_train_allocates_no_feature_matrix(self, monkeypatch):
         import tracemalloc
 
-        target = make_target(5, 1, [1.0, 1.0], 27)
-        ds = gen_dataset(target, 1500, 0.1, 28)
-        Q = sample_sphere(1200, 5, 29)
-        tau = oracle_weights(5, 1)
-        train(ds, Q, tau, eta=0.5, T=20)  # warm up lazy allocations
+        # the sweep-d6 shape at n = 4000: O((m + n) p) memory, p = 7, far
+        # below the m x n matrix
+        target = make_target(6, 1, [1.0, 4.0], 27)
+        ds = gen_dataset(target, 4000, 0.5, 28)
+        Q = sample_sphere(8000, 6, 29)
+        tau = oracle_weights(6, 1)
+        force_path(monkeypatch, True)
+        train(ds, Q, tau, eta=0.8, T=20)  # warm up lazy allocations
         built = plain_builds(monkeypatch)
         tracemalloc.start()
         try:
-            train(ds, Q, tau, eta=0.5, T=20)
+            train(ds, Q, tau, eta=0.8, T=20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert not built
-        assert peak < 8 * ds.n * Q.shape[0] / 4
+        assert peak < 8 * ds.n * Q.shape[0] / 16
+
+    def test_unstable_step_raises_without_the_feature_matrix(self, monkeypatch):
+        # eta * lambda_max far above 2: the factored path raises the plain
+        # loop's DivergenceError, at its step, and never builds Z
+        _, ds, Q, tau = _setup(n=40, m=60, seed=16)
+        force_path(monkeypatch, False)
+        with pytest.raises(DivergenceError) as plain:
+            train(ds, Q, tau, eta=50.0, T=200)
+        force_path(monkeypatch, True)
+        built = plain_builds(monkeypatch)
+        with pytest.raises(DivergenceError) as factored:
+            train(ds, Q, tau, eta=50.0, T=200)
+        assert not built
+        assert str(factored.value) == str(plain.value)
 
     def test_divergence_detected(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=60, seed=16)
@@ -516,32 +532,46 @@ class TestTrain:
 
 
 class TestExactFactors:
-    """QL @ B from the monomial expansion against the recurrence-built Z."""
+    """The factored spectrum and maps against the recurrence-built Z."""
 
     @pytest.mark.parametrize("d, L", [(2, 3), (3, 2), (6, 1), (8, 4)])
     def test_factors_reproduce_feature_matrix(self, d, L):
         X = sample_sphere(70, d, 31)
         Q = sample_sphere(90, d, 32)
+        Y = np.random.default_rng(30).standard_normal((2, 70))
         for tau in (oracle_weights(d, L), finalized_weights(d, [1, 0, 1]), np.array([0.7, 0, 0])):
-            factors = training._try_factor(X, Q, tau, harmonics._power_coefficients(d, tau))
+            factors = training._try_factor(X, Q, tau, harmonics._power_coefficients(d, tau), Y)
             assert factors is not None
-            F, B = factors
-            QL = training._reflect(F, np.eye(B.shape[0], 90)).T  # QL formed from the reflectors
-            np.testing.assert_allclose(QL.T @ QL, np.eye(QL.shape[1]), atol=1e-12)
+            lam, coef, Phi, proj, perp2 = factors
             Z = feature_matrix(X, Q, tau)
-            assert np.linalg.norm(QL @ B - Z) <= 1e-12 * np.linalg.norm(Z)
+            K = Z.T @ Z
+            scale = np.linalg.norm(K)
+            # W = Z H with H = QF Us, the kernel's eigenvectors: W.T W = diag(lam),
+            # Z.T W = H diag(lam), so W.T Z Y.T = lam * proj.T
+            W = Phi.T @ coef
+            np.testing.assert_allclose(W.T @ W, np.diag(lam), rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(W.T @ (Z @ Y.T), lam[:, None] * proj.T, rtol=0,
+                                       atol=1e-12 * scale * np.max(np.abs(Y)) * 70)
+            # the nonzero eigenvalues, and the parts of y and f* off H
+            ref = np.linalg.eigvalsh(K)[::-1]
+            np.testing.assert_allclose(lam[::-1], ref[: lam.size], rtol=0, atol=1e-12 * scale)
+            assert np.all(np.abs(ref[lam.size :]) <= 1e-12 * scale)
+            np.testing.assert_allclose(np.sum(proj**2, axis=1) + perp2, np.sum(Y**2, axis=1),
+                                       rtol=1e-12)
 
     def test_factor_width_counts_monomials(self):
         # oracle channels 0..2 in d = 4: 1 + 4 + 10 monomials
         X, Q = sample_sphere(5, 4, 33), sample_sphere(6, 4, 34)
         g = harmonics._power_coefficients(4, oracle_weights(4, 2))
         assert harmonics._factor_width(4, g) == 15
-        assert harmonics._exact_factors(X, Q, g)[0].shape == (6, 15)
+        assert harmonics._middle_matrix(Q, g)[3].shape == (15, 15)
+        assert harmonics._points_qr(X, [0, 1, 2]).shape == (5, 15)
         # the gapped mask [1, 0, 1] has no degree-1 term: 1 + 10
         g = harmonics._power_coefficients(4, finalized_weights(4, [1, 0, 1]))
         assert g[1] == 0.0
         assert harmonics._factor_width(4, g) == 11
-        assert harmonics._exact_factors(X, Q, g)[0].shape == (6, 11)
+        assert harmonics._middle_matrix(Q, g)[3].shape == (11, 11)
+        assert harmonics._points_qr(X, [0, 2]).shape == (5, 11)
 
 
 def _qr_cases():
@@ -558,37 +588,29 @@ def _qr_cases():
 
 
 class TestReflectors:
-    """QL kept as Householder reflectors against the QL that numpy forms."""
+    """Columns appended to the points' QR against the QF that numpy forms."""
 
     @staticmethod
     def _close(got, ref):
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * max(np.max(np.abs(ref)), 1.0))
 
     @pytest.mark.parametrize("case", _qr_cases().keys())
-    def test_match_the_reduced_qr(self, case):
+    def test_match_the_reduced_qr(self, case, monkeypatch):
         U = _qr_cases()[case]
-        QL, R_ref = np.linalg.qr(U, mode="reduced")
-        R, F = training._householder(U)
-        assert np.array_equal(R, R_ref)
-        (m, k), rng = QL.shape, np.random.default_rng(36)
-        if case == "scales=0":
-            assert not np.any(F[1])
-        # Q @ x on k entries padded with zeros, one vector and a block of rows
-        c, C = rng.standard_normal(k), rng.standard_normal((4, k))
-        self._close(training._reflect(F, c), QL @ c)
-        self._close(training._reflect(F, C), C @ QL.T)
-        # Q.T @ x: the first k entries are QL.T @ x, the rest hold the part
-        # of x off QL's columns, with its norm
-        y, Y = rng.standard_normal(m), rng.standard_normal((3, m))
-        for x in (y, *Y):
-            full = training._reflect(F, x, transpose=True)
-            self._close(full[:k], QL.T @ x)
-            perp = x - QL @ (QL.T @ x)
-            assert np.linalg.norm(full[k:]) == pytest.approx(np.linalg.norm(perp),
-                                                             rel=1e-12, abs=1e-13)
-        self._close(training._reflect(F, Y, transpose=True)[:, :k], Y @ QL)
-        # and back: Q @ (Q.T @ x) = x
-        self._close(training._reflect(F, training._reflect(F, Y, transpose=True)), Y)
+        QF, R_ref = np.linalg.qr(U, mode="reduced")
+        (n, k), p = QF.shape, U.shape[1]
+        Y = np.random.default_rng(36).standard_normal((3, n))
+        # the case's matrix in place of the points' monomials
+        monkeypatch.setattr(harmonics, "_kept_monomials", lambda P, J: U.T)
+        assert np.array_equal(harmonics._points_qr(None, None), R_ref)
+        R = harmonics._points_qr(None, None, *Y)
+        self._close(R[:k, :p], R_ref)
+        # the first k rows of an appended column are QF.T @ y, and the rows
+        # below hold the part of y off QF's columns, with its norm
+        self._close(R[:k, p:], QF.T @ Y.T)
+        perp = Y.T - QF @ (QF.T @ Y.T)
+        np.testing.assert_allclose(np.linalg.norm(R[k:, p:], axis=0), np.linalg.norm(perp, axis=0),
+                                   rtol=1e-12, atol=1e-13)
 
 
 def _walk_error(A, B, d, L) -> str:
@@ -624,72 +646,64 @@ class TestDomainScreen:
 
 
 class TestCertificate:
-    """The a-priori bound on the factors' error against the walk's residual."""
+    """The a-priori bound on the factored spectrum against an oracle that walks."""
 
     @staticmethod
-    def _bound_and_walk(X, Q, tau):
-        d = X.shape[1]
+    def _bound_and_error(X, Q, tau, monkeypatch):
+        # the eigenvalues of N / n from the factors, whatever the bound, and
+        # those of Z.T Z / n from the walk, relative to (sum |tau|)^2
+        n, d = X.shape
         g = harmonics._power_coefficients(d, tau)
-        U, Vt = harmonics._exact_factors(X, Q, g)
-        R, F = training._householder(U)  # QL as reflectors, formed by the walk
-        B = R @ Vt
-        return (harmonics._certificate(d, tau, g, U, Vt, B),
-                training._factor_residual(X, Q, tau, F, B))
+        with monkeypatch.context() as mp:
+            mp.setattr(harmonics, "_FACTOR_RTOL", np.inf)
+            lam = training._try_factor(X, Q, tau, g, np.zeros((2, n)))[0][::-1] / n
+        ref = gram_spectrum(normalized_gram(empirical_gram(X, None, Q, tau), n))
+        err = max(np.max(np.abs(lam - ref[: lam.size])),
+                  np.max(np.abs(ref[lam.size :]), initial=0.0))
+        return harmonics._spectrum_error(d, tau, g, n, 2), err / np.sum(np.abs(tau)) ** 2
 
     @pytest.mark.parametrize("d, L", [(2, 10), (2, 14), (3, 8), (8, 4), (6, 1)])
-    def test_bound_is_never_below_the_walk(self, d, L):
+    def test_bound_is_never_below_the_walk(self, d, L, monkeypatch):
         X = sample_sphere(300, d, 61)
         Q = sample_sphere(600, d, 62)
         gapped = [1] + [0] * (L - 1) + [1] if L > 1 else [0, 1]
         rng = np.random.default_rng(63 + 20 * d + L)
         for tau in (oracle_weights(d, L), finalized_weights(d, gapped), rng.standard_normal(L + 1)):
-            bound, resid = self._bound_and_walk(X, Q, tau)
-            assert resid <= bound
+            bound, err = self._bound_and_error(X, Q, tau, monkeypatch)
+            assert err <= bound
 
     def test_zero_weights_certify_as_zero(self, monkeypatch):
         X, Q = sample_sphere(20, 4, 64), sample_sphere(30, 4, 65)
-        assert self._bound_and_walk(X, Q, np.zeros(3)) == (0.0, 0.0)
-        # p = 0: Z is exactly 0, and train needs no walk to accept that
-        _no_walk(monkeypatch)
+        tau = np.zeros(3)
+        g = harmonics._power_coefficients(4, tau)
+        assert harmonics._spectrum_error(4, tau, g, 20, 2) == 0.0
+        # p = 0: Z is exactly 0, and train takes the factors without a warning
         force_path(monkeypatch, True)
         built = plain_builds(monkeypatch)
         ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
-        state, trace = train(ds, Q, np.zeros(3), eta=0.3, T=4)
-        assert not built and np.array_equal(state.a, np.zeros(30))
-        assert trace.loss == [1.0] * 5
-
-    def test_failed_bound_with_passing_walk_stays_factored(self, monkeypatch):
-        # d = 2 at degree 10: the bound exceeds _FACTOR_RTOL, the walk's
-        # residual does not, so the factors are kept without a warning
-        target = make_target(2, 2, [1.0, 1.0, 1.0], 66)
-        ds = gen_dataset(target, 300, 0.2, 67)
-        Q = sample_sphere(600, 2, 68)
-        tau = oracle_weights(2, 10)
-        bound, resid = self._bound_and_walk(ds.S, Q, tau)
-        assert resid <= harmonics._FACTOR_RTOL < bound
-        walks = []
-        walk = training._factor_residual
-        monkeypatch.setattr(training, "_factor_residual",
-                            lambda *args: walks.append(args) or walk(*args))
-        assert training._factored_is_cheaper(600, 300, 66, 50, 10)
-        built = plain_builds(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train(ds, Q, tau, eta=1e-3, T=50)
-        assert not built and len(walks) == 1
+            state, trace = train(ds, Q, tau, eta=0.3, T=4)
+        assert not built and np.array_equal(state.a, np.zeros(30))
+        # |y|^2 / n = 1, with |y| from the QR's triangle
+        np.testing.assert_allclose(trace.loss, [1.0] * 5, rtol=1e-15)
 
-    def test_failure_names_the_residual_and_the_bound(self, monkeypatch):
-        # T = 30 >= w = 10: the fallback also replaces the closed form
+    def test_failure_names_the_bound_and_falls_back(self, monkeypatch):
+        # the bound exceeds the tolerance: train warns before forming the
+        # factors and runs the plain loop, bit for bit
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         force_path(monkeypatch, False)
         ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
         monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
+        formed = []
+        monkeypatch.setattr(harmonics, "_middle_matrix", lambda *args: formed.append(args))
         built = plain_builds(monkeypatch)
-        with pytest.warns(RuntimeWarning, match=r"relative residual \S+ > 0 at factor width "
-                          r"p = 10 \(a-priori bound \d\.\d{3}e-\d+\); falling back to "
+        with pytest.warns(RuntimeWarning, match=r"a-priori bound \d\.\d{3}e-\d+ on the kernel's "
+                          r"eigenvalues > 0 at factor width p = 10; falling back to "
                           r"the m x n feature matrix"):
             state, trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
+        assert not formed
         assert len(built) == 1 and np.array_equal(built[0][2], tau)
         assert np.array_equal(state.a, ref_state.a)
         assert trace.loss == ref_trace.loss and trace.clean_loss == ref_trace.clean_loss
@@ -702,19 +716,17 @@ class TestSpectralTrace:
 
     @staticmethod
     def _paths(monkeypatch):
-        # records "spectral" or "loop" per factored train, "plain" otherwise
+        # records "spectral" per factored train, "plain" per plain one
         taken = []
         spectral, loop = training._spectral_trace, training._gd_loop
 
         def spy_spectral(*args):
-            out = spectral(*args)
-            if out is not None:
-                taken.append("spectral")
-            return out
+            taken.append("spectral")
+            return spectral(*args)
 
-        def spy_loop(QL, *args):
-            taken.append("plain" if QL is None else "loop")
-            return loop(QL, *args)
+        def spy_loop(*args):
+            taken.append("plain")
+            return loop(*args)
 
         monkeypatch.setattr(training, "_spectral_trace", spy_spectral)
         monkeypatch.setattr(training, "_gd_loop", spy_loop)
@@ -744,22 +756,22 @@ class TestSpectralTrace:
         assert taken == ["plain", "spectral"]
 
     def test_fewer_steps_than_width_take_the_loop(self, monkeypatch):
-        # d = 3, ell0 = 2: w = p = 10, so T = 9 steps run the factored loop
+        # d = 3, ell0 = 2: p = 10, and T = 9 < p steps take the closed form too
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         taken = self._paths(monkeypatch)
         self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.3, 9)
         self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.3, 10)
-        assert taken == ["plain", "loop", "plain", "spectral"]
+        assert taken == ["plain", "spectral", "plain", "spectral"]
 
     def test_width_above_sample_count(self, monkeypatch):
-        # p = 10 monomials on n = 6 points: the SVD has min(p, n) = 6 columns
+        # p = 10 monomials on n = 6 points: N is min(p, n) = 6 square
         _, ds, Q, tau = _setup(n=6, m=200, seed=18)
         taken = self._paths(monkeypatch)
         self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.3, 50)
         assert taken == ["plain", "spectral"]
 
     def test_rank_deficient_factors(self, monkeypatch):
-        # 4 distinct points, each 15 times: B has rank 4 < w = 10
+        # 4 distinct points, each 15 times: N has rank 4 < p = 10
         target, ds, Q, tau = _setup(n=4, m=200, seed=19)
         X = np.repeat(ds.S, 15, axis=0)
         f_star = np.repeat(ds.f_star_S, 15)
@@ -774,12 +786,11 @@ class TestSpectralTrace:
 
     def test_exactly_zero_singular_values(self, monkeypatch):
         # directions in the plane x_3 = 0: the monomials with q_3 vanish, so
-        # U has zero columns and B rows that are exactly 0
+        # M has zero rows and N eigenvalues that are 0 after the clip
         _, ds, _, tau = _setup(n=60, seed=26)
         Q = np.concatenate([sample_sphere(200, 2, 27), np.zeros((200, 1))], axis=1)
         g = harmonics._power_coefficients(3, tau)
-        QL, B = training._try_factor(ds.S, Q, tau, g)
-        assert np.any(np.linalg.svd(B.T, compute_uv=False) == 0.0)
+        assert np.any(training._try_factor(ds.S, Q, tau, g, np.zeros((2, 60)))[0] == 0.0)
         taken = self._paths(monkeypatch)
         self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.5, 100, record_weights=True)
         assert taken == ["plain", "spectral"]
@@ -824,8 +835,8 @@ class TestSpectralTrace:
             messages[factored] = str(err.value)
         assert messages[True] == messages[False]
         assert "over 5 steps at step" in messages[False]
-        # the unstable step sends the factors back to the loop, which raises
-        assert taken == ["plain", "loop"]
+        # the closed form raises at the loop's step, with its message
+        assert taken == ["plain", "spectral"]
 
     def test_non_finite_response_raises_like_the_plain_loop(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=60, seed=16)
@@ -841,7 +852,7 @@ class TestSpectralTrace:
         import sys
         import tracemalloc
 
-        # d = 6, ell0 = 1: w = p = 7
+        # d = 6, ell0 = 1: p = 7
         target = make_target(6, 1, [1.0, 4.0], 23)
         ds = gen_dataset(target, 300, 0.5, 24)
         Q = sample_sphere(400, 6, 25)
