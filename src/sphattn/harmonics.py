@@ -75,10 +75,18 @@ __all__ = [
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Wrap ints (or anything default_rng accepts) as a SeedSequence."""
+    """The seed as a SeedSequence: None, an int, a sequence of ints or a SeedSequence (as is).
+
+    A Generator or BitGenerator, which default_rng takes, holds no entropy to
+    derive children from, and raises TypeError, as any other type does.
+    """
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    try:
+        return np.random.SeedSequence(seed)
+    except TypeError:
+        raise TypeError("seed must be None, an int, a sequence of ints or a SeedSequence, "
+                        f"not {type(seed).__name__}") from None
 
 
 # SeedSequence's hash constants.  NumPy's compatibility policy (NEP 19) keeps
@@ -90,42 +98,33 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list:
-    """init * mult**k mod 2**32 for k = 0..count: the multipliers of count hashmix steps."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = start..start + count: count hashmix steps' multipliers."""
+    ks = range(start, start + count + 1)
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in ks], dtype=np.uint64)
 
 
 def _hashmix(value, h, h_next):
-    """SeedSequence's hashmix step on 32-bit words (ints or uint64 arrays)."""
+    """SeedSequence's hashmix step on uint64 arrays of 32-bit words."""
     value = (value ^ h) * h_next & _MASK32
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (ints or uint64 arrays)."""
+    """SeedSequence's mix of two uint64 arrays of 32-bit words."""
     value = (_MIX_L * x - _MIX_R * y) & _MASK32
     return value ^ (value >> 16)
 
 
-def _entropy_words(x) -> list:
-    """SeedSequence's coercion of entropy or a spawn key to 32-bit words, low word first."""
+def _word_count(x) -> int:
+    """The number of 32-bit words SeedSequence makes of a valid entropy or spawn key."""
     if isinstance(x, np.ndarray) and x.dtype == np.uint32:
-        return x.tolist()
+        return x.size
     if isinstance(x, str):  # the strings SeedSequence accepts: "0x" hex or decimal
         x = int(x, 16) if x.startswith("0x") else int(x)
     if isinstance(x, (int, np.integer)):
-        x = int(x)
-        if x < 0:
-            raise ValueError(f"entropy must be non-negative, got {x}")
-        words = [x & _MASK32]
-        while x >> 32:
-            x >>= 32
-            words.append(x & _MASK32)
-        return words
-    return [w for v in x for w in _entropy_words(v)]
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(_word_count(v) for v in x)
 
 
 @functools.cache
@@ -157,38 +156,25 @@ def child_generators(seed, count: int):
     is SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (k + i,),
     pool_size=seq.pool_size), the i-th of seq.spawn(count); its generator
     draws the same numbers, but seq is not advanced, so a second call yields
-    the same generators again.  The children's entropy differs only in its
-    last word, the child index, so SeedSequence's mixing runs once, on
-    Python ints, over the shared words, and the last word's mixing and
-    generate_state(4, uint64) run as array operations over all children.
-    Generators are built one at a time, as they are asked for.
+    the same generators again.  A child's entropy words are seq's entropy
+    padded with zeros to the pool, seq's spawn key and the child index.
+    SeedSequence mixes words into the pool in order, pool_size hash steps
+    each, and hashes 0 for those short entropy lacks, so seq.pool is every
+    child's pool before its last word; only that word's mixing and
+    generate_state(4, uint64) run here, as array operations over all
+    children.  Generators are built one at a time, as they are asked for.
     """
     seq = as_seed_sequence(seed)
     first, pool_size = seq.n_children_spawned, seq.pool_size
     if first + count > 1 << 32:
         raise ValueError(f"child index {first + count - 1} does not fit one 32-bit word")
-    # a spawn key is never empty in a child, so its entropy is padded to the pool
-    run = _entropy_words(seq.entropy)
-    words = run + [0] * (pool_size - len(run)) + _entropy_words(seq.spawn_key)
-    # the mixing takes pool_size hashmix steps per entropy word, the child index included
-    hs = _hash_constants(_INIT_A, _MULT_A, pool_size * (len(words) + 1))
-    pool = [_hashmix(w, hs[i], hs[i + 1]) for i, w in enumerate(words[:pool_size])]
-    k = pool_size
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hs[k], hs[k + 1]))
-                k += 1
-    for w in words[pool_size:]:
-        for dst in range(pool_size):
-            pool[dst] = _mix(pool[dst], _hashmix(w, hs[k], hs[k + 1]))
-            k += 1
+    shared = max(_word_count(seq.entropy), pool_size) + _word_count(seq.spawn_key)
+    h = _hash_constants(_INIT_A, _MULT_A, pool_size * shared, pool_size)
     # the child index, mixed into every pool word: (count, pool_size)
-    h = np.array(hs[k : k + pool_size + 1], dtype=np.uint64)
     index = np.arange(first, first + count, dtype=np.uint64)[:, None]
-    pools = _mix(np.array(pool, dtype=np.uint64), _hashmix(index, h[:-1], h[1:]))
+    pools = _mix(seq.pool.astype(np.uint64), _hashmix(index, h[:-1], h[1:]))
     # generate_state(4, uint64): 8 words cycling over the pool, paired low word first
-    h = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint64)
+    h = _hash_constants(_INIT_B, _MULT_B, 0, 8)
     state = _hashmix(pools[:, np.arange(8) % pool_size], h[:-1], h[1:])
     state = state.astype("<u4", order="C").view("<u8").astype(np.uint64)
     state_words = _state_words_type()
@@ -558,8 +544,9 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     multiply-adds in all.  Each block holds about BLOCK_ENTRIES / 2
     monomial values, in buffers reused in place, so memory grows with
     neither len(A) nor len(B) beyond u itself.  At L <= 1 the monomials
-    are 1 and the coordinates, and the same sums are two matrix-vector
-    products, u[0] = sum_i y_i and u[1] = A @ (B.T @ y).  The caller checks
+    are 1 and the coordinates, and the same sums are u[0] = sum_i y_i and
+    u[1] = A @ (B.T @ y), the last one row at a time (einsum), so that,
+    unlike BLAS, it gives each row the value it gives alone.  The caller checks
     the domain (:func:`_screen_dots`) and the accuracy
     (:func:`_expansion_error`).
     """
@@ -568,7 +555,7 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
         u = np.empty((L + 1, len(A)))
         u[0] = np.sum(y)
         if L == 1:
-            np.matmul(A, B.T @ y, out=u[1])
+            np.einsum("ij,j->i", A, B.T @ y, out=u[1])
         return u
     d = A.shape[1]
     h, l = _half_degrees(L)
@@ -877,7 +864,10 @@ def _gram_eigenvalues(X: np.ndarray, ell_hat: int):
 # closest to the faster route at every shape: on average 0.4% slower than
 # it, and at most 1.5x (at 0.1 ms).  The walk's own calls (about 6 L per
 # block of BLOCK_ENTRIES dot products) are left out; the call weight, half
-# the fitted one, makes up for them.
+# the fitted one, makes up for them.  At L <= 1 the expansion, a sum and two
+# matrix-vector products, beat the walk at every shape timed (d = 3 and 6, 1
+# to 31 points against 5 to 8000: 21 to 42 us against 33 to 60), so it is
+# taken at any size, and predict's value on a row does not hang on the rows beside it.
 #
 # Accuracy.  The expansion is taken when _expansion_error, its a-priori bound
 # relative to ||w||_1 (derived above), is at most _FACTOR_RTOL, whatever the
@@ -903,7 +893,7 @@ def _expansion_is_cheaper(m: int, n: int, d: int, L: int) -> bool:
     blocks = -(-m // width) + -(-n // width)
     calls = (blocks + 1) * (d * max(h - 1, 0) + L + 5)
     cost = (m + n) * (ph * pl * _MAC_ENTRIES + ph) + _CALL_ENTRIES * calls
-    return cost < m * n * (L + 1)
+    return L <= 1 or cost < m * n * (L + 1)
 
 
 def _degree_projections(A, B, w, L: int) -> np.ndarray:
@@ -968,16 +958,17 @@ def _fill_sphere(X: np.ndarray, blocks) -> np.ndarray:
 
     `blocks` lists (rows, generator) pairs whose rows sum to n; each block of
     consecutive rows of X is sample_sphere(rows, d, generator), bit for bit.
-    The norms are linalg.norm's arithmetic, sqrt(add.reduce(X * X)) bit for
-    bit, taken once over all of X by columns (_row_sums_of_squares), and
-    the rows are divided in place; a zero row is redrawn from the generator
-    of its block.
+    The norms are kernels._unit_norms', sqrt(einsum("ij,ij->i", X, X)),
+    which sums each row's squares on its own and forms no n x d temporary,
+    so a row's norm does not depend on the rows beside it.  They are taken
+    once over all of X, and the rows are divided in place; a zero row is
+    redrawn from the generator of its block.
     """
     lo = 0
     for rows, rng in blocks:
         rng.standard_normal(out=X[lo : lo + rows])
         lo += rows
-    norms = np.sqrt(_row_sums_of_squares(X))
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     if not norms.all():
         lo = 0
         for rows, rng in blocks:
@@ -985,59 +976,7 @@ def _fill_sphere(X: np.ndarray, blocks) -> np.ndarray:
             while not block_norms.all():
                 zero = block_norms == 0.0
                 block[zero] = rng.standard_normal((int(np.sum(zero)), X.shape[1]))
-                block_norms[:] = np.sqrt(_row_sums_of_squares(block))
+                block_norms[:] = np.sqrt(np.einsum("ij,ij->i", block, block))
             lo += rows
     X /= norms[:, None]
     return X
-
-
-# NumPy's pairwise summation (pairwise_sum in its loops_utils), which
-# np.add.reduce runs on each row of a C-contiguous matrix along axis 1: fewer
-# than 8 entries in sequence, up to 128 in 8 interleaved accumulators joined
-# by a fixed tree, and more split in two, the first part a multiple of 8.
-_PAIRWISE_UNROLL = 8
-_PAIRWISE_BLOCK = 128
-
-
-def _row_sums_of_squares(X: np.ndarray) -> np.ndarray:
-    """np.add.reduce(X * X, axis=1) bit for bit, summed column by column.
-
-    Each row's d squares are added in NumPy's own order (above), but one
-    column at a time over all rows, so no n x d temporary is formed: at
-    d = 6 a pass per column took a quarter of the time of the row-wise
-    reduction, whose inner loop runs once per row on d entries.  The tests
-    pin the identity for d from 2 to 300, so a NumPy release that changes
-    its order fails there.
-    """
-    return _pairwise_squares(X, 0, X.shape[1], np.empty(len(X)))
-
-
-def _pairwise_squares(X: np.ndarray, lo: int, hi: int, tmp: np.ndarray) -> np.ndarray:
-    """NumPy's pairwise sum of X[:, j]**2 over the columns lo..hi-1; tmp is scratch."""
-
-    def square(j, out=None):
-        return np.multiply(X[:, j], X[:, j], out=out)
-
-    k = hi - lo
-    if k < _PAIRWISE_UNROLL:
-        acc = square(lo)
-        for j in range(lo + 1, hi):
-            acc += square(j, tmp)
-        return acc
-    if k <= _PAIRWISE_BLOCK:
-        r = [square(lo + j) for j in range(_PAIRWISE_UNROLL)]
-        stop = hi - k % _PAIRWISE_UNROLL
-        for i in range(lo + _PAIRWISE_UNROLL, stop, _PAIRWISE_UNROLL):
-            for j, acc in enumerate(r):
-                acc += square(i + j, tmp)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
-        for step in (1, 2, 4):
-            for j in range(0, _PAIRWISE_UNROLL, 2 * step):
-                r[j] += r[j + step]
-        for j in range(stop, hi):
-            r[0] += square(j, tmp)
-        return r[0]
-    half = k // 2 - k // 2 % _PAIRWISE_UNROLL
-    acc = _pairwise_squares(X, lo, lo + half, tmp)
-    acc += _pairwise_squares(X, lo + half, hi, tmp)
-    return acc

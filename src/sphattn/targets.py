@@ -133,7 +133,8 @@ def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledData
     proxy is sigma0^2 exactly.  Deterministic under seed: the feature and
     noise streams are the seed sequence's next two children (what spawn(2)
     would give), derived without advancing it, so a seed passed twice gives
-    the same dataset twice.
+    the same dataset twice.  The seed is None, an int, a sequence of ints or
+    a SeedSequence (harmonics.as_seed_sequence).
     """
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")

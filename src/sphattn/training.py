@@ -122,7 +122,9 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
     harmonics._degree_projections(X, Q, a, ell_hat) computes them on stage
     one's route, rule and rounding bound: the monomial expansion at
     O((len(X) + m) * p_h * p_l), or the recurrence over cache-sized row
-    blocks of X.  Neither allocates an array of len(X) x m.
+    blocks of X.  Neither allocates an array of len(X) x m.  tau @ V is
+    summed per row (einsum), so at ell_hat <= 1, where V is too, a value
+    hangs on its own row alone; above, block GEMMs round with the others.
     """
     a = np.asarray(a, dtype=float)
     X, Q = _require_unit_pair(X, Q)
@@ -131,7 +133,8 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
     if a.shape != (m,):
         raise ValueError(f"weights have shape {a.shape}, expected ({m},)")
     ell_hat = int(np.flatnonzero(tau)[-1]) if np.any(tau) else 0
-    return tau[: ell_hat + 1] @ harmonics._degree_projections(X, Q, a, ell_hat) / np.sqrt(m)
+    V = harmonics._degree_projections(X, Q, a, ell_hat)
+    return np.einsum("k,ki->i", tau[: ell_hat + 1], V) / np.sqrt(m)
 
 
 def _check_step_size(eta) -> None:

@@ -29,6 +29,7 @@ from sphattn import (
 from sphattn import complexity, harmonics
 from sphattn.complexity import MC_BATCH_ROWS, complexity_curve_csv
 from sphattn.experiments import SUB_MC, derive_seed
+from test_harmonics import unit_rows
 
 
 class TestSpectrumType:
@@ -361,6 +362,14 @@ class TestMcRisk:
         assert seq.n_children_spawned == 0
         assert first == mc_risk(pred, target, 1000, 5)
 
+    @pytest.mark.parametrize("seed", [np.random.default_rng(5), np.random.PCG64(5)],
+                             ids=["Generator", "BitGenerator"])
+    def test_rejects_a_generator_seed(self, seed):
+        target = make_target(3, 1, [1.0, 1.0], 44)
+        with pytest.raises(TypeError, match="seed must be None, an int, a sequence of ints or a "
+                                            f"SeedSequence, not {type(seed).__name__}$"):
+            mc_risk(lambda X: np.zeros(X.shape[0]), target, 1000, seed)
+
     def test_rejects_tiny_sample(self):
         target = make_target(3, 0, [1.0], 47)
         with pytest.raises(ValueError):
@@ -446,8 +455,9 @@ class _CountingPredictor:
 def _rowwise_predictor(X):
     """A predictor whose every value is IEEE-exact elementwise arithmetic on its own row.
 
-    Its values do not depend on how rows are batched, unlike predict's, whose
-    GEMMs round differently (by about 1 ulp) for different row counts.
+    Its values do not depend on how rows are batched, unlike predict's above
+    degree 1, whose GEMMs round differently (by about 1 ulp) for different
+    row counts.
     eval_target's values depend on their own rows alone, like these.
     """
     return X[:, 0] * X[:, 1] - 0.5 * X[:, 2] * X[:, 2] * X[:, 2] + X[:, 3]
@@ -461,15 +471,19 @@ class TestMcRiskBatches:
     @pytest.mark.parametrize("L", [1, 2])
     @pytest.mark.parametrize("num_samples", [2, 31, 32, 33, 1000, 20001, 200_000])
     def test_matches_per_chunk_oracle(self, L, num_samples):
-        # predict's rounding depends on the rows per call, and the oracle calls
-        # it per chunk, so the estimates agree to rounding only; the exact
-        # test below takes a predictor that is the same under any batching
+        # at L = 1 predict gives each row the value it gives alone, so the
+        # estimate is the oracle's bit for bit; at L = 2 the expansion's block
+        # GEMMs round with the rows beside them, and the oracle calls predict
+        # per chunk, so the two agree to rounding only
         target = make_target(6, 2, [0.5, 1.0, 2.0], 60)
         pred = _CountingPredictor(6, L, 200, 61)
         est, se = mc_risk(pred, target, num_samples, 62)
         want_est, want_se = _per_chunk_mc_risk(pred, target, num_samples, 62)
-        assert est == pytest.approx(want_est, rel=1e-13, abs=0)
-        assert se == pytest.approx(want_se, rel=1e-13, abs=0)
+        if L == 1:
+            assert (est, se) == (want_est, want_se)
+        else:
+            assert est == pytest.approx(want_est, rel=1e-13, abs=0)
+            assert se == pytest.approx(want_se, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("seed_of", MC_SEEDS.values(), ids=MC_SEEDS.keys())
     @pytest.mark.parametrize("num_samples", [2, 31, 32, 33, 1000, 20001, 200_000])
@@ -523,8 +537,8 @@ class TestMcRiskBatches:
         ref = np.random.default_rng(np.random.SeedSequence(73).spawn(32)[5])
         Z = ref.standard_normal((3, 4))
         z = ref.standard_normal((1, 4))
-        assert np.array_equal(X[[19, 21]], (Z / np.linalg.norm(Z, axis=1)[:, None])[[0, 2]])
-        assert np.array_equal(X[20], (z / np.linalg.norm(z))[0])
+        assert np.array_equal(X[[19, 21]], unit_rows(Z)[[0, 2]])
+        assert np.array_equal(X[20], unit_rows(z)[0])
 
         oracle_rngs = []
 

@@ -243,6 +243,11 @@ class TestGegenbauerBlocks:
             gegenbauer_blocks(np.ones((2, 3)), np.ones((2, 4)), 3, 2)
 
 
+def unit_rows(Z):
+    """Z's rows divided by sample_sphere's norms, sqrt(einsum("ij,ij->i", Z, Z))."""
+    return Z / np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
+
+
 class TestSampleSphere:
     def test_unit_norm_rows(self):
         X = sample_sphere(3, 2, 7)
@@ -262,7 +267,7 @@ class TestSampleSphere:
     @pytest.mark.parametrize("n, d, seed", [(1, 2, 0), (31, 3, 1), (625, 6, 2), (4000, 8, 3)])
     def test_normalized_normal_draws(self, n, d, seed):
         Z = np.random.default_rng(seed).standard_normal((n, d))
-        assert np.array_equal(sample_sphere(n, d, seed), Z / np.linalg.norm(Z, axis=1)[:, None])
+        assert np.array_equal(sample_sphere(n, d, seed), unit_rows(Z))
 
     def test_redraws_a_zero_row(self):
         class ZeroRowOnce(np.random.Generator):
@@ -282,19 +287,20 @@ class TestSampleSphere:
         ref = np.random.Generator(np.random.PCG64(5))
         Z = ref.standard_normal((4, 3))
         z = ref.standard_normal((1, 3))
-        assert np.array_equal(X[[0, 2, 3]], (Z / np.linalg.norm(Z, axis=1)[:, None])[[0, 2, 3]])
-        assert np.array_equal(X[1], (z / np.linalg.norm(z))[0])
+        assert np.array_equal(X[[0, 2, 3]], unit_rows(Z)[[0, 2, 3]])
+        assert np.array_equal(X[1], unit_rows(z)[0])
 
     @pytest.mark.parametrize("d", [2, 3, 6, 7, 8, 9, 12, 15, 16, 17, 30, 64, 129, 200, 300])
-    def test_column_sums_of_squares_follow_numpys_row_order(self, d):
-        # entries spread over many magnitudes, so that any other order of the
-        # sums rounds differently; a NumPy release that changes the order of
-        # add.reduce along rows fails here, and the draws with it
-        rng = np.random.default_rng(d)
-        X = rng.standard_normal((500, d)) * np.exp(3.0 * rng.standard_normal((500, d)))
-        for rows in (X, X[7:300]):
-            assert np.array_equal(harmonics_mod._row_sums_of_squares(rows),
-                                  np.add.reduce(rows * rows, axis=1))
+    def test_blocks_are_sample_sphere_bit_for_bit(self, d):
+        # each row's norm is its own sum of squares, whatever the rows beside
+        # it; d runs over the lengths where a row reduction changes its loop
+        # (unrolled by 8 and more, remainders)
+        sizes = [1, 7, 300, 2]
+        X = harmonics_mod._fill_sphere(
+            np.empty((sum(sizes), d)),
+            [(rows, np.random.default_rng([d, i])) for i, rows in enumerate(sizes)])
+        alone = [sample_sphere(rows, d, [d, i]) for i, rows in enumerate(sizes)]
+        assert np.array_equal(X, np.concatenate(alone))
 
     def test_accepts_seed_sequence(self):
         seq = np.random.SeedSequence(9)

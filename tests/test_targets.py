@@ -166,6 +166,14 @@ class TestGenDataset:
         d2 = gen_dataset(target, 40, 0.5, 29)
         assert np.array_equal(d1.S, d2.S) and np.array_equal(d1.y, d2.y)
 
+    @pytest.mark.parametrize("seed", [np.random.default_rng(29), np.random.PCG64(29), 2.5, "29"],
+                             ids=["Generator", "BitGenerator", "float", "str"])
+    def test_rejects_a_seed_of_another_type(self, seed):
+        target = make_target(3, 1, [1.0, 1.0], 28)
+        with pytest.raises(TypeError, match="seed must be None, an int, a sequence of ints or a "
+                                            f"SeedSequence, not {type(seed).__name__}$"):
+            gen_dataset(target, 40, 0.5, seed)
+
     def test_does_not_advance_a_seed_sequence(self):
         target = make_target(3, 1, [1.0, 1.0], 28)
         seq = np.random.SeedSequence(29, spawn_key=(1, 2))

@@ -195,6 +195,17 @@ class TestPredict:
             monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", entries)
             np.testing.assert_allclose(predict(a, ds.S, Q, tau), ref, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("ell_hat", [0, 1])
+    @pytest.mark.parametrize("d, m, N", [(6, 8000, 2001), (3, 240, 1000), (6, 200, 33)])
+    def test_rows_are_predicted_alone_up_to_degree_one(self, d, m, N, ell_hat):
+        # the sweep's and cli-small's shapes and a small one: every row as in
+        # a call of its own, bit for bit
+        X, Q = sample_sphere(N, d, 10), sample_sphere(m, d, 11)
+        a, tau = np.random.default_rng(12).standard_normal(m), oracle_weights(d, ell_hat)
+        batch = predict(a, X, Q, tau)
+        alone = [predict(a, X[i : i + 1], Q, tau)[0] for i in range(0, N, max(1, N // 200))]
+        assert np.array_equal(batch[:: max(1, N // 200)], alone)
+
     def test_training_set_predictions_match_gd_outputs(self, monkeypatch):
         _, ds, Q, tau = _setup(n=30, m=60)
         force_path(monkeypatch, False)
