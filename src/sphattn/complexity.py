@@ -133,16 +133,11 @@ def kernel_complexity(spectrum: KernelSpectrum, eps: float) -> float:
 
 
 def population_complexity(d: int, ell_hat: int, n: int, eps: float) -> float:
-    """Closed form over degrees: sqrt((1/n) * sum_k N(d,k) * min(1/N(d,k), eps^2))."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    _check_integer(ell_hat, "degree cutoff ell_hat")
-    _check_integer(n, "normalization count n", 1)
-    total = 0.0
-    for k in range(int(ell_hat) + 1):
-        N = harmonic_dim(d, k)
-        total += N * min(1.0 / N, eps**2)
-    return float(np.sqrt(total / n))
+    """R(eps) of the analytic spectrum: kernel_complexity(population_spectrum(d, ell_hat, n), eps).
+
+    That is sqrt((1/n) * sum_k N(d, k) * min(1/N(d, k), eps^2)) over k <= ell_hat.
+    """
+    return kernel_complexity(population_spectrum(d, ell_hat, n), eps)
 
 
 def critical_radius(spectrum: KernelSpectrum, sigma0: float) -> float:

@@ -66,8 +66,8 @@ STREAM_TRAIN = 1
 STREAM_RISK = 2
 STREAM_KERNEL = 3
 STREAM_CALIBRATE = 9
-# Sub-stream ids within a trial.
-SUB_TARGET, SUB_DATA, SUB_DIRECTIONS, SUB_MC = 0, 1, 2, 3
+# Sub-stream ids within a trial: its seeds are derive_seed(base, stream, g, k, sub).
+SUB_TARGET, SUB_DATA, SUB_DIRECTIONS, SUB_MC, SUB_PAIRS = 0, 1, 2, 3, 7
 
 
 class AllSeedsFailedError(RuntimeError):
@@ -142,12 +142,12 @@ def _fit_loglog_slope(x, y):
 
 
 def _trial_inputs(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int):
-    """Seeds, target, n-sample dataset and m directions of trial (stream, g, k)."""
-    kids = derive_seed(cfg.base_seed, stream, g, k).spawn(4)
-    target = make_target(cfg.d, cfg.ell0, cfg.coeffs, kids[SUB_TARGET])
-    dataset = gen_dataset(target, n, cfg.sigma0, kids[SUB_DATA])
-    Q = sample_sphere(cfg.scalar("m"), cfg.d, kids[SUB_DIRECTIONS])
-    return kids, target, dataset, Q
+    """Target, n-sample dataset and m directions of trial (stream, g, k)."""
+    target_seed, data_seed, q_seed = (derive_seed(cfg.base_seed, stream, g, k, sub)
+                                      for sub in (SUB_TARGET, SUB_DATA, SUB_DIRECTIONS))
+    target = make_target(cfg.d, cfg.ell0, cfg.coeffs, target_seed)
+    dataset = gen_dataset(target, n, cfg.sigma0, data_seed)
+    return target, dataset, sample_sphere(cfg.scalar("m"), cfg.d, q_seed)
 
 
 def _channel_split(tau_raw, ell0: int) -> dict:
@@ -164,7 +164,7 @@ def _channel_split(tau_raw, ell0: int) -> dict:
 
 
 def _selection_trial(cfg: ExperimentConfig, stream: int, k: int) -> dict:
-    _, _, dataset, Q = _trial_inputs(cfg, stream, 0, k, cfg.scalar("n"))
+    _, dataset, Q = _trial_inputs(cfg, stream, 0, k, cfg.scalar("n"))
     rec = {"trial": k}
     try:
         result = select_channels(dataset, Q, cfg.L, cfg.epsilon0)
@@ -217,7 +217,7 @@ def run_channel_selection_trials(config: ExperimentConfig) -> RunReport:
 
 
 def _calibration_trial(cfg: ExperimentConfig, k: int) -> dict:
-    _, _, dataset, Q = _trial_inputs(cfg, STREAM_CALIBRATE, 0, k, cfg.scalar("n"))
+    _, dataset, Q = _trial_inputs(cfg, STREAM_CALIBRATE, 0, k, cfg.scalar("n"))
     _, tau_raw = one_step_updates(dataset, Q, cfg.L)
     rec = {"trial": k, "tau_raw": [float(v) for v in tau_raw]}
     rec.update(_channel_split(tau_raw, cfg.ell0))
@@ -277,7 +277,7 @@ def _kernel_gap(X_a, X_b, Q, tau, d: int) -> float:
 
 
 def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) -> dict:
-    kids, target, dataset, Q = _trial_inputs(cfg, stream, g, k, n)
+    target, dataset, Q = _trial_inputs(cfg, stream, g, k, n)
     rec = {"trial": k, "n": n, "m": cfg.scalar("m")}
     try:
         if cfg.channels == "select":
@@ -286,14 +286,14 @@ def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) 
             selection = select_channels(dataset, Q, cfg.L, cfg.epsilon0)
             tau, ell_hat = selection.tau_final, selection.ell_hat
         else:
-            tau, ell_hat = oracle_weights(cfg.d, cfg.ell0, cfg.L), cfg.ell0
+            tau, ell_hat = oracle_weights(cfg.d, cfg.ell0), cfg.ell0
         T = cfg.steps_for(n)
         state, trace = train(dataset, Q, tau, cfg.eta, T)
         risk, stderr = mc_risk(
             lambda X: predict(state.a, X, Q, tau),
             target,
             cfg.num_mc_samples,
-            kids[SUB_MC],
+            derive_seed(cfg.base_seed, stream, g, k, SUB_MC),
         )
         clean = np.asarray(trace.clean_loss)
         rec.update(
@@ -318,8 +318,8 @@ def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) 
             rec["envelope_ok"] = None
         # kernel concentration sanity: deviation on held-out pairs should sit
         # well below the risk being measured (gap^2 <= risk / 10 heuristic)
-        pair_seq = derive_seed(cfg.base_seed, stream, g, k, 7)
-        pairs = sample_sphere(2 * KERNEL_GAP_PAIRS, cfg.d, pair_seq)
+        pairs = sample_sphere(2 * KERNEL_GAP_PAIRS, cfg.d,
+                              derive_seed(cfg.base_seed, stream, g, k, SUB_PAIRS))
         gap = _kernel_gap(pairs[:KERNEL_GAP_PAIRS], pairs[KERNEL_GAP_PAIRS:], Q, tau, cfg.d)
         rec["kernel_gap"] = gap
         rec["kernel_gap_ok"] = bool(gap * gap <= 0.1 * max(risk, 1e-300))

@@ -600,8 +600,8 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 # factors as Z = U @ F^T with U[r, (j, alpha)] = g_j w_alpha q_r^alpha /
 # sqrt(m) and F[i, (j, alpha)] = x_i^alpha, so every pair sum goes through the
 # p x p middle matrix M = U^T U = S (Phi Phi^T) S / m of the directions'
-# monomials Phi and S = diag(g_j w_alpha) (_middle_matrix); U itself, m x p,
-# is never formed.  The users:
+# monomials Phi and S = diag(g_j w_alpha) (_monomial_scale, _middle_matrix);
+# U itself, m x p, is never formed.  The users:
 # - the degree projections V = C @ u, u from _power_sums (stage one's, and
 #   predict's with the two sides swapped);
 # - the kernel gap, (1/m) sum_r sigma_tau(<x_a, q_r>) sigma_tau(<x_b, q_r>)
@@ -724,40 +724,37 @@ def _factor_width(d: int, g: np.ndarray) -> int:
     return sum(_kept_degrees(d, g)[1])
 
 
-def _kept_rows(d: int, J: list) -> np.ndarray:
-    """The rows of _monomial_powers(., J[-1]) that hold the monomials of the degrees J."""
-    return np.concatenate(
-        [np.arange(math.comb(j - 1 + d, d), math.comb(j + d, d)) for j in J] + [np.zeros(0, int)])
-
-
 def _kept_monomials(P: np.ndarray, J: list) -> np.ndarray:
     """The monomials p_i^alpha of the rows of P over the degrees J, one per row (p x len(P))."""
     M = _monomial_powers(P.T, J[-1] if J else 0)
     if J and J == list(range(len(J))):  # every degree up to the top: all of M, uncopied
         return M
-    return M[_kept_rows(P.shape[1], J)]
+    d = P.shape[1]  # else only the rows of the degrees J
+    rows = [np.arange(math.comb(j - 1 + d, d), math.comb(j + d, d)) for j in J]
+    return M[np.concatenate(rows + [np.zeros(0, int)])]
+
+
+def _monomial_scale(d: int, g: np.ndarray) -> np.ndarray:
+    """g_j w_alpha over the p kept monomials (g_j != 0), in _kept_monomials' order."""
+    J = np.flatnonzero(g)
+    return np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])
 
 
 def _middle_matrix(Q: np.ndarray, g: np.ndarray) -> tuple:
-    """The directions' side of the factors: (Phi, rows, scale, M), see above.
+    """The directions' side of the factors: (Phi, scale, M), see above.
 
-    Phi holds the monomials of Q's rows of every degree up to the top kept
-    one (one row per monomial, one column per direction), rows indexes the
-    p kept ones in it, scale = diag(S) = g_j w_alpha over them, and M =
-    S (Phi Phi^T) S / m is U^T U, p x p, from Phi's Gram.  So
-    U @ c = Phi[rows].T @ (scale * c) / sqrt(m).
+    Phi holds the p kept monomials of Q's rows (_kept_monomials, one row per
+    monomial, one column per direction), scale = diag(S) = g_j w_alpha
+    (_monomial_scale), and M = S (Phi Phi^T) S / m is U^T U, p x p, from
+    Phi's Gram.  So U @ c = Phi.T @ (scale * c) / sqrt(m).
     """
     m, d = Q.shape
-    J = np.flatnonzero(g).tolist()
-    rows = _kept_rows(d, J)
-    Phi = _monomial_powers(Q.T, J[-1] if J else 0)
-    scale = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J] + [np.zeros(0)])
+    Phi = _kept_monomials(Q, np.flatnonzero(g).tolist())
+    scale = _monomial_scale(d, g)
     M = Phi @ Phi.T
-    if rows.size < len(Phi):  # a gapped mask: the kept rows and columns
-        M = M[np.ix_(rows, rows)]
     M *= scale[:, None] / m
     M *= scale
-    return Phi, rows, scale, M
+    return Phi, scale, M
 
 
 def _points_qr(X: np.ndarray, J: list, *columns) -> np.ndarray:
@@ -831,9 +828,8 @@ def _gram_eigenvalues(X: np.ndarray, ell_hat: int):
     if _factor_width(d, g) > n or rtol > _FACTOR_RTOL:
         return None
     J = np.flatnonzero(g).tolist()
-    D = np.concatenate([g[j] * _monomial_table(d, j)[0] for j in J])
     R = _points_qr(X, J)
-    lam = np.linalg.eigvalsh((R * D) @ R.T / n)
+    lam = np.linalg.eigvalsh((R * _monomial_scale(d, g)) @ R.T / n)
     delta = float(np.max(np.abs(np.einsum("ij,ij->i", X, X) - 1.0)))
     grown = np.expm1(np.log1p(delta) * np.array(J))  # (1 + delta)^j - 1
     return lam, rtol * (ell_hat + 1) + float(_coefficient_mass(d, tau)[J] @ grown)
@@ -927,11 +923,8 @@ def _paired_kernel(A, B, Q, tau) -> np.ndarray:
     d = Q.shape[1]
     g = _power_coefficients(d, tau)
     if _kernel_error(d, tau, g) <= _FACTOR_RTOL:
-        J = np.flatnonzero(g).tolist()
-        if not J:
-            return np.zeros(len(A))
-        gram = _middle_matrix(Q, g)[3]
-        V = _kept_monomials(np.concatenate([A, B]), J)
+        gram = _middle_matrix(Q, g)[2]
+        V = _kept_monomials(np.concatenate([A, B]), np.flatnonzero(g).tolist())
         V_a, V_b = V[:, : len(A)], V[:, len(A) :]
         return np.einsum("ci,ci->i", V_a, gram @ V_b)
     dots_q_a = gegenbauer_weighted_sum(A @ Q.T, d, tau)

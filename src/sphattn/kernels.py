@@ -82,14 +82,9 @@ def finalized_weights(d: int, mask) -> np.ndarray:
     )
 
 
-def oracle_weights(d: int, ell0: int, L: int | None = None) -> np.ndarray:
-    """Finalized weights with channels 0..ell0 kept, bypassing selection.
-
-    If L is given the vector is padded with zeros up to length L + 1.
-    """
-    length = (ell0 if L is None else L) + 1
-    mask = np.arange(length) <= ell0
-    return finalized_weights(d, mask)
+def oracle_weights(d: int, ell0: int) -> np.ndarray:
+    """Finalized weights with channels 0..ell0 kept, bypassing selection: length ell0 + 1."""
+    return finalized_weights(d, np.ones(ell0 + 1, dtype=bool))
 
 
 def activation(x, x_prime, tau, d: int) -> float:
@@ -166,16 +161,14 @@ SYM_TOL = 1e-10
 EIG_CLAMP = 1e-8
 
 
-def gram_spectrum(K_n: np.ndarray, return_vectors: bool = False):
+def gram_spectrum(K_n: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric PSD matrix, sorted non-increasing.
 
     The input is symmetrized as (K + K.T)/2 before decomposition (it must
     already be symmetric to within SYM_TOL relative).  Negative eigenvalues
     no smaller than -EIG_CLAMP * lambda_max are clamped to zero; anything
-    more negative means the input was not PSD and raises.
-
-    With return_vectors=True also returns the orthonormal eigenvector matrix
-    with columns in the same sorted order.
+    more negative means the input was not PSD and raises.  For eigenvectors
+    call np.linalg.eigh.
     """
     K_n = np.asarray(K_n, dtype=float)
     if K_n.ndim != 2 or K_n.shape[0] != K_n.shape[1]:
@@ -185,19 +178,10 @@ def gram_spectrum(K_n: np.ndarray, return_vectors: bool = False):
     scale = np.max(np.abs(K_n))
     if scale > 0 and np.max(np.abs(K_n - K_n.T)) > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    S = 0.5 * (K_n + K_n.T)
-    if return_vectors:
-        vals, vecs = np.linalg.eigh(S)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        vals = np.sort(np.linalg.eigvalsh(S))[::-1]
-        vecs = None
-    lam_max = max(vals[0], 0.0)
-    floor = -EIG_CLAMP * lam_max
+    vals = np.sort(np.linalg.eigvalsh(0.5 * (K_n + K_n.T)))[::-1]
+    floor = -EIG_CLAMP * max(vals[0], 0.0)
     if vals[-1] < floor:
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {vals[-1]:.3e} below {floor:.3e}"
         )
-    vals = np.where(vals < 0.0, 0.0, vals)
-    return (vals, vecs) if return_vectors else vals
+    return np.where(vals < 0.0, 0.0, vals)

@@ -43,11 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
-from .harmonics import _block_rows, gegenbauer_weighted_matrix
-from .kernels import _require_unit_pair
-# activation_matrix is not called here; the name stays bound because
-# perfbench/tracer.py wraps it in this module.
-from .kernels import activation_matrix  # noqa: F401
+from .harmonics import _block_rows
+from .kernels import _require_unit_pair, activation_matrix
 from .targets import LabeledDataset
 
 __all__ = [
@@ -101,16 +98,16 @@ class TrainingTrace:
 
 
 def feature_matrix(X, Q, tau_final) -> np.ndarray:
-    """Fixed stage-two feature matrix Z of shape (m, n).
+    """Fixed stage-two feature matrix Z = activation_matrix(X, Q, tau).T / sqrt(m), shape (m, n).
 
-    Z.T @ Z reproduces the empirical kernel matrix exactly.  The rows are
-    checked as every entry point checks them, points first, so an error
-    names an X or Q row and a dot product's (point, direction) index.
+    Z.T @ Z reproduces the empirical kernel matrix exactly.  Z is the
+    transpose of the n x m activation matrix, scaled in place, so no second
+    m x n array is made; its rows are checked and its errors named as
+    activation_matrix checks and names them.
     """
-    X, Q = _require_unit_pair(X, Q)
-    Z = gegenbauer_weighted_matrix(Q, X, X.shape[1], tau_final)  # walked over the rows of Q
-    Z /= np.sqrt(Z.shape[0])
-    return Z
+    A = activation_matrix(X, Q, tau_final)
+    A /= np.sqrt(A.shape[1])
+    return A.T
 
 
 def predict(a, X, Q, tau_final) -> np.ndarray:
@@ -142,6 +139,13 @@ def _check_step_size(eta) -> None:
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
 
 
+def _non_finite(t: int, eta: float) -> DivergenceError:
+    return DivergenceError(
+        f"non-finite residual at step {t}; "
+        f"eta = {eta:g} likely exceeds 2 / lambda_max of the kernel"
+    )
+
+
 def gd_step(state: TrainerState, Z, y) -> TrainerState:
     """One exact gradient step on the quadratic loss with feature matrix Z; increments t.
 
@@ -152,10 +156,7 @@ def gd_step(state: TrainerState, Z, y) -> TrainerState:
     n = y.size
     resid = Z.T @ state.a - y
     if not np.all(np.isfinite(resid)):
-        raise DivergenceError(
-            f"non-finite residual at step {state.t}; "
-            f"eta = {state.eta:g} likely exceeds 2 / lambda_max of the kernel"
-        )
+        raise _non_finite(state.t, state.eta)
     a_next = state.a - (state.eta / n) * (Z @ resid)
     return TrainerState(a=a_next, t=state.t + 1, eta=state.eta)
 
@@ -167,13 +168,6 @@ def _record(trace: TrainingTrace, resid, clean_resid, a, keep_weights) -> None:
     trace.clean_loss.append(float(clean_resid @ clean_resid) / n)
     if keep_weights:
         trace.weights.append(a.copy())
-
-
-def _non_finite(t: int, eta: float) -> DivergenceError:
-    return DivergenceError(
-        f"non-finite residual at step {t}; "
-        f"eta = {eta:g} likely exceeds 2 / lambda_max of the kernel"
-    )
 
 
 def _check_divergence(norms: list, t: int) -> None:
@@ -217,7 +211,7 @@ def _check_divergence(norms: list, t: int) -> None:
 # F's columns in the QR, whose reflectors map them to QF.T y = Us beta in
 # R's first k rows and to a triangle below, whose rows' sums of squares are
 # ||y_perp||^2 and ||f_perp||^2.  The weights are
-# a(t) = U c(t) = Phi[rows].T @ (S R.T Us z(t)) / sqrt(m), one GEMM per block
+# a(t) = U c(t) = Phi.T @ (S R.T Us z(t)) / sqrt(m), one GEMM per block
 # of t.  N is PSD in exact arithmetic (M = U.T U), so its negative
 # eigenvalues are rounding, within the bound below, and are set to 0.
 # rho^t is the power, not exp(t log1p(-eta lam / n)): rho < 0 is stable for
@@ -275,8 +269,8 @@ def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray, Y:
     g = harmonics._power_coefficients(d, tau) are the power coefficients of
     sigma_tau, and Y's two rows are y and f*.  Returns (lam, coef, Phi,
     proj, perp2): N = Us diag(lam) Us.T with lam clipped at 0; coef, whose
-    product Phi.T @ (coef @ z) with the directions' monomials Phi gives the
-    weights U R.T Us z; proj = (beta, H.T f*) and perp2 = (||y_perp||^2,
+    product Phi.T @ (coef @ z) with the directions' kept monomials Phi gives
+    the weights U R.T Us z; proj = (beta, H.T f*) and perp2 = (||y_perp||^2,
     ||f_perp||^2).  The bound is checked first; when it exceeds
     harmonics._FACTOR_RTOL, nothing is formed.
     """
@@ -290,13 +284,12 @@ def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray, Y:
             RuntimeWarning, stacklevel=3,
         )
         return None
-    Phi, rows, scale, M = harmonics._middle_matrix(Q, g)
-    p, k = rows.size, min(n, rows.size)
+    Phi, scale, M = harmonics._middle_matrix(Q, g)
+    p, k = scale.size, min(n, scale.size)
     RY = harmonics._points_qr(X, np.flatnonzero(g).tolist(), *Y)
     R = RY[:k, :p]
     lam, Us = np.linalg.eigh(R @ M @ R.T)
-    coef = np.zeros((Phi.shape[0], k))
-    coef[rows] = (scale / np.sqrt(Q.shape[0]))[:, None] * (R.T @ Us)
+    coef = (scale / np.sqrt(Q.shape[0]))[:, None] * (R.T @ Us)
     perp2 = np.einsum("ij,ij->j", RY[k:, p:], RY[k:, p:])
     return np.maximum(lam, 0.0), coef, Phi, RY[:k, p:].T @ Us, perp2
 

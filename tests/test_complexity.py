@@ -444,7 +444,7 @@ class _CountingPredictor:
     def __init__(self, d, L, m, seed):
         self.Q = sample_sphere(m, d, seed)
         self.a = np.random.default_rng(seed + 1).standard_normal(m)
-        self.tau = oracle_weights(d, L, L)
+        self.tau = oracle_weights(d, L)
         self.rows = []
 
     def __call__(self, X):

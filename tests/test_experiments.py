@@ -217,6 +217,15 @@ class TestTrainingRuns:
         report = run_training_run(ExperimentConfig.from_sources(kw, {}))
         assert all(r["ell_hat"] == 1 for r in report.per_seed if r["ok"])
 
+    def test_oracle_channels_train_what_they_record(self):
+        # oracle channels are 0..ell0 whatever L, which bounds only selection's
+        # search: below ell0 no channel is dropped, above it none is padded
+        ell0 = TRAIN_KW["ell0"]
+        runs = [run_training_run(ExperimentConfig.from_sources({**TRAIN_KW, "L": L})).per_seed
+                for L in (0, ell0, ell0 + 2)]
+        assert all(r["ok"] and r["ell_hat"] == ell0 for r in runs[1])
+        assert runs[0] == runs[1] == runs[2]
+
     def test_all_diverged_raises(self):
         cfg = ExperimentConfig.from_sources({**TRAIN_KW, "eta": 80.0, "T": 50}, {})
         with pytest.raises(AllSeedsFailedError):

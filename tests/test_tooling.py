@@ -2,6 +2,7 @@
 a traced run reaches them, two benchmark workloads reproduce their stored
 reference outputs, README.md names the public surface, and every demo runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -30,6 +31,32 @@ def test_tracer_call_sites_resolve(tracer):
         if not callable(getattr(mod, name, None))
     ]
     assert not missing, f"tracer call sites no longer resolve: {missing}"
+
+
+def _unused_imports(path: Path) -> set:
+    """Names the module at path imports but never reads (from __future__ aside)."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_unused_imports_are_tracer_call_sites(tracer):
+    # a name a module imports without using is there for the tracer to wrap;
+    # when a call site is retired, the import it leaves behind fails here
+    sites = {(mod.__name__.rsplit(".", 1)[1], name) for mod, name, *_ in tracer.CALL_SITES}
+    unused = {
+        (path.stem, name)
+        for path in (ROOT / "src" / "sphattn").glob("*.py") if path.stem != "__init__"
+        for name in _unused_imports(path)
+    }
+    assert unused, "no tracer-only import found: is the scan still reading the modules?"
+    assert not unused - sites, f"imported but never used: {sorted(unused - sites)}"
 
 
 def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
