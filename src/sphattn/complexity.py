@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonics
-from .harmonics import _check_integer, _fill_sphere, child_generators, harmonic_dim
+from .harmonics import _check_integer, _dims, _fill_sphere, child_generators
 # sample_sphere is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
 from .harmonics import sample_sphere  # noqa: F401
@@ -119,8 +119,8 @@ def population_spectrum(d: int, ell_hat: int, n: int) -> KernelSpectrum:
     _check_integer(ell_hat, "degree cutoff ell_hat")
     _check_integer(n, "normalization count n", 1)
     # N(d, k) does not decrease with k, so the values come out non-increasing
-    dims = [harmonic_dim(d, k) for k in range(int(ell_hat) + 1)]
-    lam = np.repeat(1.0 / np.asarray(dims, dtype=float), dims)
+    dims = _dims(d, int(ell_hat))
+    lam = np.repeat(1.0 / dims, dims)
     return KernelSpectrum(eigenvalues=lam, n=n)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .complexity import mc_risk
 from .config import ConfigError, ExperimentConfig
-from .harmonics import _paired_kernel, gegenbauer_weighted_sum, harmonic_dim, sample_sphere
+from .harmonics import _dims, _paired_kernel, gegenbauer_weighted_sum, sample_sphere
 from .kernels import oracle_weights
 # one_step_second_layer and one_step_channel_weights are not called here; the
 # names stay bound because perfbench/tracer.py wraps them in this module.
@@ -271,7 +271,7 @@ def _kernel_gap(X_a, X_b, Q, tau, d: int) -> float:
     """
     k_hat = _paired_kernel(X_a, X_b, Q, tau)
     tau = np.asarray(tau, dtype=float)
-    weights = tau**2 / np.array([harmonic_dim(d, k) for k in range(tau.size)])
+    weights = tau**2 / _dims(d, tau.size - 1)
     k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, weights)
     return float(np.max(np.abs(k_hat - k_pop)))
 

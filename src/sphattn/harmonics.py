@@ -222,7 +222,18 @@ def cumulative_dim(d: int, ell: int) -> int:
     a degree-ell0 target.
     """
     _check_integer(ell, "degree")
-    return sum(harmonic_dim(d, k) for k in range(int(ell) + 1))
+    return sum(_dims(d, int(ell)).tolist())  # Python ints, which cannot overflow
+
+
+@functools.cache
+def _dims(d: int, L: int) -> np.ndarray:
+    """N(d, k) for k = 0..L, read-only and cached: the one vector of harmonic_dim's values.
+
+    Integer; past the int64 range NumPy stores exact Python ints instead.
+    """
+    dims = np.array([harmonic_dim(d, k) for k in range(L + 1)])
+    dims.flags.writeable = False
+    return dims
 
 
 def _clamp_domain(t: np.ndarray, what: str = "argument", row0: int = 0, out=None) -> np.ndarray:
@@ -436,8 +447,9 @@ def _screen_dots(A, B, a_norms, b_norms) -> None:
                 fill(lo, hi, buf[: hi - lo])
 
 
+@functools.cache
 def _gegenbauer_coefficients(d: int, L: int) -> np.ndarray:
-    """C[k, j], the coefficient of t^j in P_k(t), for k, j = 0..L.
+    """C[k, j], the coefficient of t^j in P_k(t), for k, j = 0..L; read-only and cached.
 
     The three-term recurrence run on coefficient vectors; C is lower
     triangular and P_k has only powers of the parity of k.
@@ -451,6 +463,7 @@ def _gegenbauer_coefficients(d: int, L: int) -> np.ndarray:
         C[k + 1, 1:] = (2 * k + d - 2) * C[k, :-1]
         C[k + 1] -= k * C[k - 1]
         C[k + 1] /= k + d - 2
+    C.flags.writeable = False
     return C
 
 
@@ -535,20 +548,23 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     Half-degree Gram products: <a, b>^j = <a, b>^c <a, b>^f with
     c = ceil(j / 2) and f = floor(j / 2), and <a, b>^k = sum_{|alpha| = k}
     w_alpha a^alpha b^alpha.  With phi(x) the monomials of x of degrees
-    0..h, h = ceil(L / 2) (p_h = C(h + d, d) of them), one pass over blocks
-    of B's rows accumulates the p_h x p_l Gram G = sum_i y_i phi(b_i)
-    phi_l(b_i)^T, phi_l the leading p_l = C(l + d, d) rows (degrees 0..l,
-    l = floor(L / 2)), and one pass over blocks of A's rows gives
-    u[j, r] = (w phi(a_r))_c^T G[c, f] (w phi(a_r))_f on the degree-c and
-    degree-f blocks.  Both are GEMMs, about (len(A) + len(B)) p_h p_l
-    multiply-adds in all.  Each block holds about BLOCK_ENTRIES / 2
-    monomial values, in buffers reused in place, so memory grows with
-    neither len(A) nor len(B) beyond u itself.  At L <= 1 the monomials
-    are 1 and the coordinates, and the same sums are u[0] = sum_i y_i and
-    u[1] = A @ (B.T @ y), the last one row at a time (einsum), so that,
-    unlike BLAS, it gives each row the value it gives alone.  The caller checks
-    the domain (:func:`_screen_dots`) and the accuracy
-    (:func:`_expansion_error`).
+    0..h, h = ceil(L / 2) (p_h = C(h + d, d) of them), and phi_l(x) its
+    leading p_l = C(l + d, d) rows (degrees 0..l, l = floor(L / 2)), one
+    pass over blocks of B's rows accumulates the blocks G[c, f] of the
+    p_h x p_l Gram sum_i y_i phi(b_i) phi_l(b_i)^T that the sums read:
+    degree c against its partner degrees f = c - 1 and f = c, up to l, so
+    at L = 4 the (0, 1), (0, 2), (1, 2) and (2, 0) blocks are never formed.
+    The weights are folded in once after that pass, G[c, f] w_c w_f^T, and
+    one pass over blocks of A's rows gives u[j, r] = phi(a_r)_c^T G[c, f]
+    phi(a_r)_f on the degree-c and degree-f blocks.  Both are GEMMs, at
+    most (len(A) + len(B)) p_h p_l multiply-adds in all.  Each block holds
+    about BLOCK_ENTRIES / 2 monomial values, in buffers reused in place, so
+    memory grows with neither len(A) nor len(B) beyond u itself.  At L <= 1
+    the monomials are 1 and the coordinates, and the same sums are
+    u[0] = sum_i y_i and u[1] = A @ (B.T @ y), the last one row at a time
+    (einsum), so that, unlike BLAS, it gives each row the value it gives
+    alone.  The caller checks the domain (:func:`_screen_dots`) and the
+    accuracy (:func:`_expansion_error`).
     """
     A, B = _as_pair(A, B)
     if L <= 1:
@@ -561,6 +577,11 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     h, l = _half_degrees(L)
     start = [math.comb(k + d - 1, d) for k in range(h + 2)]  # first row of degree k
     ph, pl = start[h + 1], start[l + 1]
+    # per degree c: its rows, its partner degrees f = c - 1 and c up to l, and their columns
+    spans = []
+    for c in range(h + 1):
+        fs = range(max(c - 1, 0), min(c, l) + 1)
+        spans.append((slice(start[c], start[c + 1]), fs, slice(start[fs[0]], start[fs[-1] + 1])))
     width = min(_expansion_width(d, L), max(len(A), len(B), 1))
     mono, part = np.empty(ph * width), np.empty(ph * width)
 
@@ -572,19 +593,19 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     G = np.zeros((ph, pl))
     for cols, M in blocks(B):
         My = np.multiply(M[:pl], y[cols], out=part[: pl * M.shape[1]].reshape(pl, -1))
-        G += M @ My.T  # phi_l(b) is phi(b)'s leading p_l rows
-    w = np.concatenate([_monomial_table(d, j)[0] for j in range(h + 1)])[:, None]
+        for rows, _, partners in spans:
+            G[rows, partners] += M[rows] @ My[partners].T  # phi_l(b): phi(b)'s leading rows
+    w = np.concatenate([_monomial_table(d, j)[0] for j in range(h + 1)])
+    G *= w[:, None]
+    G *= w[:pl]
     u = np.empty((L + 1, len(A)))
     for cols, M in blocks(A):
-        M *= w
         k = M.shape[1]
-        for c in range(h + 1):
-            # u[c + f] for the partner degrees f = c - 1 and f = c, up to l
-            f0, f1 = max(c - 1, 0), min(c, l)
-            lo, hi = start[f0], start[f1 + 1]
-            W = np.matmul(G[start[c] : start[c + 1], lo:hi].T, M[start[c] : start[c + 1]],
+        for c, (rows, fs, partners) in enumerate(spans):
+            lo, hi = partners.start, partners.stop
+            W = np.matmul(G[rows, partners].T, M[rows],
                           out=part[: (hi - lo) * k].reshape(hi - lo, k))
-            for f in range(f0, f1 + 1):
+            for f in fs:
                 np.einsum("ij,ij->j", W[start[f] - lo : start[f + 1] - lo],
                           M[start[f] : start[f + 1]], out=u[c + f, cols])
     return u
@@ -631,8 +652,8 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
 # Per use:
 # - the degree projections (_expansion_error), relative to ||y||_1, which
 #   bounds |V|; written for stage one's sides, and the same with them swapped.
-#   _power_sums gives u[j, r] = sum_{beta, gamma} (w_beta q_r^beta)
-#   G[beta, gamma] (w_gamma q_r^gamma), with G[beta, gamma] = sum_i y_i
+#   _power_sums gives u[j, r] = sum_{beta, gamma} q_r^beta
+#   (w_beta G[beta, gamma] w_gamma) q_r^gamma, with G[beta, gamma] = sum_i y_i
 #   x_i^beta x_i^gamma, over the monomials beta of degree c = ceil(j / 2) and
 #   gamma of degree f = floor(j / 2).  Its terms w_beta w_gamma y_i
 #   (x_i q_r)^beta (x_i q_r)^gamma have absolute values adding up to at most
@@ -777,8 +798,9 @@ def _coefficient_mass(d: int, tau: np.ndarray, rho: float = 1.0) -> np.ndarray:
     return (np.abs(tau) @ np.abs(_gegenbauer_coefficients(d, L))) * rho ** np.arange(L + 1)
 
 
+@functools.cache
 def _expansion_error(d: int, L: int, rho: float) -> float:
-    """The degree projections' bound on V, relative to ||w||_1 (see above)."""
+    """The degree projections' bound on V, relative to ||w||_1 (see above); cached per shape."""
     G = np.max(np.sum(_coefficient_mass(d, np.eye(L + 1), rho), axis=1))
     h, l = _half_degrees(L)
     return (1 + math.comb(h + d, d) * math.comb(l + d, d)) * _EPS * float(G)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import harmonics
-from .harmonics import gegenbauer_weighted_matrix, gegenbauer_weighted_sum, harmonic_dim
+from .harmonics import gegenbauer_weighted_matrix, gegenbauer_weighted_sum
 
 __all__ = [
     "finalized_weights",
@@ -77,9 +77,7 @@ def _require_unit_pair(X, Q) -> tuple:
 def finalized_weights(d: int, mask) -> np.ndarray:
     """Channel weights after selection: sqrt(N(d, k)) where mask[k], else 0."""
     mask = np.asarray(mask, dtype=bool)
-    return np.array(
-        [np.sqrt(harmonic_dim(d, k)) if mask[k] else 0.0 for k in range(mask.size)]
-    )
+    return np.where(mask, np.sqrt(harmonics._dims(d, mask.size - 1)), 0.0)
 
 
 def oracle_weights(d: int, ell0: int) -> np.ndarray:

@@ -40,7 +40,7 @@ import numpy as np
 from . import harmonics
 # gegenbauer_weighted_sum is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
-from .harmonics import gegenbauer_weighted_sum, harmonic_dim  # noqa: F401
+from .harmonics import gegenbauer_weighted_sum  # noqa: F401
 from .kernels import _require_unit_pair, finalized_weights
 from .targets import LabeledDataset
 
@@ -99,10 +99,6 @@ def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
     return Q
 
 
-def _counts(d: int, L: int) -> np.ndarray:
-    return np.array([harmonic_dim(d, k) for k in range(L + 1)], dtype=float)
-
-
 def one_step_updates(dataset: LabeledDataset, Q, L: int):
     """Both one-step updates from zero, (a1, tau_raw), from one computation of V.
 
@@ -111,7 +107,7 @@ def one_step_updates(dataset: LabeledDataset, Q, L: int):
     """
     Q = _check_inputs(dataset, Q, L)
     V = harmonics._degree_projections(Q, dataset.S, dataset.y, L)
-    N = _counts(dataset.d, L)
+    N = harmonics._dims(dataset.d, L)
     scale = dataset.n * np.sqrt(Q.shape[0])
     a1 = (N @ V) / scale
     return a1, N * (V @ a1) / scale
@@ -137,7 +133,7 @@ def one_step_channel_weights(dataset: LabeledDataset, Q, a1, L: int) -> np.ndarr
     if a1.shape != (m,):
         raise ValueError(f"a1 has shape {a1.shape}, expected ({m},)")
     V = harmonics._degree_projections(Q, dataset.S, dataset.y, L)
-    return _counts(dataset.d, L) * (V @ a1) / (dataset.n * np.sqrt(m))
+    return harmonics._dims(dataset.d, L) * (V @ a1) / (dataset.n * np.sqrt(m))
 
 
 def threshold_channels(tau_raw, epsilon0: float, d: int) -> SelectionResult:

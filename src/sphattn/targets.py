@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import (
-    _clamp_domain, _given_blocks, child_generators, harmonic_dim, sample_sphere,
+    _clamp_domain, _dims, _given_blocks, child_generators, sample_sphere,
 )
 from .kernels import _require_unit_rows
 
@@ -90,21 +90,17 @@ def eval_target(target: ZonalTarget, X) -> np.ndarray:
     """Evaluate f* on the rows of X.
 
     Each value depends on its row alone, bit for bit: the dot products
-    <x, w_k> are summed over the coordinates in a fixed order, where a
-    matrix product would round differently with the number of rows.  They
-    are checked against the [-1, 1] band once, and one walk of the
-    recurrence over all ell0 + 1 directions gives P_k(<x, w_k>) for every k.
+    <x_i, w_k> come from one einsum, which sums each row's products over the
+    coordinates on their own, where a matrix product would round
+    differently with the number of rows.  They are checked against the
+    [-1, 1] band once, and one walk of the recurrence over all ell0 + 1
+    directions gives P_k(<x, w_k>) for every k.
     """
     X = _require_unit_rows(X, "X")
     d, c = target.d, target.coeffs
     if X.shape[1] != d:
         raise ValueError(f"points have d={X.shape[1]}, target has d={d}")
-    dots = np.empty((target.ell0 + 1, X.shape[0]))  # row k: <x_i, w_k>
-    term = np.empty(X.shape[0])
-    for w, row in zip(target.directions, dots):
-        np.multiply(X[:, 0], w[0], out=row)
-        for j in range(1, d):
-            row += np.multiply(X[:, j], w[j], out=term)
+    dots = np.einsum("ij,kj->ki", X, target.directions)  # row k: <x_i, w_k>
     _clamp_domain(dots.T, "dot product", out=dots.T)  # an error names (point, degree)
     out = np.full(X.shape[0], c[0])  # P_0 = 1
     for rows, degrees in _given_blocks(dots, d, target.ell0)[1]:
@@ -121,9 +117,8 @@ def rkhs_norm(target: ZonalTarget) -> float:
 
 def l2_norm_sq(target: ZonalTarget) -> float:
     """E[f*^2] under the uniform sphere measure: sum_k c_k^2 / N(d, k)."""
-    return float(
-        sum(c**2 / harmonic_dim(target.d, k) for k, c in enumerate(target.coeffs))
-    )
+    # Python's sum adds the terms in order, which np.sum does not
+    return float(sum(target.coeffs**2 / _dims(target.d, target.coeffs.size - 1)))
 
 
 def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledDataset:

@@ -71,6 +71,25 @@ class TestHarmonicDim:
         with pytest.raises(ValueError, match="degree"):
             cumulative_dim(3, ell)
 
+    def test_dims_vector_is_harmonic_dim(self):
+        for d in range(2, 21):
+            for L in range(9):
+                assert harmonics_mod._dims(d, L).tolist() == [
+                    harmonic_dim(d, k) for k in range(L + 1)
+                ]
+
+
+@pytest.mark.parametrize("cached", [harmonics_mod._gegenbauer_coefficients, harmonics_mod._dims])
+def test_cached_arrays_reject_writes(cached):
+    # one array serves every caller of a shape, so none may change it
+    arr = cached(5, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        arr *= 2
+    assert cached(5, 4) is arr
+    assert arr.ravel()[0] == 1
+
 
 class TestGegenbauerAll:
     def test_value_one_gives_all_ones(self):
@@ -379,6 +398,25 @@ def test_monte_carlo_orthogonality():
             se = prod.std(ddof=1) / np.sqrt(prod.size)
             expected = gegenbauer_all(dot, d, 3)[k] / harmonic_dim(d, k) if j == k else 0.0
             assert abs(mean - expected) <= 5 * se + 1e-12, (j, k, mean, expected, se)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_power_sums_match_the_walk_within_the_bound(d, L):
+    # V = C @ u on the Gram blocks each degree reads, against the walk's
+    # sum_i P_k(<a_r, b_i>) y_i.  Odd L leaves G one half-degree narrower
+    # than tall; at d = 8, L >= 5 both sides span two blocks of points
+    A, B = sample_sphere(210, d, 80 + L), sample_sphere(250, d, 81 + L)
+    y = np.random.default_rng(82 + d).standard_normal(len(B))
+    V = harmonics_mod._gegenbauer_coefficients(d, L) @ harmonics_mod._power_sums(A, B, y, L)
+    walk = np.empty_like(V)
+    walk[0] = np.sum(y)
+    for rows, degrees in gegenbauer_blocks(A, B, d, L):
+        for k, P in degrees:
+            walk[k, rows] = P @ y
+    bound = harmonics_mod._expansion_error(d, L, harmonics_mod._RHO)
+    assert bound <= harmonics_mod._FACTOR_RTOL
+    assert np.max(np.abs(V - walk)) <= bound * np.sum(np.abs(y))
 
 
 def test_one_tolerance_reaches_every_user(monkeypatch):

@@ -67,7 +67,7 @@ class TestEvalTarget:
         # P_2(-1) = 1 for the classical Legendre polynomial
         assert eval_target(target, x[None, :])[0] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("d", [3, 6, 8])
+    @pytest.mark.parametrize("d", [2, 3, 6, 8, 16, 30, 64, 129])
     @pytest.mark.parametrize("ell0", [1, 2, 3])
     def test_each_value_depends_on_its_row_alone(self, d, ell0):
         # bit for bit, so that a batch of rows gives what each row gives alone

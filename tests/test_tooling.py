@@ -59,6 +59,28 @@ def test_unused_imports_are_tracer_call_sites(tracer):
     assert not unused - sites, f"imported but never used: {sorted(unused - sites)}"
 
 
+def test_harmonic_dims_have_one_vector():
+    # N(d, 0..L) is harmonics._dims; a comprehension over harmonic_dim anywhere
+    # else in a module builds a second copy of it
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    sites, definitions = set(), 0
+    for path in (ROOT / "src" / "sphattn").glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if path.name == "harmonics.py" and getattr(stmt, "name", None) == "_dims":
+                definitions += 1
+                continue
+            for comp in ast.walk(stmt):
+                if isinstance(comp, comprehensions):
+                    sites |= {
+                        f"{path.name}:{node.lineno}" for node in ast.walk(comp)
+                        if isinstance(node, ast.Call)
+                        and "harmonic_dim" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))
+                    }
+    assert definitions == 1, "harmonics._dims not found: is the scan still reading the modules?"
+    assert not sites, f"harmonic_dim called in a comprehension: {sorted(sites)}"
+
+
 def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
     from sphattn import cli
 
