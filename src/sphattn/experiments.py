@@ -16,7 +16,9 @@ clock is kept out of the serialized form for that reason).
 
 The kernel gap's empirical kernel comes from _paired_kernel, which picks
 its route in harmonics: the monomial expansion's factors where their
-rounding bound allows, the Gegenbauer walk otherwise.
+rounding bound allows, the Gegenbauer walk otherwise.  A training trial
+forms the directions' Gram once: when train took the factored path, its
+kernel gap reads the trainer's Gram on that route.
 """
 
 from __future__ import annotations
@@ -262,14 +264,15 @@ ENVELOPE_FIT_STEP = 10
 KERNEL_GAP_PAIRS = 64
 
 
-def _kernel_gap(X_a, X_b, Q, tau, d: int) -> float:
+def _kernel_gap(X_a, X_b, Q, tau, d: int, gram=None) -> float:
     """Max |empirical - population| kernel deviation over paired points.
 
     The empirical kernel's mean over the directions is
     sum_k tau_k^2 / N(d, k) P_k (Funk-Hecke), so channels that tau drops,
-    gapped or not, are compared with 0.
+    gapped or not, are compared with 0.  gram, when given, is stage two's
+    middle matrix for these Q and tau, handed to _paired_kernel.
     """
-    k_hat = _paired_kernel(X_a, X_b, Q, tau)
+    k_hat = _paired_kernel(X_a, X_b, Q, tau, gram)
     tau = np.asarray(tau, dtype=float)
     weights = tau**2 / _dims(d, tau.size - 1)
     k_pop = gegenbauer_weighted_sum(np.sum(X_a * X_b, axis=1), d, weights)
@@ -320,7 +323,8 @@ def _training_trial(cfg: ExperimentConfig, stream: int, g: int, k: int, n: int) 
         # well below the risk being measured (gap^2 <= risk / 10 heuristic)
         pairs = sample_sphere(2 * KERNEL_GAP_PAIRS, cfg.d,
                               derive_seed(cfg.base_seed, stream, g, k, SUB_PAIRS))
-        gap = _kernel_gap(pairs[:KERNEL_GAP_PAIRS], pairs[KERNEL_GAP_PAIRS:], Q, tau, cfg.d)
+        gram = None if trace.factors is None else trace.factors.M
+        gap = _kernel_gap(pairs[:KERNEL_GAP_PAIRS], pairs[KERNEL_GAP_PAIRS:], Q, tau, cfg.d, gram)
         rec["kernel_gap"] = gap
         rec["kernel_gap_ok"] = bool(gap * gap <= 0.1 * max(risk, 1e-300))
     except (EmptySelectionError, DivergenceError) as exc:

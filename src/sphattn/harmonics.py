@@ -30,11 +30,12 @@ from sums (:func:`_power_sums`) that split each power in half, <a, b>^j =
 monomials of degree <= ceil(L/2) against those of degree <= floor(L/2)
 serves every degree: two GEMMs at O((len(A) + len(B)) * p_h * p_l), with
 p_h = C(ceil(L/2) + d, d) (45 at d = 8, L = 4).  The other users take all p
-monomials of the kept degrees, and meet in a p x p middle matrix: the
-kernel gap's paired kernel (:func:`_paired_kernel`) and stage two share
-the Gram of the directions' monomials (:func:`_middle_matrix`), and stage
-two and the population gram's spectrum (:func:`_gram_eigenvalues`) the QR
-of the points' monomials (:func:`_points_qr`).  Everything the expansion
+monomials of the kept degrees, and meet in a p x p middle matrix: stage
+two and the kernel gap's paired kernel (:func:`_paired_kernel`) read the
+Gram of the directions' monomials (:func:`_middle_matrix`), which a
+training trial forms once for both, and stage two and the population
+gram's spectrum (:func:`_gram_eigenvalues`) the QR of the points'
+monomials (:func:`_points_qr`).  Everything the expansion
 decides lives here: both routes of the degree projections and of the
 paired kernel, the rule that prices the degree projections' expansion
 against the walk, the tolerance _FACTOR_RTOL and the three rounding bounds
@@ -935,17 +936,20 @@ def _degree_projections(A, B, w, L: int) -> np.ndarray:
     return V
 
 
-def _paired_kernel(A, B, Q, tau) -> np.ndarray:
+def _paired_kernel(A, B, Q, tau, gram=None) -> np.ndarray:
     """Empirical kernel on paired rows: (1/m) sum_r sigma_tau(<a_i, q_r>) sigma_tau(<b_i, q_r>).
 
     On the middle matrix M = U^T U of the expansion's factors
     (_middle_matrix), v_a,i^T M v_b,i at O(m p^2), when _kernel_error
-    allows; else by two walks over the m directions.
+    allows; else by two walks over the m directions.  gram, when given, is
+    that M for these Q and tau (stage two's), and the Gram route reads it
+    instead of forming it again.
     """
     d = Q.shape[1]
     g = _power_coefficients(d, tau)
     if _kernel_error(d, tau, g) <= _FACTOR_RTOL:
-        gram = _middle_matrix(Q, g)[2]
+        if gram is None:
+            gram = _middle_matrix(Q, g)[2]
         V = _kept_monomials(np.concatenate([A, B]), np.flatnonzero(g).tolist())
         V_a, V_b = V[:, : len(A)], V[:, len(A) :]
         return np.einsum("ci,ci->i", V_a, gram @ V_b)

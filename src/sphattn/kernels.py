@@ -82,7 +82,8 @@ def finalized_weights(d: int, mask) -> np.ndarray:
 
 def oracle_weights(d: int, ell0: int) -> np.ndarray:
     """Finalized weights with channels 0..ell0 kept, bypassing selection: length ell0 + 1."""
-    return finalized_weights(d, np.ones(ell0 + 1, dtype=bool))
+    harmonics._check_integer(ell0, "target degree ell0")
+    return finalized_weights(d, np.ones(int(ell0) + 1, dtype=bool))
 
 
 def activation(x, x_prime, tau, d: int) -> float:
@@ -112,14 +113,13 @@ def population_gram(X, X_prime, ell_hat: int) -> np.ndarray:
     semidefinite with rank at most cumulative_dim(d, ell_hat); the diagonal
     entries equal ell_hat + 1 since P_k(1) = 1.
     """
-    if ell_hat < 0:
-        raise ValueError(f"ell_hat must be >= 0, got {ell_hat}")
+    harmonics._check_integer(ell_hat, "degree cutoff ell_hat")
     X = _require_unit_rows(X, "X")
     same = X_prime is None or X_prime is X
     Xp = X if same else _require_unit_rows(X_prime, "X_prime")
     if X.shape[1] != Xp.shape[1]:
         raise ValueError("X and X_prime live in different dimensions")
-    K = gegenbauer_weighted_matrix(X, Xp, X.shape[1], np.ones(ell_hat + 1))
+    K = gegenbauer_weighted_matrix(X, Xp, X.shape[1], np.ones(int(ell_hat) + 1))
     if same:
         K = 0.5 * (K + K.T)  # exact symmetry, one triangle decides each pair
     return K

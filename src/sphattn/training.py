@@ -89,12 +89,16 @@ class TrainingTrace:
     (1/n) * ||yhat(t) - y||^2, which is non-increasing for stable step
     sizes.  clean_loss measures against the noise-free target values and is
     the statistical quantity of interest.  weights holds optional snapshots.
+    factors holds train's factors on the factored path (_try_factor) and is
+    None on the plain one; a training trial's kernel gap reads their Gram M
+    instead of forming it again.  factors is left out of repr and ==.
     """
 
     loss: list = field(default_factory=list)
     residual_norm: list = field(default_factory=list)
     clean_loss: list = field(default_factory=list)
     weights: list | None = None
+    factors: _Factors | None = field(default=None, repr=False, compare=False)
 
 
 def feature_matrix(X, Q, tau_final) -> np.ndarray:
@@ -125,7 +129,7 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     X, Q = _require_unit_pair(X, Q)
-    tau = np.asarray(tau_final, dtype=float)
+    tau = harmonics._check_weights(tau_final)
     m = Q.shape[0]
     if a.shape != (m,):
         raise ValueError(f"weights have shape {a.shape}, expected ({m},)")
@@ -263,16 +267,31 @@ def _factored_is_cheaper(m: int, n: int, p: int, T: int, L: int) -> bool:
     return factored < plain
 
 
+@dataclass(frozen=True)
+class _Factors:
+    """The factored path's spectrum and maps (see above), made once per train call.
+
+    N = Us diag(lam) Us.T with lam clipped at 0; coef, whose product
+    Phi.T @ (coef @ z) with the directions' kept monomials Phi gives the
+    weights U R.T Us z; proj's rows beta and H.T f*; perp2 = (||y_perp||^2,
+    ||f_perp||^2); and M = U.T U, the p x p middle matrix from the Gram of
+    the directions' monomials (harmonics._middle_matrix).
+    """
+
+    lam: np.ndarray
+    coef: np.ndarray
+    Phi: np.ndarray
+    proj: np.ndarray
+    perp2: np.ndarray
+    M: np.ndarray
+
+
 def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray, Y: np.ndarray):
-    """The factored path's spectrum and maps (see above), or None after a RuntimeWarning.
+    """The factored path's _Factors, or None after a RuntimeWarning.
 
     g = harmonics._power_coefficients(d, tau) are the power coefficients of
-    sigma_tau, and Y's two rows are y and f*.  Returns (lam, coef, Phi,
-    proj, perp2): N = Us diag(lam) Us.T with lam clipped at 0; coef, whose
-    product Phi.T @ (coef @ z) with the directions' kept monomials Phi gives
-    the weights U R.T Us z; proj = (beta, H.T f*) and perp2 = (||y_perp||^2,
-    ||f_perp||^2).  The bound is checked first; when it exceeds
-    harmonics._FACTOR_RTOL, nothing is formed.
+    sigma_tau, and Y's two rows are y and f*.  The bound is checked first;
+    when it exceeds harmonics._FACTOR_RTOL, nothing is formed.
     """
     n, d = X.shape
     bound = harmonics._spectrum_error(d, tau, g, n, 2)
@@ -291,7 +310,7 @@ def _try_factor(X: np.ndarray, Q: np.ndarray, tau: np.ndarray, g: np.ndarray, Y:
     lam, Us = np.linalg.eigh(R @ M @ R.T)
     coef = (scale / np.sqrt(Q.shape[0]))[:, None] * (R.T @ Us)
     perp2 = np.einsum("ij,ij->j", RY[k:, p:], RY[k:, p:])
-    return np.maximum(lam, 0.0), coef, Phi, RY[:k, p:].T @ Us, perp2
+    return _Factors(np.maximum(lam, 0.0), coef, Phi, RY[:k, p:].T @ Us, perp2, M)
 
 
 def train(
@@ -314,16 +333,17 @@ def train(
     it exceeds 1e-10, train warns (RuntimeWarning, naming the bound and p)
     and runs on the m x n matrix.
 
-    Returns (TrainerState, TrainingTrace), alike on every path.  Raises
-    ValueError unless eta is positive and finite and T a positive integer,
-    and DivergenceError when the residuals blow up (learning rate beyond the
+    Returns (TrainerState, TrainingTrace), alike on every path but for the
+    trace's factors.  Raises ValueError unless eta is positive and finite,
+    T a positive integer and tau a non-empty 1-d sequence, and
+    DivergenceError when the residuals blow up (learning rate beyond the
     stable range), at the same step on every path.
     """
     harmonics._check_integer(T, "step count", 1)
     T = int(T)
     _check_step_size(eta)
     X, Q = _require_unit_pair(dataset.S, Q)
-    tau = np.asarray(tau_final, dtype=float)
+    tau = harmonics._check_weights(tau_final)
     m, n = Q.shape[0], X.shape[0]
     y = np.asarray(dataset.y, dtype=float)
     f_star = np.asarray(dataset.f_star_S, dtype=float)
@@ -331,11 +351,11 @@ def train(
 
     g = harmonics._power_coefficients(X.shape[1], tau)
     cheaper = _factored_is_cheaper(m, n, harmonics._factor_width(X.shape[1], g), T, tau.size - 1)
-    factors = _try_factor(X, Q, tau, g, np.stack([y, f_star])) if cheaper else None
-    if factors is None:
+    trace.factors = _try_factor(X, Q, tau, g, np.stack([y, f_star])) if cheaper else None
+    if trace.factors is None:
         a = _gd_loop(feature_matrix(X, Q, tau), y, f_star, eta, T, trace)
     else:
-        a = _spectral_trace(factors, y, eta, T, trace)
+        a = _spectral_trace(trace.factors, y, eta, T, trace)
     return TrainerState(a=a, t=T, eta=float(eta)), trace
 
 
@@ -358,9 +378,10 @@ def _gd_loop(Z, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarr
     return a
 
 
-def _spectral_trace(factors, y, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
+def _spectral_trace(factors: _Factors, y, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
     """The loop's whole trace in closed form on _try_factor's factors; returns a(T)."""
-    lam, coef, Phi, (beta, beta_f), (y_perp2, f_perp2) = factors
+    lam, coef, Phi = factors.lam, factors.coef, factors.Phi
+    (beta, beta_f), (y_perp2, f_perp2) = factors.proj, factors.perp2
     n, k = y.size, lam.size
     rho = 1.0 - (eta / n) * lam
     checked = not (np.all(np.abs(rho) <= 1.0) and np.all(np.isfinite(y)))

@@ -24,6 +24,7 @@ from sphattn.experiments import (
     run_training_run,
 )
 from sphattn.harmonics import _power_coefficients, gegenbauer_weighted_sum, harmonic_dim
+from test_training import force_path
 
 SELECT_KW = {
     "d": 4,
@@ -375,6 +376,59 @@ class TestEmpiricalKernel:
         Q = sample_sphere(30, 4, 46)
         k_hat = harmonics._paired_kernel(pairs[:10], pairs[10:], Q, np.zeros(3))
         assert np.array_equal(k_hat, np.zeros(10))
+
+
+def middle_matrix_calls(monkeypatch) -> list:
+    """Spy on harmonics._middle_matrix, the directions' Gram; returns its calls."""
+    calls, build = [], harmonics._middle_matrix
+    monkeypatch.setattr(harmonics, "_middle_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+class TestTrialGram:
+    """A training trial forms the directions' Gram once, and its kernel gap reads the trainer's."""
+
+    @staticmethod
+    def _trial(kw):
+        cfg = ExperimentConfig.from_sources(kw, {})
+        return experiments._training_trial(cfg, experiments.STREAM_TRAIN, 0, 0, cfg.scalar("n"))
+
+    @pytest.mark.parametrize("kw", [TRAIN_KW, {**TRAIN_KW, "d": 5, "ell0": 2}])
+    def test_factored_trial_forms_the_gram_once(self, kw, monkeypatch):
+        force_path(monkeypatch, True)
+        calls = middle_matrix_calls(monkeypatch)
+        assert self._trial(kw)["ok"] and len(calls) == 1
+
+    @pytest.mark.parametrize("kw", [TRAIN_KW, {**TRAIN_KW, "d": 5, "ell0": 2}])
+    def test_gap_is_bit_identical_without_the_handed_gram(self, kw, monkeypatch):
+        force_path(monkeypatch, True)
+        gaps, gap = [], experiments._kernel_gap
+        monkeypatch.setattr(experiments, "_kernel_gap",
+                            lambda *args: gaps.append(args) or gap(*args))
+        rec = self._trial(kw)
+        (args,) = gaps
+        assert args[5] is not None
+        assert rec["kernel_gap"] == gap(*args[:5])
+
+    def test_plain_trial_forms_the_gram_in_its_gap(self, monkeypatch):
+        force_path(monkeypatch, False)
+        calls = middle_matrix_calls(monkeypatch)
+        assert self._trial(TRAIN_KW)["ok"] and len(calls) == 1
+
+    def test_risk_sweep_forms_one_gram_per_trial(self, monkeypatch):
+        # d = 3, ell0 = 1 takes the factors at every n
+        kw = {**TRAIN_KW, "n": [30, 60, 120, 300], "m": 60, "num_seeds": 2,
+              "num_mc_samples": 200}
+        calls = middle_matrix_calls(monkeypatch)
+        report = run_risk_sweep(ExperimentConfig.from_sources(kw, {}))
+        assert all(r["ok"] for r in report.per_seed) and len(calls) == 8
+
+    def test_kernel_convergence_forms_one_gram_per_trial(self, monkeypatch):
+        kw = {"d": 3, "ell0": 1, "m": [50, 100, 200], "n": 10, "num_seeds": 2}
+        calls = middle_matrix_calls(monkeypatch)
+        run_kernel_convergence(ExperimentConfig.from_sources(kw, {}))
+        assert len(calls) == 6
 
 
 class TestKernelConvergence:

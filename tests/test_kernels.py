@@ -57,6 +57,13 @@ class TestActivation:
         np.testing.assert_allclose(tau, [1.0, 0.0, 3.0])  # sqrt(N(4,2)) = 3
         np.testing.assert_allclose(oracle_weights(4, 1), [1.0, 2.0])
 
+    def test_oracle_weights_check_their_degree(self):
+        assert np.array_equal(oracle_weights(4, 1.0), oracle_weights(4, 1))
+        for ell0 in (-1, 1.5, True):
+            with pytest.raises(ValueError, match=f"target degree ell0 must be an integer >= 0, "
+                                                 rf"got {ell0}"):
+                oracle_weights(4, ell0)
+
 
 class TestPopulationGram:
     def test_diagonal_entries(self):
@@ -97,6 +104,17 @@ class TestPopulationGram:
         X[2] *= 1.5
         with pytest.raises(ValueError, match="row 2"):
             population_gram(X, None, 1)
+
+    def test_integral_float_degree(self):
+        X = sample_sphere(6, 3, 10)
+        assert np.array_equal(population_gram(X, None, 2.0), population_gram(X, None, 2))
+
+    @pytest.mark.parametrize("ell_hat", [-1, 2.5, True])
+    def test_rejects_a_degree_that_is_not_a_count(self, ell_hat):
+        X = sample_sphere(6, 3, 10)
+        with pytest.raises(ValueError, match=f"degree cutoff ell_hat must be an integer >= 0, "
+                                             rf"got {ell_hat}"):
+            population_gram(X, None, ell_hat)
 
 
 class TestEmpiricalGram:

@@ -1,6 +1,7 @@
 """Gradient-descent dynamics against the exact linear-recursion oracle."""
 
 import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -88,6 +89,13 @@ class TestPredict:
     def test_zero_weights_predict_zero(self):
         _, ds, Q, tau = _setup(n=15, m=30)
         assert np.array_equal(predict(np.zeros(30), ds.S, Q, tau), np.zeros(15))
+
+    @pytest.mark.parametrize("tau", [[], np.ones((2, 2))])
+    def test_rejects_channel_weights_that_are_not_a_vector(self, tau):
+        # an empty tau once predicted zeros
+        _, ds, Q, _ = _setup(n=5, m=10)
+        with pytest.raises(ValueError, match="weights must be a non-empty 1-d sequence"):
+            predict(np.ones(10), ds.S, Q, tau)
 
     def test_linear_in_weights(self):
         _, ds, Q, tau = _setup(n=12, m=25)
@@ -377,6 +385,23 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"step count must be an integer >= 1, got {T}"):
             train(ds, Q, tau, eta=0.1, T=T)
 
+    @pytest.mark.parametrize("tau", [[], np.ones((2, 2))])
+    def test_rejects_channel_weights_that_are_not_a_vector(self, tau):
+        _, ds, Q, _ = _setup(n=10, m=10)
+        with pytest.raises(ValueError, match="weights must be a non-empty 1-d sequence"):
+            train(ds, Q, tau, eta=0.1, T=2)
+
+    def test_trace_keeps_the_factors_out_of_repr_and_eq(self, monkeypatch):
+        _, ds, Q, tau = _setup(n=60, m=200, seed=15)
+        force_path(monkeypatch, False)
+        assert train(ds, Q, tau, eta=0.3, T=5)[1].factors is None
+        force_path(monkeypatch, True)
+        _, trace = train(ds, Q, tau, eta=0.3, T=5)
+        g = harmonics._power_coefficients(3, tau)
+        assert np.array_equal(trace.factors.M, harmonics._middle_matrix(Q, g)[2])
+        assert "factors" not in repr(trace)
+        assert dataclasses.replace(trace, factors=None) == trace
+
     def test_integral_float_step_count(self):
         # the state and the loop hold it as an int
         _, ds, Q, tau = _setup(n=10, m=10)
@@ -553,7 +578,8 @@ class TestExactFactors:
         for tau in (oracle_weights(d, L), finalized_weights(d, [1, 0, 1]), np.array([0.7, 0, 0])):
             factors = training._try_factor(X, Q, tau, harmonics._power_coefficients(d, tau), Y)
             assert factors is not None
-            lam, coef, Phi, proj, perp2 = factors
+            lam, coef, Phi, proj, perp2 = (factors.lam, factors.coef, factors.Phi,
+                                           factors.proj, factors.perp2)
             Z = feature_matrix(X, Q, tau)
             K = Z.T @ Z
             scale = np.linalg.norm(K)
@@ -667,7 +693,7 @@ class TestCertificate:
         g = harmonics._power_coefficients(d, tau)
         with monkeypatch.context() as mp:
             mp.setattr(harmonics, "_FACTOR_RTOL", np.inf)
-            lam = training._try_factor(X, Q, tau, g, np.zeros((2, n)))[0][::-1] / n
+            lam = training._try_factor(X, Q, tau, g, np.zeros((2, n))).lam[::-1] / n
         ref = gram_spectrum(normalized_gram(empirical_gram(X, None, Q, tau), n))
         err = max(np.max(np.abs(lam - ref[: lam.size])),
                   np.max(np.abs(ref[lam.size :]), initial=0.0))
@@ -801,7 +827,7 @@ class TestSpectralTrace:
         _, ds, _, tau = _setup(n=60, seed=26)
         Q = np.concatenate([sample_sphere(200, 2, 27), np.zeros((200, 1))], axis=1)
         g = harmonics._power_coefficients(3, tau)
-        assert np.any(training._try_factor(ds.S, Q, tau, g, np.zeros((2, 60)))[0] == 0.0)
+        assert np.any(training._try_factor(ds.S, Q, tau, g, np.zeros((2, 60))).lam == 0.0)
         taken = self._paths(monkeypatch)
         self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.5, 100, record_weights=True)
         assert taken == ["plain", "spectral"]
