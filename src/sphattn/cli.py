@@ -22,7 +22,6 @@ from .complexity import (
     critical_radius,
     empirical_spectrum_from_points,
     kernel_complexity,
-    population_complexity,
     population_spectrum,
 )
 from .config import ConfigError, ExperimentConfig, _parse_value, parse_config_file
@@ -39,9 +38,10 @@ from .experiments import (
 )
 from .harmonics import cumulative_dim, harmonic_dim, sample_sphere
 
-# empirical_spectrum, normalized_gram and population_gram are not called here;
-# the names stay bound because perfbench/tracer.py wraps them in this module.
-from .complexity import empirical_spectrum  # noqa: F401
+# empirical_spectrum, population_complexity, normalized_gram and population_gram
+# are not called here; the names stay bound because perfbench/tracer.py wraps
+# them in this module.
+from .complexity import empirical_spectrum, population_complexity  # noqa: F401
 from .kernels import normalized_gram, population_gram  # noqa: F401
 
 STREAM_COMPLEXITY = 4
@@ -76,18 +76,13 @@ def _complexity_curve(config: ExperimentConfig) -> tuple[RunReport, list]:
         raise ConfigError("complexity-curve needs sigma0 > 0")
     X = sample_sphere(n, d, derive_seed(config.base_seed, STREAM_COMPLEXITY, 0, 0))
     emp = empirical_spectrum_from_points(X, ell_hat)
+    pop = population_spectrum(d, ell_hat, n)
     lam_min_pos = 1.0 / harmonic_dim(d, ell_hat)
     eps_grid = np.geomspace(np.sqrt(lam_min_pos) / 100.0, np.sqrt(float(ell_hat + 1)) * 10.0, 50)
-    rows = [
-        (
-            float(e),
-            kernel_complexity(emp, float(e)),
-            population_complexity(d, ell_hat, n, float(e)),
-        )
-        for e in eps_grid
-    ]
+    rows = [(float(e), kernel_complexity(emp, float(e)), kernel_complexity(pop, float(e)))
+            for e in eps_grid]
     radius_emp = critical_radius(emp, config.sigma0)
-    radius_pop = critical_radius(population_spectrum(d, ell_hat, n), config.sigma0)
+    radius_pop = critical_radius(pop, config.sigma0)
     report = RunReport(
         kind="complexity_curve",
         config=config.echo(),

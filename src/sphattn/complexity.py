@@ -26,7 +26,7 @@ from .harmonics import _check_integer, _dims, _fill_sphere, child_generators
 # sample_sphere is not called here; the name stays bound because
 # perfbench/tracer.py wraps it in this module.
 from .harmonics import sample_sphere  # noqa: F401
-from .kernels import _require_unit_pair, normalized_gram, population_gram
+from .kernels import _require_unit_rows, normalized_gram, population_gram
 from .targets import ZonalTarget, eval_target
 
 __all__ = [
@@ -96,7 +96,7 @@ def empirical_spectrum_from_points(X, ell_hat: int) -> KernelSpectrum:
     checks them, with the same errors.
     """
     _check_integer(ell_hat, "degree cutoff ell_hat")
-    X = _require_unit_pair(X, X)[0]
+    X = _require_unit_rows(X, "X")
     factored = harmonics._gram_eigenvalues(X, int(ell_hat))
     if factored is None:
         return empirical_spectrum(normalized_gram(population_gram(X, None, ell_hat), len(X)))

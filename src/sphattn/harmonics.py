@@ -40,8 +40,6 @@ decides lives here: both routes of the degree projections and of the
 paired kernel, the rule that prices the degree projections' expansion
 against the walk, the tolerance _FACTOR_RTOL and the three rounding bounds
 compared with it, derived above it.
-:func:`_screen_dots`, run by the unit-row check of every entry point, gives
-each route the walk's domain check, forming only the dots it cannot clear.
 """
 
 from __future__ import annotations
@@ -51,16 +49,22 @@ import math
 
 import numpy as np
 
-# The two input tolerances.  Dot products of normalized vectors may exceed 1
-# by a few ulp; values within DOT_TOL are clamped to [-1, 1], values outside
-# it are rejected.  A row passes the unit check (kernels._unit_norms) when its
-# norm is within UNIT_TOL of 1.  UNIT_TOL is far wider than DOT_TOL, so
-# _screen_dots' Cauchy-Schwarz bound cannot clear a row whose norm exceeds 1
-# by more than about DOT_TOL, and every entry point forms all of that row's
-# dot products: predict at d = 6, oracle channels 0..1, 20000 points and
-# m = 8000 (one BLAS thread) took 0.7 ms on sample_sphere rows and 305 ms on
-# the same rows times 1 + 1e-10.  Forming them is right, since such a row can
-# hold a dot product the walk rejects.
+# The two input tolerances.  A row passes the unit check
+# (kernels._require_unit_rows) when its norm is within UNIT_TOL of 1; the
+# check divides the rows farther than DOT_TOL / 4 from norm 1 by their norms
+# and leaves the others as they are.  Dot products handed to the walk may
+# exceed 1 by rounding; values within DOT_TOL are clamped to [-1, 1], values
+# outside it are rejected.  No route screens the dot products of two checked
+# rows, because they cannot leave the band for d up to 2248.  With
+# u = 2^-53 the computed norm of a d-vector is off by at most (d/2 + 2) u
+# relative, so a kept row has true norm at most 1 + DOT_TOL / 4 + (d/2 + 2) u,
+# and a divided one 1 + (d/2 + 3) u.  A computed d-term dot product, in any
+# order of summation, differs from the exact one by at most gamma_d |a| |b|,
+# gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 3), so by Cauchy-Schwarz |fl<a, b>| <= 1 + DOT_TOL / 2
+# + (2d + 6) u up to second-order terms: inside the band while (2d + 6) u <=
+# DOT_TOL / 2, that is d <= 2248.  Every experiment configuration in this
+# repository has d <= 8; the tests reach d = 1200.
 DOT_TOL = 1e-12
 UNIT_TOL = 1e-8
 
@@ -424,30 +428,6 @@ def gegenbauer_weighted_matrix(A, B, d: int, weights) -> np.ndarray:
     return _weighted_sum(blocks, np.empty((len(A), len(B))), w)
 
 
-def _screen_dots(A, B, a_norms, b_norms) -> None:
-    """Check A @ B.T against the band as gegenbauer_blocks(A, B, ...) would.
-
-    a_norms and b_norms are the row norms of A and B.  By Cauchy-Schwarz,
-    |<a_r, b_i>| <= |a_r| * max_i |b_i|, so a row of A whose bound lies inside
-    the band can hold no rejected entry.  The rounding of the two norms, of
-    their product and of a computed dot product adds up to about (2d + 4) unit
-    roundoffs; the margin 4 * (d + 2) * eps is four times that.  A NaN bound
-    clears nothing.  Only the walk's row blocks that hold an uncleared row are
-    formed, by the walk's own product and check, so a rejection names the
-    same first (row, col) in row-major order, and the same value, as the walk.
-    """
-    bound = a_norms * np.max(b_norms, initial=0.0)
-    margin = 4 * (A.shape[1] + 2) * np.finfo(float).eps
-    uncleared = ~(bound * (1.0 + margin) <= 1.0 + DOT_TOL)
-    if np.any(uncleared):
-        rows = _block_rows(len(A), len(B))
-        fill, buf = _dot_fill(A, B), np.empty((rows, len(B)))
-        for lo in range(0, len(A), rows):
-            if np.any(uncleared[lo : lo + rows]):
-                hi = min(lo + rows, len(A))
-                fill(lo, hi, buf[: hi - lo])
-
-
 @functools.cache
 def _gegenbauer_coefficients(d: int, L: int) -> np.ndarray:
     """C[k, j], the coefficient of t^j in P_k(t), for k, j = 0..L; read-only and cached.
@@ -564,7 +544,7 @@ def _power_sums(A, B, y, L: int) -> np.ndarray:
     the monomials are 1 and the coordinates, and the same sums are
     u[0] = sum_i y_i and u[1] = A @ (B.T @ y), the last one row at a time
     (einsum), so that, unlike BLAS, it gives each row the value it gives
-    alone.  The caller checks the domain (:func:`_screen_dots`) and the
+    alone.  The caller checks the rows (kernels._require_unit_rows) and the
     accuracy (:func:`_expansion_error`).
     """
     A, B = _as_pair(A, B)
@@ -920,7 +900,7 @@ def _degree_projections(A, B, w, L: int) -> np.ndarray:
 
     From the monomial expansion when it is cheaper and accurate (see above),
     otherwise in one blocked pass of the recurrence over the rows of A.  The
-    caller checks the domain (:func:`_screen_dots`).
+    caller checks the rows (kernels._require_unit_rows).
     """
     A, B = _as_pair(A, B)
     w = np.asarray(w, dtype=float)
@@ -977,7 +957,7 @@ def _fill_sphere(X: np.ndarray, blocks) -> np.ndarray:
 
     `blocks` lists (rows, generator) pairs whose rows sum to n; each block of
     consecutive rows of X is sample_sphere(rows, d, generator), bit for bit.
-    The norms are kernels._unit_norms', sqrt(einsum("ij,ij->i", X, X)),
+    The norms are kernels._require_unit_rows', sqrt(einsum("ij,ij->i", X, X)),
     which sums each row's squares on its own and forms no n x d temporary,
     so a row's norm does not depend on the rows beside it.  They are taken
     once over all of X, and the rows are divided in place; a zero row is

@@ -39,38 +39,37 @@ __all__ = [
 ]
 
 
-def _unit_norms(X, name: str) -> tuple:
-    """X as a float matrix and its row norms; raises unless every row is unit-norm."""
+def _require_unit_rows(X, name: str) -> np.ndarray:
+    """X as a float matrix of unit rows; raises unless every row is within UNIT_TOL of norm 1.
+
+    Rows farther than DOT_TOL / 4 from norm 1 are divided by their norms in a
+    copy, so that the dot products of two checked rows stay in the walk's
+    band (harmonics' tolerance comment); X itself is returned, never
+    written, when every row is within DOT_TOL / 4, as sample_sphere's are.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     # row sums of squares without an n x d temporary, which would raise peak memory
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     # |norm - 1| is largest at the smallest or the largest norm, and min and
     # max pass a NaN on, which compares false, so rows with a NaN or infinite
-    # norm are caught too; |norm - 1| is formed only to name a failing row
+    # norm are caught too; |norm - 1| is formed only when some row is off by
+    # more than DOT_TOL / 4
     lo, hi = norms.min(initial=1.0), norms.max(initial=1.0)
-    if not (abs(lo - 1.0) <= harmonics.UNIT_TOL and abs(hi - 1.0) <= harmonics.UNIT_TOL):
-        off = np.abs(norms - 1.0)
+    if max(1.0 - lo, hi - 1.0) <= harmonics.DOT_TOL / 4:
+        return X
+    off = np.abs(norms - 1.0)
+    if not off.max() <= harmonics.UNIT_TOL:
         i = int(np.argmax(off))
         raise ValueError(f"{name} row {i} is not unit-norm (|norm - 1| = {off[i]:.3e})")
-    return X, norms
-
-
-def _require_unit_rows(X, name: str) -> np.ndarray:
-    return _unit_norms(X, name)[0]
+    # a row divided by 1.0 is the row itself, bit for bit
+    return X / np.where(off > harmonics.DOT_TOL / 4, norms, 1.0)[:, None]
 
 
 def _require_unit_pair(X, Q) -> tuple:
-    """Points X and directions Q as unit-row matrices of the same dimension.
-
-    Their dot products are screened against the [-1, 1] band on the norms
-    just computed, before any route forms them, so that every route of an
-    entry point rejects one with the same message: the (point, direction)
-    index and the value of the walk over the rows of X.
-    """
-    (X, x_norms), (Q, q_norms) = _unit_norms(X, "X"), _unit_norms(Q, "Q")
+    """Points X and directions Q as unit-row matrices of the same dimension (_require_unit_rows)."""
+    X, Q = _require_unit_rows(X, "X"), _require_unit_rows(Q, "Q")
     if X.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: X has d={X.shape[1]}, Q has d={Q.shape[1]}")
-    harmonics._screen_dots(X, Q, x_norms, q_norms)
     return X, Q
 
 
@@ -114,8 +113,8 @@ def population_gram(X, X_prime, ell_hat: int) -> np.ndarray:
     entries equal ell_hat + 1 since P_k(1) = 1.
     """
     harmonics._check_integer(ell_hat, "degree cutoff ell_hat")
-    X = _require_unit_rows(X, "X")
     same = X_prime is None or X_prime is X
+    X = _require_unit_rows(X, "X")
     Xp = X if same else _require_unit_rows(X_prime, "X_prime")
     if X.shape[1] != Xp.shape[1]:
         raise ValueError("X and X_prime live in different dimensions")

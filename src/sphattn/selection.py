@@ -21,8 +21,7 @@ O((m + n) * p_h * p_l) multiply-adds with p_h = C(ceil(L/2) + d, d), where
 harmonics' rule prices them below the Gegenbauer recurrence over the m x n
 dot products and their a-priori rounding bound is tight enough, and one
 blocked pass of that recurrence otherwise.  Neither route stores an m x n
-array, and the unit-row check rejects a dot product outside the [-1, 1] band
-before either runs, with the same message on both.
+array, and both run on the rows the unit-row check returns.
 
 The raw channel weights are then thresholded: channel k survives when
 raw_k >= 2 * epsilon0 (inclusive), and every surviving channel is rescaled
@@ -91,12 +90,12 @@ class SelectionResult:
             fh.write("\n")
 
 
-def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> np.ndarray:
+def _check_inputs(dataset: LabeledDataset, Q: np.ndarray, L: int) -> tuple:
     harmonics._check_integer(L, "maximum channel degree")
     X, Q = _require_unit_pair(dataset.S, Q)
     if X.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("need at least one sample and one direction")
-    return Q
+    return X, Q
 
 
 def one_step_updates(dataset: LabeledDataset, Q, L: int):
@@ -105,8 +104,8 @@ def one_step_updates(dataset: LabeledDataset, Q, L: int):
     a1 is the m-vector of second-layer weights, linear in y; tau_raw holds
     the raw channel weights for degrees 0..L, quadratic in y.
     """
-    Q = _check_inputs(dataset, Q, L)
-    V = harmonics._degree_projections(Q, dataset.S, dataset.y, L)
+    X, Q = _check_inputs(dataset, Q, L)
+    V = harmonics._degree_projections(Q, X, dataset.y, L)
     N = harmonics._dims(dataset.d, L)
     scale = dataset.n * np.sqrt(Q.shape[0])
     a1 = (N @ V) / scale
@@ -127,12 +126,12 @@ def one_step_channel_weights(dataset: LabeledDataset, Q, a1, L: int) -> np.ndarr
     Returns the raw weights for degrees 0..L.  Quadratic in y through a1:
     scaling y by s scales every entry by s^2.
     """
-    Q = _check_inputs(dataset, Q, L)
+    X, Q = _check_inputs(dataset, Q, L)
     a1 = np.asarray(a1, dtype=float)
     m = Q.shape[0]
     if a1.shape != (m,):
         raise ValueError(f"a1 has shape {a1.shape}, expected ({m},)")
-    V = harmonics._degree_projections(Q, dataset.S, dataset.y, L)
+    V = harmonics._degree_projections(Q, X, dataset.y, L)
     return harmonics._dims(dataset.d, L) * (V @ a1) / (dataset.n * np.sqrt(m))
 
 

@@ -173,7 +173,7 @@ def dataset_metadata(target: ZonalTarget, sigma0: float, seed) -> dict:
         "coeffs": [float(c) for c in target.coeffs],
         "directions": [[float(v) for v in row] for row in target.directions],
         "sigma0": float(sigma0),
-        "seed": seed if isinstance(seed, int) else repr(seed),
+        "seed": int(seed) if isinstance(seed, (int, np.integer)) else repr(seed),
     }
 
 

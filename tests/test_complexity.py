@@ -317,19 +317,30 @@ class TestSpectrumFromPoints:
         monkeypatch.setattr(harmonics, "_gram_eigenvalues", fake([-5e-13, 0.5, 1.0]))
         assert empirical_spectrum_from_points(X, 1).eigenvalues.tolist() == [1.0, 0.5, 0.0]
 
-    def test_rejects_what_population_gram_rejects(self):
+    def test_rejects_what_population_gram_rejects(self, monkeypatch):
         X = sample_sphere(30, 4, 48)
         X[3] *= 2
         for call in (lambda: empirical_spectrum_from_points(X, 2),
                      lambda: population_gram(X, None, 2)):
             with pytest.raises(ValueError, match="X row 3 is not unit-norm"):
                 call()
+        # a row inside the unit tolerance whose raw dot product with itself
+        # would leave the band is divided by its norm: population_gram and
+        # both routes of the spectrum give the walk's values on unit rows
         X = sample_sphere(30, 4, 48)
-        X[5] *= 1 + 5e-9  # its own dot product leaves the band
-        for call in (lambda: empirical_spectrum_from_points(X, 2),
-                     lambda: population_gram(X, None, 2)):
-            with pytest.raises(ValueError, match=r"at index \(5, 5\)"):
-                call()
+        X[5] *= 1 + 5e-9
+        U = unit_rows(X)
+        K = population_gram(X, None, 2)
+        assert K[5, 5] == 3.0
+        np.testing.assert_allclose(K, population_gram(U, None, 2), rtol=0, atol=1e-14)
+        _, tol = harmonics._gram_eigenvalues(U, 2)
+        tol += math.sqrt(30) * np.finfo(float).eps * 3
+        ref = _gram_eigenvalues(U, 2)
+        spec = empirical_spectrum_from_points(X, 2).eigenvalues
+        assert np.max(np.abs(spec - ref[: spec.size])) <= tol
+        monkeypatch.setattr(harmonics, "_gram_eigenvalues", lambda *args: None)
+        gram = empirical_spectrum_from_points(X, 2).eigenvalues
+        np.testing.assert_allclose(gram, np.maximum(ref, 0.0), rtol=0, atol=tol)
 
 
 class TestMcRisk:

@@ -666,6 +666,24 @@ class TestCli:
         s_g = critical_radius(gram, 1.0) ** 2
         assert abs(payload["empirical_critical_radius_sq"] - s_g) <= tol / s_g + 1e-14 * s_g
 
+    def test_complexity_curve_builds_the_population_spectrum_once(self, tmp_path, monkeypatch):
+        from sphattn import cli, complexity, population_complexity
+
+        calls = []
+        build = complexity.population_spectrum
+        spy = lambda *args: calls.append(args) or build(*args)
+        # population_complexity builds one through complexity's name
+        monkeypatch.setattr(complexity, "population_spectrum", spy)
+        monkeypatch.setattr(cli, "population_spectrum", spy)
+        out = tmp_path / "curve.csv"
+        argv = ["--d", "3", "--ell0", "2", "--n", "400", "--sigma0", "1.0", "--out", str(out)]
+        assert main(["complexity-curve", *argv]) == 0
+        assert calls == [(3, 2, 400)]
+        # each row's population value is population_complexity's, bit for bit
+        for row in out.read_text().splitlines()[1:]:
+            eps, _, r_pop = map(float, row.split(","))
+            assert r_pop == population_complexity(3, 2, 400, eps)
+
     def test_parser_built_once_gives_fresh_parser_outputs(self, tmp_path, capsys):
         from sphattn import cli
 

@@ -18,6 +18,7 @@ from sphattn import (
     population_gram,
     sample_sphere,
 )
+from sphattn import harmonics, kernels
 
 
 class TestActivation:
@@ -63,6 +64,42 @@ class TestActivation:
             with pytest.raises(ValueError, match=f"target degree ell0 must be an integer >= 0, "
                                                  rf"got {ell0}"):
                 oracle_weights(4, ell0)
+
+
+class TestUnitCheck:
+    """kernels._require_unit_rows: rows within UNIT_TOL pass, and beyond DOT_TOL / 4 are divided."""
+
+    def test_returns_the_callers_array(self):
+        X = sample_sphere(200, 6, 30)
+        assert kernels._require_unit_rows(X, "X") is X
+        # 1e-13 off, well inside DOT_TOL / 4 = 2.5e-13
+        X *= 1 + 1e-13
+        assert kernels._require_unit_rows(X, "X") is X
+        Q = sample_sphere(30, 6, 31)
+        X_checked, Q_checked = kernels._require_unit_pair(X, Q)
+        assert X_checked is X and Q_checked is Q
+
+    def test_divides_only_the_rows_beyond_dot_tol(self):
+        X = sample_sphere(60, 5, 32)
+        X[::7] *= 1 + 1e-10
+        X[3] *= 1 - 5e-9
+        X[4] *= 1 + 1e-13
+        before = X.copy()
+        Y = kernels._require_unit_rows(X, "X")
+        assert np.array_equal(X, before)  # the caller's array is not written
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+        far = np.abs(norms - 1.0) > harmonics.DOT_TOL / 4
+        assert np.flatnonzero(far).tolist() == [0, 3] + list(range(7, 60, 7))
+        assert np.array_equal(Y[~far], X[~far])
+        assert np.array_equal(Y[far], X[far] / norms[far, None])
+        assert np.all(Y[far] != X[far])
+        assert np.max(np.abs(np.linalg.norm(Y, axis=1) - 1.0)) <= harmonics.DOT_TOL / 4
+
+    def test_rejects_beyond_unit_tol(self):
+        X = sample_sphere(10, 4, 33)
+        X[6] *= 1 + 2e-8
+        with pytest.raises(ValueError, match=r"Q row 6 is not unit-norm \(\|norm - 1\| = 2\.0"):
+            kernels._require_unit_rows(X, "Q")
 
 
 class TestPopulationGram:

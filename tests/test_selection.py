@@ -1,5 +1,7 @@
 """One-step updates and channel thresholding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from sphattn import (
     threshold_channels,
 )
 from sphattn.targets import LabeledDataset
+from test_harmonics import unit_rows
 
 
 def _single_point_dataset():
@@ -124,18 +127,20 @@ class TestOneStepUpdates:
         np.testing.assert_allclose(a1, [2.0], atol=1e-15)
         np.testing.assert_allclose(tau, [4.0], atol=1e-15)
 
-    def test_rejects_dot_product_outside_band(self):
+    def test_rejects_dot_product_outside_band(self, monkeypatch):
         target = make_target(3, 1, [1.0, 1.0], 24)
         ds = gen_dataset(target, 40, 0.1, 25)
         S = ds.S.copy()
         Q = sample_sphere(30, 3, 26)
-        # both rows pass the 1e-8 unit-norm check, their dot product does not
+        # both rows pass the 1e-8 unit-norm check, and the walk rejects their
+        # raw dot product; the check divides the point by its norm first
         S[5] = Q[7] * (1.0 + 5e-9)
+        assert "at index (5, 7)" in _walk_error(S, Q, 3, 2)
         bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
-        with pytest.raises(ValueError, match=r"dot product outside .* at index \(5, 7\)"):
-            one_step_updates(bad, Q, 2)
-        with pytest.raises(ValueError, match="dot product outside"):
-            select_channels(bad, Q, 2, epsilon0=0.1)
+        unit = _assert_matches_walk_on_unit_rows(bad, Q, 2, monkeypatch)
+        got, ref = select_channels(bad, Q, 2, epsilon0=0.1), select_channels(unit, Q, 2, 0.1)
+        np.testing.assert_allclose(got.tau_raw, ref.tau_raw, rtol=1e-11)
+        assert np.array_equal(got.mask, ref.mask)
 
     def test_rejects_non_unit_point(self):
         # a halved row keeps every dot product inside the band; train rejects it too
@@ -191,6 +196,26 @@ def _walk_error(S, Q, d, L) -> str:
         for _ in harmonics_mod.gegenbauer_blocks(S, Q, d, L):
             pass
     return str(err.value)
+
+
+def _assert_matches_walk_on_unit_rows(dataset, Q, L, monkeypatch) -> LabeledDataset:
+    """a1 and tau_raw on the expansion and on the walk, against the walk on unit rows.
+
+    The unit rows are the dataset's divided by their norms, explicitly;
+    returns the dataset on them.
+    """
+    unit = dataclasses.replace(dataset, S=unit_rows(dataset.S))
+    with monkeypatch.context() as mp:
+        _walk_only(mp)
+        ref, walked = one_step_updates(unit, Q, L), one_step_updates(dataset, Q, L)
+    with monkeypatch.context() as mp:
+        mp.setattr(harmonics_mod, "_expansion_is_cheaper", lambda *args: True)
+        _no_walk(mp)
+        expanded = one_step_updates(dataset, Q, L)
+    for got in (walked, expanded):
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-11, atol=1e-11 * np.max(np.abs(r)))
+    return unit
 
 
 # points per block of the expansion at d = 8, L = 4
@@ -348,8 +373,8 @@ class TestMonomialExpansion:
         assert max(peaks) <= 1295776
 
     def test_uncleared_rows_in_band_keep_the_expansion(self, monkeypatch):
-        # rows 1e-9 longer than unit pass the norm check but not the screen's
-        # bound; their dot products are formed, found in band, and used
+        # rows 1e-9 longer than unit pass the norm check and are divided by
+        # their norms; no dot product is formed on the expansion's route
         target = make_target(4, 1, [1.0, 1.0], 49)
         ds = gen_dataset(target, 200, 0.1, 50)
         Q = sample_sphere(150, 4, 51)
@@ -393,22 +418,14 @@ class TestMonomialExpansion:
         bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
         with pytest.raises(ValueError, match="X row 17 is not unit-norm"):
             one_step_updates(bad, Q, L)
-        # a row inside the unit tolerance whose dot product leaves the band
-        # meets the error of the walk over the points, on either route
+        # a row inside the unit tolerance whose raw dot product the walk
+        # rejects is divided by its norm: either route gives the walk's
+        # values on the unit rows
         j = {"nan": 40, "long": 123}[row]
         S[17] = Q[j] * (1.0 + 5e-9)
-        expected = _walk_error(S, Q, d, L)
+        assert f"(17, {j})" in _walk_error(S, Q, d, L)
         bad = LabeledDataset(S=S, f_star_S=ds.f_star_S, y=ds.y, sigma0=ds.sigma0)
-        assert f"(17, {j})" in expected
-        with monkeypatch.context() as mp:
-            _walk_only(mp)
-            with pytest.raises(ValueError) as err:
-                one_step_updates(bad, Q, L)
-            assert str(err.value) == expected
-        _no_walk(monkeypatch)
-        with pytest.raises(ValueError) as err:
-            one_step_updates(bad, Q, L)
-        assert str(err.value) == expected
+        _assert_matches_walk_on_unit_rows(bad, Q, L, monkeypatch)
 
 
 class TestThreshold:

@@ -255,3 +255,6 @@ class TestSerialization:
         assert meta["coeffs"] == [1.0, 2.0]
         assert meta["sigma0"] == 0.2 and meta["seed"] == 39
         np.testing.assert_allclose(np.array(meta["directions"]), target.directions)
+        # a NumPy integer seed is recorded as the same JSON integer, not its repr
+        save_dataset(ds, target, np.int64(39), tmp_path / "n.csv", tmp_path / "n.json")
+        assert (tmp_path / "n.json").read_bytes() == (tmp_path / "d.json").read_bytes()

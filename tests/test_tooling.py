@@ -1,5 +1,5 @@
 """The benchmark tracer's call sites still name live attributes of the package,
-a traced run reaches them, two benchmark workloads reproduce their stored
+a traced run reaches them, the three benchmark workloads reproduce their stored
 reference outputs, README.md names the public surface, and every demo runs."""
 
 import ast
@@ -101,15 +101,16 @@ def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
     assert len(factor) == 4 and all(attrs["ok"] == 1 for attrs in factor)
 
 
-@pytest.mark.parametrize("name", ["sweep-d6", "select-d8"])
+@pytest.mark.parametrize("name", ["sweep-d6", "select-d8", "cli-small"])
 def test_benchmark_outputs_match_the_reference(tracer, name, tmp_path):
     # the workload's own check against perfbench/reference.json, on pool key 0:
-    # a change that moves a benchmark output shows here, not only in a run
+    # a change that moves a benchmark output shows here, not only in a run;
+    # entered as the benchmark enters it (cli-small writes its job configs)
     import workloads
 
-    workload = workloads.WORKLOADS[name](tmp_path)
     reference = json.loads(workloads.REFERENCE.read_text())[name]["0"]
-    attempted, failed = workload.check(workload.iteration(0), reference)
+    with workloads.WORKLOADS[name](tmp_path / name) as workload:
+        attempted, failed = workload.check(workload.iteration(0), reference)
     assert attempted > 0 and failed == 0
 
 

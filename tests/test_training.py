@@ -29,6 +29,7 @@ from sphattn import harmonics, training
 from sphattn.config import auto_steps
 from sphattn.targets import LabeledDataset
 from sphattn.training import trace_to_csv
+from test_harmonics import unit_rows
 
 
 def _setup(d=3, ell0=2, n=120, m=600, sigma0=0.3, seed=0):
@@ -78,11 +79,16 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError, match="Q row 3 is not unit-norm"):
             feature_matrix(ds.S, Qb, tau)
         X = ds.S.copy()
-        X[5] = Q[7] * (1 + 5e-9)
-        with pytest.raises(ValueError, match=r"at index \(5, 7\)"):
+        X[5] *= 1.5
+        with pytest.raises(ValueError, match="X row 5 is not unit-norm"):
             feature_matrix(X, Q, tau)
-        with pytest.raises(ValueError, match=r"at index \(5, 7\)"):
-            activation_matrix(X, Q, tau)
+        # inside the unit tolerance, a point collinear with a direction is
+        # divided by its norm: the walk's values on the unit rows
+        X[5] = Q[7] * (1 + 5e-9)
+        A = activation_matrix(X, Q, tau)
+        np.testing.assert_allclose(A, activation_matrix(unit_rows(X), Q, tau), rtol=1e-13)
+        np.testing.assert_allclose(A[5, 7], np.sum(tau), rtol=1e-15)  # P_k(1) = 1
+        assert np.array_equal(feature_matrix(X, Q, tau), A.T / np.sqrt(30))
 
 
 class TestPredict:
@@ -658,28 +664,73 @@ def _walk_error(A, B, d, L) -> str:
 
 
 class TestDomainScreen:
-    """A point inside the unit tolerance whose dot product leaves the band."""
+    """A point inside the unit tolerance whose raw dot product leaves the band."""
 
-    # the unit check screens the dots before any route forms them, in the
-    # order of the walk over the points, so every route raises that error
+    # a 1.5x point raises the unit check's error on every route; a point
+    # 5e-9 longer than a direction, whose raw dot product the walk rejects,
+    # is divided by its norm, and every route gives the walk's values on the
+    # unit rows within its bound
     @pytest.mark.parametrize("call, variant", [("train", False), ("train", True),
                                                ("predict", 1), ("predict", 2)])
     def test_every_route_raises_the_walks_error(self, call, variant, monkeypatch):
         d = 4
         X, Q = sample_sphere(20, d, 80), sample_sphere(30, d, 81)
+        a = np.random.default_rng(82).standard_normal(30)
+
+        def run(X):
+            if call == "train":
+                ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
+                return train(ds, Q, oracle_weights(d, 1), eta=0.3, T=3)
+            return predict(a, X, Q, oracle_weights(d, variant))
+
+        X[5] *= 1.5
+        with monkeypatch.context() as mp:
+            if call == "train":
+                force_path(mp, variant)
+            with pytest.raises(ValueError, match="X row 5 is not unit-norm"):
+                run(X)
         X[5] = Q[7] * (1.0 + 5e-9)
+        assert "tolerance band at index (5, 7)" in _walk_error(X, Q, d, 1)
+        with monkeypatch.context() as mp:
+            # the reference: the walk, on the plain path or the recurrence
+            force_path(mp, False)
+            mp.setattr(harmonics, "_expansion_is_cheaper", lambda *args: False)
+            ref = run(unit_rows(X))
         if call == "train":
             force_path(monkeypatch, variant)
-            expected = _walk_error(X, Q, d, 1)
-            ds = LabeledDataset(S=X, f_star_S=np.zeros(20), y=np.ones(20), sigma0=0.0)
-            with pytest.raises(ValueError) as err:
-                train(ds, Q, oracle_weights(d, 1), eta=0.3, T=3)
+            (state, trace), (ref_state, ref_trace) = run(X), ref
+            np.testing.assert_allclose(state.a, ref_state.a, atol=1e-10)
+            np.testing.assert_allclose(trace.loss, ref_trace.loss, rtol=1e-9, atol=1e-14)
         else:
-            expected = _walk_error(X, Q, d, variant)
-            with pytest.raises(ValueError) as err:
-                predict(np.ones(30), X, Q, oracle_weights(d, variant))
-        assert str(err.value) == expected
-        assert "tolerance band at index (5, 7)" in expected
+            bound = harmonics._expansion_error(d, variant, harmonics._RHO)
+            scale = np.sum(oracle_weights(d, variant)) * np.sum(np.abs(a)) / np.sqrt(30)
+            assert np.max(np.abs(run(X) - ref)) <= bound * scale
+
+    @pytest.mark.parametrize("ell_hat", [1, 2])
+    def test_near_unit_rows_form_no_dot_products(self, ell_hat, monkeypatch):
+        # rows 1e-10 longer than unit are divided by their norms, and on the
+        # expansion's route no dot product is formed for any check
+        X, Q = sample_sphere(2000, 6, 83) * (1 + 1e-10), sample_sphere(800, 6, 84)
+        a = np.random.default_rng(85).standard_normal(800)
+        tau = oracle_weights(6, ell_hat)
+        ref = predict(a, unit_rows(X), Q, tau)
+        monkeypatch.setattr(harmonics, "_dot_fill", _no_dot_fill)
+        np.testing.assert_allclose(predict(a, X, Q, tau), ref, rtol=1e-12, atol=1e-12)
+
+    def test_high_dimension_forms_no_dot_products(self, monkeypatch):
+        # at d = 1200 sample_sphere's rows reach every route unchanged, and
+        # predict needs no dot product to clear them
+        X, Q = sample_sphere(50, 1200, 86), sample_sphere(40, 1200, 87)
+        a, tau = np.random.default_rng(88).standard_normal(40), oracle_weights(1200, 1)
+        ref = activation_matrix(X, Q, tau) @ a / np.sqrt(40)  # the walk
+        monkeypatch.setattr(harmonics, "_dot_fill", _no_dot_fill)
+        bound = harmonics._expansion_error(1200, 1, harmonics._RHO)
+        scale = np.sum(tau) * np.sum(np.abs(a)) / np.sqrt(40)
+        assert np.max(np.abs(predict(a, X, Q, tau) - ref)) <= bound * scale
+
+
+def _no_dot_fill(*args):
+    raise AssertionError("a dot-product block was formed")
 
 
 class TestCertificate:
