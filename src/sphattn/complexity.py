@@ -186,8 +186,8 @@ def mc_risk(predictor, target: ZonalTarget, num_samples: int, seed):
     (harmonics.child_generators): 0.10 ms for an int seed, 0.18 ms for a
     trial's (medians of 15 x 200 calls, one core of a 2-vCPU host).
     """
-    if num_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {num_samples}")
+    _check_integer(num_samples, "sample count", 2)
+    num_samples = int(num_samples)
     rngs = child_generators(seed, MC_CHUNKS)
     base, extra = divmod(num_samples, MC_CHUNKS)
     batches: list[list[int]] = []

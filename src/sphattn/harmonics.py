@@ -947,8 +947,8 @@ def sample_sphere(n: int, d: int, seed) -> np.ndarray:
     may be anything accepted by numpy's default_rng.
     """
     _check_dim(d)
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_integer(n, "sample count", 1)
+    n = int(n)
     return _fill_sphere(np.empty((n, d)), [(n, np.random.default_rng(seed))])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import (
-    _clamp_domain, _dims, _given_blocks, child_generators, sample_sphere,
+    _check_integer, _clamp_domain, _dims, _given_blocks, child_generators, sample_sphere,
 )
 from .kernels import _require_unit_rows
 
@@ -76,8 +76,8 @@ def make_target(d: int, ell0: int, coeffs, seed) -> ZonalTarget:
     ell0.  Deterministic under seed.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if ell0 < 0:
-        raise ValueError(f"target degree must be >= 0, got {ell0}")
+    _check_integer(ell0, "target degree ell0")
+    ell0 = int(ell0)
     if coeffs.shape != (ell0 + 1,):
         raise ValueError(f"need {ell0 + 1} coefficients, got shape {coeffs.shape}")
     if coeffs[ell0] == 0.0:
@@ -131,10 +131,10 @@ def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledData
     the same dataset twice.  The seed is None, an int, a sequence of ints or
     a SeedSequence (harmonics.as_seed_sequence).
     """
-    if n < 1:
-        raise ValueError(f"dataset size must be >= 1, got {n}")
-    if sigma0 < 0:
-        raise ValueError(f"noise scale must be >= 0, got {sigma0}")
+    _check_integer(n, "dataset size", 1)
+    n = int(n)
+    if not 0 <= sigma0 < np.inf:
+        raise ValueError(f"noise scale must be >= 0 and finite, got {sigma0}")
     feat_rng, noise_rng = child_generators(seed, 2)
     S = sample_sphere(n, target.d, feat_rng)
     # Exact duplicate rows are a probability-zero event under the continuous

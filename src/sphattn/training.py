@@ -27,10 +27,10 @@ timings of both paths expects the factors to take less time for these m, n,
 p, T and degrees, it never allocates Z.  It takes M from the directions'
 monomial Gram and the thin QR F = QF R of the points' monomials, and runs
 GD in closed form on the eigenpairs of the small N = R M R.T: every step's
-loss, clean loss and weights, for any T, with no step taken.  When the
-bound, which costs nothing but the shapes, exceeds the tolerance, train
-warns and runs the plain loop on the m x n matrix (see the factored path
-below).
+loss and clean loss, and the weights a(T), for any T, with no step taken.
+When the bound, which costs nothing but the shapes, exceeds the tolerance,
+train warns and runs the plain loop on the m x n matrix (see the factored
+path below).
 """
 
 from __future__ import annotations
@@ -88,16 +88,16 @@ class TrainingTrace:
     loss is the mean squared residual against the noisy responses,
     (1/n) * ||yhat(t) - y||^2, which is non-increasing for stable step
     sizes.  clean_loss measures against the noise-free target values and is
-    the statistical quantity of interest.  weights holds optional snapshots.
-    factors holds train's factors on the factored path (_try_factor) and is
-    None on the plain one; a training trial's kernel gap reads their Gram M
-    instead of forming it again.  factors is left out of repr and ==.
+    the statistical quantity of interest.  No weights are kept; a(T) is in
+    train's TrainerState.  factors holds train's factors on the factored
+    path (_try_factor) and is None on the plain one; a training trial's
+    kernel gap reads their Gram M instead of forming it again.  factors is
+    left out of repr and ==.
     """
 
     loss: list = field(default_factory=list)
     residual_norm: list = field(default_factory=list)
     clean_loss: list = field(default_factory=list)
-    weights: list | None = None
     factors: _Factors | None = field(default=None, repr=False, compare=False)
 
 
@@ -165,13 +165,11 @@ def gd_step(state: TrainerState, Z, y) -> TrainerState:
     return TrainerState(a=a_next, t=state.t + 1, eta=state.eta)
 
 
-def _record(trace: TrainingTrace, resid, clean_resid, a, keep_weights) -> None:
+def _record(trace: TrainingTrace, resid, clean_resid) -> None:
     n = resid.size
     trace.loss.append(float(resid @ resid) / n)
     trace.residual_norm.append(float(np.linalg.norm(resid)))
     trace.clean_loss.append(float(clean_resid @ clean_resid) / n)
-    if keep_weights:
-        trace.weights.append(a.copy())
 
 
 def _check_divergence(norms: list, t: int) -> None:
@@ -214,14 +212,14 @@ def _check_divergence(norms: list, t: int) -> None:
 # sums of non-negative terms, so nothing cancels.  y and f* are appended to
 # F's columns in the QR, whose reflectors map them to QF.T y = Us beta in
 # R's first k rows and to a triangle below, whose rows' sums of squares are
-# ||y_perp||^2 and ||f_perp||^2.  The weights are
-# a(t) = U c(t) = Phi.T @ (S R.T Us z(t)) / sqrt(m), one GEMM per block
-# of t.  N is PSD in exact arithmetic (M = U.T U), so its negative
-# eigenvalues are rounding, within the bound below, and are set to 0.
+# ||y_perp||^2 and ||f_perp||^2.  The weights are only formed at T, as
+# a(T) = U c(T) = Phi.T @ (S R.T Us z(T)) / sqrt(m), one GEMM.  N is PSD
+# in exact arithmetic (M = U.T U), so its negative eigenvalues are
+# rounding, within the bound below, and are set to 0.
 # rho^t is the power, not exp(t log1p(-eta lam / n)): rho < 0 is stable for
 # 1 < eta lam / n < 2.  Rows of t go in blocks of about BLOCK_ENTRIES // k,
-# so the extra memory is O(BLOCK_ENTRIES) whatever T; only the recorded
-# weights, T + 1 vectors of m, grow with T, as on the loop.  When a step is
+# so the extra memory is O(BLOCK_ENTRIES) whatever T; only the trace's
+# lists, T + 1 numbers each, grow with T, as on the loop.  When a step is
 # unstable (some |rho_i| > 1) or y is not finite, the plain loop's two
 # checks run on the closed form's residual norms, so DivergenceError comes
 # at the same step with the same message.
@@ -319,7 +317,6 @@ def train(
     tau_final,
     eta: float,
     T: int,
-    record_weights: bool = False,
 ):
     """Run T gradient steps from a(0) = 0, recording the loss trace.
 
@@ -328,13 +325,14 @@ def train(
     priced below the m x n matrix for these m, n, T, degrees and factor
     width p (the number of monomials in the expansion of sigma_tau), and
     on the matrix itself otherwise.  On the factors no step is taken: the
-    trace comes in closed form from the eigenpairs of a p x p middle
-    matrix.  The factors are accepted on an a-priori rounding bound; when
-    it exceeds 1e-10, train warns (RuntimeWarning, naming the bound and p)
-    and runs on the m x n matrix.
+    trace and a(T) come in closed form from the eigenpairs of a p x p
+    middle matrix.  The factors are accepted on an a-priori rounding bound;
+    when it exceeds 1e-10, train warns (RuntimeWarning, naming the bound
+    and p) and runs on the m x n matrix.
 
-    Returns (TrainerState, TrainingTrace), alike on every path but for the
-    trace's factors.  Raises ValueError unless eta is positive and finite,
+    Returns (TrainerState, TrainingTrace): a(T) and every step's losses,
+    alike on every path but for the trace's factors; no weights before
+    step T are kept.  Raises ValueError unless eta is positive and finite,
     T a positive integer and tau a non-empty 1-d sequence, and
     DivergenceError when the residuals blow up (learning rate beyond the
     stable range), at the same step on every path.
@@ -347,7 +345,7 @@ def train(
     m, n = Q.shape[0], X.shape[0]
     y = np.asarray(dataset.y, dtype=float)
     f_star = np.asarray(dataset.f_star_S, dtype=float)
-    trace = TrainingTrace(weights=[] if record_weights else None)
+    trace = TrainingTrace()
 
     g = harmonics._power_coefficients(X.shape[1], tau)
     cheaper = _factored_is_cheaper(m, n, harmonics._factor_width(X.shape[1], g), T, tau.size - 1)
@@ -362,18 +360,17 @@ def train(
 def _gd_loop(Z, y, f_star, eta: float, T: int, trace: TrainingTrace) -> np.ndarray:
     """T gradient steps on the m x n feature matrix Z; returns a(T)."""
     n = y.size
-    keep = trace.weights is not None
     # resid = yhat - y, formed once per step for the check, the record and the gradient
     a = np.zeros(Z.shape[0])
     resid = -y
-    _record(trace, resid, -f_star, a, keep)
+    _record(trace, resid, -f_star)
     for t in range(1, T + 1):
         if not np.all(np.isfinite(resid)):
             raise _non_finite(t - 1, eta)
         a = a - (eta / n) * (Z @ resid)
         yhat = Z.T @ a
         resid = yhat - y
-        _record(trace, resid, yhat - f_star, a, keep)
+        _record(trace, resid, yhat - f_star)
         _check_divergence(trace.residual_norm, t)
     return a
 
@@ -386,13 +383,6 @@ def _spectral_trace(factors: _Factors, y, eta: float, T: int, trace: TrainingTra
     rho = 1.0 - (eta / n) * lam
     checked = not (np.all(np.abs(rho) <= 1.0) and np.all(np.isfinite(y)))
     delta = beta - beta_f
-
-    def weights(t, P):
-        # a(t) for the rows t of rho^t in P: Phi.T @ (coef @ (gain(t) beta))
-        gain = np.divide(1.0 - P, lam, out=np.multiply.outer(t * (eta / n), np.ones(k)),
-                         where=rho != 1.0)
-        return ((gain * beta) @ coef.T) @ Phi
-
     norms = trace.residual_norm
     rows = _block_rows(T + 1, k)
     # an unstable rho^t may overflow in the block that holds the step that raises
@@ -400,8 +390,6 @@ def _spectral_trace(factors: _Factors, y, eta: float, T: int, trace: TrainingTra
         for lo in range(0, T + 1, rows):
             t = np.arange(lo, min(lo + rows, T + 1))
             P = rho ** t[:, None]  # rho^t, one row per t
-            if trace.weights is not None:
-                trace.weights.extend(weights(t, P))
             P *= beta  # -e(t)
             nloss = np.einsum("tw,tw->t", P, P) + y_perp2
             np.subtract(delta, P, out=P)  # e(t) + delta
@@ -414,15 +402,17 @@ def _spectral_trace(factors: _Factors, y, eta: float, T: int, trace: TrainingTra
                 if not math.isfinite(norms[s - 1]):
                     raise _non_finite(s - 1, eta)
                 _check_divergence(norms, s)
-        return weights(np.array(T), rho**T)
+        # a(T) = Phi.T @ (coef @ (gain(T) beta))
+        gain = np.divide(1.0 - rho**T, lam, out=np.full(k, T * (eta / n)), where=rho != 1.0)
+        return ((gain * beta) @ coef.T) @ Phi
 
 
-def closed_form_residual(K_hat_n, y, eta: float, t: int, method: str = "auto") -> np.ndarray:
-    """Exact GD residual -(I - eta * Khat_n)^t y, independent of the trainer.
+def closed_form_residual(K_hat_n, y, eta: float, t: int) -> np.ndarray:
+    """Exact GD residual u(t) = (I - eta * Khat_n)^t (-y), independent of the trainer.
 
-    method "power" applies the matrix t times; "spectral" goes through the
-    eigendecomposition (preferred for very large t); "auto" switches at
-    t = 10^4.  The input must be symmetric.
+    The literal recursion u(s+1) = u(s) - eta * Khat_n @ u(s) from u(0) = -y,
+    t matrix-vector products.  The input must be symmetric and t an integer
+    >= 0.
     """
     K = np.asarray(K_hat_n, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -430,22 +420,11 @@ def closed_form_residual(K_hat_n, y, eta: float, t: int, method: str = "auto") -
     scale = float(np.max(np.abs(K))) if K.size else 0.0
     if scale > 0 and np.max(np.abs(K - K.T)) > 1e-10 * scale:
         raise ValueError("kernel matrix is not symmetric")
-    if t < 0:
-        raise ValueError(f"step count must be >= 0, got {t}")
-    y = np.asarray(y, dtype=float)
-    if method == "auto":
-        method = "power" if t <= 10_000 else "spectral"
-    if method == "power":
-        u = -y.copy()
-        for _ in range(t):
-            u = u - eta * (K @ u)
-        return u
-    if method == "spectral":
-        S = 0.5 * (K + K.T)
-        vals, vecs = np.linalg.eigh(S)
-        decay = (1.0 - eta * vals) ** t
-        return -(vecs @ (decay * (vecs.T @ y)))
-    raise ValueError(f"unknown method {method!r}")
+    harmonics._check_integer(t, "step count")
+    u = -np.asarray(y, dtype=float)
+    for _ in range(int(t)):
+        u = u - eta * (K @ u)
+    return u
 
 
 def trace_to_csv(trace: TrainingTrace, path) -> None:

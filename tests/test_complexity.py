@@ -386,6 +386,17 @@ class TestMcRisk:
         with pytest.raises(ValueError):
             mc_risk(lambda X: np.zeros(X.shape[0]), target, 1, 48)
 
+    @pytest.mark.parametrize("num_samples, ok", [(2.5, False), (True, False), (2.0, True)])
+    def test_sample_count_is_an_integer(self, num_samples, ok):
+        target = make_target(3, 1, [1.0, 1.0], 47)
+        pred = lambda X: np.zeros(X.shape[0])
+        if ok:
+            assert mc_risk(pred, target, num_samples, 48) == mc_risk(pred, target, 2, 48)
+        else:
+            with pytest.raises(ValueError, match=f"sample count must be an integer >= 2, "
+                                                 f"got {num_samples}"):
+                mc_risk(pred, target, num_samples, 48)
+
 
 class TestEmpiricalLoss:
     def test_zero_on_match(self):

@@ -283,6 +283,14 @@ class TestSampleSphere:
         with pytest.raises(ValueError):
             sample_sphere(0, 3, 0)
 
+    @pytest.mark.parametrize("n, ok", [(2.5, False), (True, False), (2.0, True)])
+    def test_count_is_an_integer(self, n, ok):
+        if ok:
+            assert np.array_equal(sample_sphere(n, 3, 0), sample_sphere(2, 3, 0))
+        else:
+            with pytest.raises(ValueError, match=f"sample count must be an integer >= 1, got {n}"):
+                sample_sphere(n, 3, 0)
+
     @pytest.mark.parametrize("n, d, seed", [(1, 2, 0), (31, 3, 1), (625, 6, 2), (4000, 8, 3)])
     def test_normalized_normal_draws(self, n, d, seed):
         Z = np.random.default_rng(seed).standard_normal((n, d))

@@ -41,6 +41,17 @@ class TestMakeTarget:
         with pytest.raises(ValueError):
             make_target(3, 2, [1.0, 1.0], 0)
 
+    @pytest.mark.parametrize("ell0, ok", [(2.5, False), (True, False), (2.0, True)])
+    def test_degree_is_an_integer(self, ell0, ok):
+        if ok:
+            target = make_target(3, ell0, [1.0, 1.0, 1.0], 0)
+            assert target.ell0 == 2 and type(target.ell0) is int
+            assert np.array_equal(target.directions, make_target(3, 2, [1.0] * 3, 0).directions)
+        else:
+            with pytest.raises(ValueError, match=f"target degree ell0 must be an integer >= 0, "
+                                                 f"got {ell0}"):
+                make_target(3, ell0, [1.0, 1.0], 0)
+
     def test_directions_are_unit(self):
         target = make_target(6, 3, [1, 1, 1, 1], 5)
         np.testing.assert_allclose(np.linalg.norm(target.directions, axis=1), 1.0, atol=1e-12)
@@ -189,6 +200,23 @@ class TestGenDataset:
         target = make_target(3, 0, [1.0], 30)
         with pytest.raises(ValueError):
             gen_dataset(target, 0, 0.1, 31)
+
+    @pytest.mark.parametrize("n, ok", [(2.5, False), (True, False), (2.0, True)])
+    def test_size_is_an_integer(self, n, ok):
+        target = make_target(3, 1, [1.0, 1.0], 30)
+        if ok:
+            ds, want = gen_dataset(target, n, 0.1, 31), gen_dataset(target, 2, 0.1, 31)
+            assert np.array_equal(ds.S, want.S) and np.array_equal(ds.y, want.y)
+        else:
+            with pytest.raises(ValueError, match=f"dataset size must be an integer >= 1, got {n}"):
+                gen_dataset(target, n, 0.1, 31)
+
+    @pytest.mark.parametrize("sigma0", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_noise_scale(self, sigma0):
+        # nan fails every comparison, so "sigma0 > 0" alone would read it as no noise
+        target = make_target(3, 1, [1.0, 1.0], 30)
+        with pytest.raises(ValueError, match=f"noise scale must be >= 0 and finite, got {sigma0}"):
+            gen_dataset(target, 5, sigma0, 31)
 
     def test_noise_mean_within_tolerance(self):
         target = make_target(5, 0, [2.0], 32)

@@ -81,6 +81,39 @@ def test_harmonic_dims_have_one_vector():
     assert not sites, f"harmonic_dim called in a comprehension: {sorted(sites)}"
 
 
+def _defaulted_public_parameters() -> dict:
+    """{(function, parameter): position or None} over the defaulted parameters
+    of the module-level functions each module lists in __all__."""
+    found = {}
+    for path in (ROOT / "src" / "sphattn").glob("*.py"):
+        public = getattr(importlib.import_module(f"sphattn.{path.stem}"), "__all__", ())
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in public:
+                args = stmt.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found |= {(stmt.name, arg.arg): i for i, arg in enumerate(positional) if i >= first}
+                found |= {(stmt.name, arg.arg): None
+                          for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default}
+    return found
+
+
+def test_public_defaults_have_callers():
+    # a defaulted parameter of a public function that no call in the package
+    # or the demos passes is a knob only the tests turn; calls in tests do not count
+    defaulted = _defaulted_public_parameters()
+    assert defaulted, "no defaulted public parameter found: is the scan still reading the modules?"
+    passed = set()
+    for path in [*(ROOT / "src" / "sphattn").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                passed |= {(name, kw.arg) for kw in call.keywords}
+                passed |= {(name, i) for i in range(len(call.args))}
+    uncalled = sorted(key for key, i in defaulted.items() if not {key, (key[0], i)} & passed)
+    assert not uncalled, f"public defaults no caller sets: {uncalled}"
+
+
 def test_traced_risk_sweep_records_every_layer(tracer, tmp_path, capsys):
     from sphattn import cli
 

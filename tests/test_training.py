@@ -249,14 +249,14 @@ class TestGdStep:
     def test_plain_training_loop_repeats_gd_step_bit_for_bit(self, monkeypatch):
         _, ds, Q, tau = _setup(n=40, m=90)
         force_path(monkeypatch, False)
-        state, trace = train(ds, Q, tau, eta=0.3, T=25, record_weights=True)
+        state, trace = train(ds, Q, tau, eta=0.3, T=25)
         Z = feature_matrix(ds.S, Q, tau)
         ref = TrainerState(a=np.zeros(90), t=0, eta=0.3)
         for t in range(1, 26):
             ref = gd_step(ref, Z, ds.y)
             resid = Z.T @ ref.a - ds.y
             assert trace.loss[t] == float(resid @ resid) / 40
-            assert np.array_equal(trace.weights[t], ref.a)
+            assert np.array_equal(train(ds, Q, tau, eta=0.3, T=t)[0].a, ref.a)
         assert np.array_equal(state.a, ref.a)
 
     def test_rejects_non_positive_eta(self, monkeypatch):
@@ -303,16 +303,28 @@ class TestClosedFormResidual:
         y = np.array([1.0, 2.0])
         np.testing.assert_allclose(closed_form_residual(np.eye(2) / 2, y, 0.0, 57), -y)
 
-    def test_power_and_spectral_agree(self):
+    def test_matches_the_eigendecomposition(self):
+        # the recursion against -V diag((1 - eta lam)^t) V.T y, formed here
         _, ds, Q, tau = _setup(n=80, m=160)
         K_n = normalized_gram(empirical_gram(ds.S, None, Q, tau), 80)
-        u_pow = closed_form_residual(K_n, ds.y, 0.3, 500, method="power")
-        u_spec = closed_form_residual(K_n, ds.y, 0.3, 500, method="spectral")
+        lam, V = np.linalg.eigh(K_n)
+        u_spec = -(V @ ((1.0 - 0.3 * lam) ** 500 * (V.T @ ds.y)))
+        u_pow = closed_form_residual(K_n, ds.y, 0.3, 500)
         assert np.linalg.norm(u_pow - u_spec) <= 1e-10 * np.linalg.norm(ds.y)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             closed_form_residual(np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2), 0.1, 3)
+
+    @pytest.mark.parametrize("t, ok", [(2.5, False), (True, False), (2.0, True)])
+    def test_step_count_is_an_integer(self, t, ok):
+        K, y = np.array([[0.5, 0.1], [0.1, 0.3]]), np.array([1.0, -2.0])
+        if ok:
+            want = closed_form_residual(K, y, 0.1, 2)
+            assert np.array_equal(closed_form_residual(K, y, 0.1, t), want)
+        else:
+            with pytest.raises(ValueError, match=f"step count must be an integer >= 0, got {t}"):
+                closed_form_residual(K, y, 0.1, t)
 
 
 class TestExactDynamics:
@@ -553,13 +565,6 @@ class TestTrain:
         ts = np.arange(10, T + 1)
         assert np.all(clean[ts] <= C / (eta * ts) * (1 + 1e-9))
 
-    def test_weight_snapshots(self, monkeypatch):
-        _, ds, Q, tau = _setup(n=12, m=18)
-        force_path(monkeypatch, False)
-        _, trace = train(ds, Q, tau, eta=0.2, T=7, record_weights=True)
-        assert len(trace.weights) == 8
-        assert np.array_equal(trace.weights[0], np.zeros(18))
-
     def test_trace_csv(self, monkeypatch, tmp_path):
         _, ds, Q, tau = _setup(n=10, m=15)
         force_path(monkeypatch, False)
@@ -781,7 +786,7 @@ class TestCertificate:
         # factors and runs the plain loop, bit for bit
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
         force_path(monkeypatch, False)
-        ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
+        ref_state, ref_trace = train(ds, Q, tau, eta=0.3, T=30)
         monkeypatch.setattr(harmonics, "_FACTOR_RTOL", 0.0)
         force_path(monkeypatch, True)
         formed = []
@@ -790,13 +795,12 @@ class TestCertificate:
         with pytest.warns(RuntimeWarning, match=r"a-priori bound \d\.\d{3}e-\d+ on the kernel's "
                           r"eigenvalues > 0 at factor width p = 10; falling back to "
                           r"the m x n feature matrix"):
-            state, trace = train(ds, Q, tau, eta=0.3, T=30, record_weights=True)
+            state, trace = train(ds, Q, tau, eta=0.3, T=30)
         assert not formed
         assert len(built) == 1 and np.array_equal(built[0][2], tau)
         assert np.array_equal(state.a, ref_state.a)
         assert trace.loss == ref_trace.loss and trace.clean_loss == ref_trace.clean_loss
         assert trace.residual_norm == ref_trace.residual_norm
-        assert all(np.array_equal(w, v) for w, v in zip(trace.weights, ref_trace.weights))
 
 
 class TestSpectralTrace:
@@ -821,12 +825,12 @@ class TestSpectralTrace:
         return taken
 
     @staticmethod
-    def _assert_matches_plain(monkeypatch, ds, Q, tau, eta, T, record_weights=False):
+    def _assert_matches_plain(monkeypatch, ds, Q, tau, eta, T):
         built = plain_builds(monkeypatch)
         force_path(monkeypatch, False)
-        s1, t1 = train(ds, Q, tau, eta, T, record_weights=record_weights)
+        s1, t1 = train(ds, Q, tau, eta, T)
         force_path(monkeypatch, True)
-        s2, t2 = train(ds, Q, tau, eta, T, record_weights=record_weights)
+        s2, t2 = train(ds, Q, tau, eta, T)
         assert len(built) == 1 and s2.t == T and s2.eta == eta
         np.testing.assert_allclose(s2.a, s1.a, atol=1e-10)
         np.testing.assert_allclose(t2.loss, t1.loss, rtol=1e-9, atol=1e-14)
@@ -880,7 +884,7 @@ class TestSpectralTrace:
         g = harmonics._power_coefficients(3, tau)
         assert np.any(training._try_factor(ds.S, Q, tau, g, np.zeros((2, 60))).lam == 0.0)
         taken = self._paths(monkeypatch)
-        self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.5, 100, record_weights=True)
+        self._assert_matches_plain(monkeypatch, ds, Q, tau, 0.5, 100)
         assert taken == ["plain", "spectral"]
 
     def test_zero_weights(self, monkeypatch):
@@ -890,26 +894,22 @@ class TestSpectralTrace:
         assert taken == ["plain", "spectral"]
         assert t2.loss == t1.loss and t2.residual_norm == t1.residual_norm
 
-    def test_weight_snapshots_across_blocks(self, monkeypatch):
+    def test_trace_across_blocks(self, monkeypatch):
         import sphattn.harmonics as harmonics_mod
 
         _, ds, Q, tau = _setup(n=40, m=90, seed=22)
         force_path(monkeypatch, False)
-        _, t1 = train(ds, Q, tau, 0.3, 25, record_weights=True)
+        plain_state, _ = train(ds, Q, tau, 0.3, 25)
         force_path(monkeypatch, True)
-        ref_state, ref = train(ds, Q, tau, 0.3, 25, record_weights=True)
+        ref_state, ref = train(ds, Q, tau, 0.3, 25)
         # 3 rows of t per block: the trace crosses 9 block boundaries
         monkeypatch.setattr(harmonics_mod, "BLOCK_ENTRIES", 3 * 10)
         taken = self._paths(monkeypatch)
-        state, t2 = train(ds, Q, tau, 0.3, 25, record_weights=True)
+        state, t2 = train(ds, Q, tau, 0.3, 25)
         assert taken == ["spectral"]
-        assert len(t2.weights) == 26
-        assert np.array_equal(t2.weights[0], np.zeros(90))
-        for w_plain, w_block, w_ref in zip(t1.weights, t2.weights, ref.weights):
-            np.testing.assert_allclose(w_block, w_plain, atol=1e-10)
-            np.testing.assert_allclose(w_block, w_ref, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(state.a, t2.weights[-1], rtol=1e-13, atol=1e-15)
+        assert len(t2.loss) == 26
         np.testing.assert_allclose(t2.loss, ref.loss, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(state.a, plain_state.a, atol=1e-10)
         np.testing.assert_allclose(state.a, ref_state.a, rtol=1e-13, atol=1e-15)
 
     def test_divergence_raises_like_the_plain_loop(self, monkeypatch):
