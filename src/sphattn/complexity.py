@@ -125,7 +125,11 @@ def population_spectrum(d: int, ell_hat: int, n: int) -> KernelSpectrum:
 
 
 def kernel_complexity(spectrum: KernelSpectrum, eps: float) -> float:
-    """R(eps) = sqrt((1/n) * sum_i min(lambda_i, eps^2))."""
+    """R(eps) = sqrt((1/n) * sum_i min(lambda_i, eps^2)).
+
+    eps must be positive but may be inf, the limit R = sqrt(trace / n), so
+    eps is not one of harmonics._check_range's finite scalars.
+    """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     lam = spectrum.eigenvalues
@@ -154,8 +158,7 @@ def critical_radius(spectrum: KernelSpectrum, sigma0: float) -> float:
     to a few roundings.  Zero eigenvalues are dropped first: past the rank r,
     T_k = 0 and s_k = a k only grows.
     """
-    if not 0 < sigma0 < np.inf:
-        raise ValueError(f"noise scale must be positive and finite, got {sigma0}")
+    harmonics._check_range(sigma0, "noise scale")
     lam = spectrum.eigenvalues[spectrum.eigenvalues > 0]
     a = sigma0**2 / spectrum.n
     ak = a * np.arange(lam.size + 1)

@@ -97,6 +97,24 @@ def _number(name: str, val, integer: bool = False):
                       f"got {val!r}")
 
 
+# key: (integer, least, least excluded) for every numeric key but n, m and T;
+# a least of None bounds nothing, and an excluded least is 0 ("positive")
+_BOUNDS = {
+    "d": (True, 2, False), "ell0": (True, 0, False), "L": (True, 0, False),
+    "eta": (False, 0, True), "sigma0": (False, 0, False), "epsilon0": (False, 0, True),
+    "num_seeds": (True, 1, False), "num_mc_samples": (True, 2, False),
+    "base_seed": (True, None, False), "threads": (True, 1, False),
+}
+
+
+def _bounded(name: str, val, integer: bool, least, excluded: bool):
+    """_number(name, val, integer), rejected below least, or at it when excluded."""
+    x = _number(name, val, integer)
+    if least is not None and (x < least or excluded and x == least):
+        raise ConfigError(f"{name} must be {'positive' if excluded else f'>= {least}'}, got {x}")
+    return x
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a harness run needs; unset values fall back to defaults."""
@@ -145,19 +163,11 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        for name in ("d", "ell0", "L", "num_seeds", "num_mc_samples", "base_seed", "threads",
-                     "eta", "sigma0", "epsilon0"):
+        for name, bound in _BOUNDS.items():
             if getattr(self, name) is not None:
-                integer = name not in ("eta", "sigma0", "epsilon0")
-                setattr(self, name, _number(name, getattr(self, name), integer))
-        if self.d < 2:
-            raise ConfigError(f"d must be >= 2, got {self.d}")
-        if self.ell0 < 0:
-            raise ConfigError(f"ell0 must be >= 0, got {self.ell0}")
+                setattr(self, name, _bounded(name, getattr(self, name), *bound))
         if self.L is None:
             self.L = self.ell0
-        if self.L < 0:
-            raise ConfigError(f"L must be >= 0, got {self.L}")
         if self.coeffs is None:
             self.coeffs = [1.0] * (self.ell0 + 1)
         if not isinstance(self.coeffs, list):
@@ -183,32 +193,17 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} grid entries must be >= 1")
                 setattr(self, name, ivals)
             else:
-                val = _number(name, val, True)
-                if val < 1:
-                    raise ConfigError(f"{name} must be >= 1, got {val}")
-                setattr(self, name, val)
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+                setattr(self, name, _bounded(name, val, True, 1, False))
         if self.T != "auto":
             self.T = _number("T", self.T, True)
             if self.T < 1:
                 raise ConfigError(f"T must be >= 1 or 'auto', got {self.T}")
-        if self.sigma0 < 0:
-            raise ConfigError(f"sigma0 must be >= 0, got {self.sigma0}")
-        if self.epsilon0 is not None and self.epsilon0 <= 0:
-            raise ConfigError(f"epsilon0 must be positive, got {self.epsilon0}")
-        if self.num_seeds < 1:
-            raise ConfigError(f"num_seeds must be >= 1, got {self.num_seeds}")
-        if self.num_mc_samples < 2:
-            raise ConfigError(f"num_mc_samples must be >= 2, got {self.num_mc_samples}")
         if self.channels not in ("oracle", "select"):
             raise ConfigError(f"channels must be 'oracle' or 'select', got {self.channels!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def scalar(self, name: str) -> int:
         val = getattr(self, name)

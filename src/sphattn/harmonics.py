@@ -197,6 +197,13 @@ def _check_integer(value, what: str, least: int = 0) -> None:
         raise ValueError(f"{what} must be an integer >= {least}, got {value}")
 
 
+def _check_range(value, what: str, zero_ok: bool = False) -> None:
+    """Reject a value outside 0 < value < inf, or 0 <= value < inf with zero_ok; nan is outside."""
+    if not ((0 <= value if zero_ok else 0 < value) and value < math.inf):
+        bound = ">= 0" if zero_ok else "positive"
+        raise ValueError(f"{what} must be {bound} and finite, got {value}")
+
+
 def _check_dim(d: int) -> None:
     _check_integer(d, "ambient dimension", 2)
 
@@ -398,8 +405,8 @@ def _weighted_sum(blocks, out: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
+    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be a non-empty 1-d sequence of finite numbers")
     return w
 
 

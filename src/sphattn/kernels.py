@@ -147,8 +147,7 @@ def normalized_gram(K: np.ndarray, n: int) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    if n <= 0:
-        raise ValueError(f"sample count must be positive, got {n}")
+    harmonics._check_integer(n, "sample count", 1)
     return K / n
 
 
@@ -156,6 +155,18 @@ def normalized_gram(K: np.ndarray, n: int) -> np.ndarray:
 # relative size below which a negative eigenvalue is treated as rounding.
 SYM_TOL = 1e-10
 EIG_CLAMP = 1e-8
+
+
+def _require_symmetric(K, name: str) -> np.ndarray:
+    """K as a float matrix: square, finite, and symmetric within SYM_TOL of its largest entry."""
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {K.shape}")
+    if not np.all(np.isfinite(K)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.max(np.abs(K - K.T), initial=0.0) > SYM_TOL * np.max(np.abs(K), initial=0.0):
+        raise ValueError("matrix is not symmetric within tolerance")
+    return K
 
 
 def gram_spectrum(K_n: np.ndarray) -> np.ndarray:
@@ -167,17 +178,10 @@ def gram_spectrum(K_n: np.ndarray) -> np.ndarray:
     more negative means the input was not PSD and raises.  For eigenvectors
     call np.linalg.eigh.
     """
-    K_n = np.asarray(K_n, dtype=float)
-    if K_n.ndim != 2 or K_n.shape[0] != K_n.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K_n.shape}")
-    if not np.all(np.isfinite(K_n)):
-        raise ValueError("gram matrix has non-finite entries")
-    scale = np.max(np.abs(K_n))
-    if scale > 0 and np.max(np.abs(K_n - K_n.T)) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    K_n = _require_symmetric(K_n, "gram matrix")
     vals = np.sort(np.linalg.eigvalsh(0.5 * (K_n + K_n.T)))[::-1]
-    floor = -EIG_CLAMP * max(vals[0], 0.0)
-    if vals[-1] < floor:
+    floor = -EIG_CLAMP * vals.max(initial=0.0)
+    if vals.min(initial=0.0) < floor:
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {vals[-1]:.3e} below {floor:.3e}"
         )

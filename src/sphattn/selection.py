@@ -142,8 +142,7 @@ def threshold_channels(tau_raw, epsilon0: float, d: int) -> SelectionResult:
     EmptySelectionError when nothing survives.  A selected channel
     sitting above an unselected one is legal but unusual, so it warns.
     """
-    if not 0 < epsilon0 < np.inf:
-        raise ValueError(f"threshold must be positive and finite, got {epsilon0}")
+    harmonics._check_range(epsilon0, "threshold")
     tau_raw = np.asarray(tau_raw, dtype=float)
     mask = tau_raw >= 2.0 * epsilon0
     if not np.any(mask):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import (
-    _check_integer, _clamp_domain, _dims, _given_blocks, child_generators, sample_sphere,
+    _check_integer, _check_range, _clamp_domain, _dims, child_generators, gegenbauer_all,
+    sample_sphere,
 )
 from .kernels import _require_unit_rows
 
@@ -80,6 +81,8 @@ def make_target(d: int, ell0: int, coeffs, seed) -> ZonalTarget:
     ell0 = int(ell0)
     if coeffs.shape != (ell0 + 1,):
         raise ValueError(f"need {ell0 + 1} coefficients, got shape {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"coefficients must be finite, got {coeffs.tolist()}")
     if coeffs[ell0] == 0.0:
         raise ValueError("top-degree coefficient is zero; the target would have lower degree")
     directions = sample_sphere(ell0 + 1, d, seed)
@@ -93,8 +96,8 @@ def eval_target(target: ZonalTarget, X) -> np.ndarray:
     <x_i, w_k> come from one einsum, which sums each row's products over the
     coordinates on their own, where a matrix product would round
     differently with the number of rows.  They are checked against the
-    [-1, 1] band once, and one walk of the recurrence over all ell0 + 1
-    directions gives P_k(<x, w_k>) for every k.
+    [-1, 1] band once, and each direction's dots are walked by the
+    recurrence up to its own degree k only, for P_k(<x, w_k>).
     """
     X = _require_unit_rows(X, "X")
     d, c = target.d, target.coeffs
@@ -103,10 +106,8 @@ def eval_target(target: ZonalTarget, X) -> np.ndarray:
     dots = np.einsum("ij,kj->ki", X, target.directions)  # row k: <x_i, w_k>
     _clamp_domain(dots.T, "dot product", out=dots.T)  # an error names (point, degree)
     out = np.full(X.shape[0], c[0])  # P_0 = 1
-    for rows, degrees in _given_blocks(dots, d, target.ell0)[1]:
-        for k, P in degrees:
-            if rows.start <= k < rows.stop and c[k] != 0.0:
-                out += c[k] * P[k - rows.start]
+    for k in np.flatnonzero(c[1:]) + 1:  # zero coefficients add nothing
+        out += c[k] * gegenbauer_all(dots[k], d, k)[k]
     return out
 
 
@@ -133,8 +134,7 @@ def gen_dataset(target: ZonalTarget, n: int, sigma0: float, seed) -> LabeledData
     """
     _check_integer(n, "dataset size", 1)
     n = int(n)
-    if not 0 <= sigma0 < np.inf:
-        raise ValueError(f"noise scale must be >= 0 and finite, got {sigma0}")
+    _check_range(sigma0, "noise scale", zero_ok=True)
     feat_rng, noise_rng = child_generators(seed, 2)
     S = sample_sphere(n, target.d, feat_rng)
     # Exact duplicate rows are a probability-zero event under the continuous

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import harmonics
 from .harmonics import _block_rows
-from .kernels import _require_unit_pair, activation_matrix
+from .kernels import _require_symmetric, _require_unit_pair, activation_matrix
 from .targets import LabeledDataset
 
 __all__ = [
@@ -138,11 +138,6 @@ def predict(a, X, Q, tau_final) -> np.ndarray:
     return np.einsum("k,ki->i", tau[: ell_hat + 1], V) / np.sqrt(m)
 
 
-def _check_step_size(eta) -> None:
-    if not 0 < eta < math.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {eta}")
-
-
 def _non_finite(t: int, eta: float) -> DivergenceError:
     return DivergenceError(
         f"non-finite residual at step {t}; "
@@ -155,7 +150,7 @@ def gd_step(state: TrainerState, Z, y) -> TrainerState:
 
     Z is the m x n matrix feature_matrix(X, Q, tau) of the training points.
     """
-    _check_step_size(state.eta)
+    harmonics._check_range(state.eta, "learning rate")
     y = np.asarray(y, dtype=float)
     n = y.size
     resid = Z.T @ state.a - y
@@ -339,7 +334,7 @@ def train(
     """
     harmonics._check_integer(T, "step count", 1)
     T = int(T)
-    _check_step_size(eta)
+    harmonics._check_range(eta, "learning rate")
     X, Q = _require_unit_pair(dataset.S, Q)
     tau = harmonics._check_weights(tau_final)
     m, n = Q.shape[0], X.shape[0]
@@ -411,15 +406,11 @@ def closed_form_residual(K_hat_n, y, eta: float, t: int) -> np.ndarray:
     """Exact GD residual u(t) = (I - eta * Khat_n)^t (-y), independent of the trainer.
 
     The literal recursion u(s+1) = u(s) - eta * Khat_n @ u(s) from u(0) = -y,
-    t matrix-vector products.  The input must be symmetric and t an integer
-    >= 0.
+    t matrix-vector products.  Khat_n must be finite and symmetric
+    (kernels.SYM_TOL), 0 <= eta < inf and t an integer >= 0.
     """
-    K = np.asarray(K_hat_n, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    scale = float(np.max(np.abs(K))) if K.size else 0.0
-    if scale > 0 and np.max(np.abs(K - K.T)) > 1e-10 * scale:
-        raise ValueError("kernel matrix is not symmetric")
+    K = _require_symmetric(K_hat_n, "kernel matrix")
+    harmonics._check_range(eta, "learning rate", zero_ok=True)
     harmonics._check_integer(t, "step count")
     u = -np.asarray(y, dtype=float)
     for _ in range(int(t)):

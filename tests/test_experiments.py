@@ -1,6 +1,7 @@
 """Harness configuration, runners, reports, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from sphattn import experiments, finalized_weights, harmonics, oracle_weights, sample_sphere
+from sphattn import config, experiments, finalized_weights, harmonics, oracle_weights, sample_sphere
 from sphattn.cli import main
 from sphattn.config import ConfigError, ExperimentConfig, auto_steps, parse_config_file
 from sphattn.experiments import (
@@ -117,6 +118,34 @@ class TestConfig:
         kw = {"d": 3, "ell0": 0, "n": 20, "m": 30, key: value}
         with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {re.escape(repr(value))}$"):
             ExperimentConfig.from_sources(kw, {})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("d", 1, "d must be >= 2, got 1"),
+        ("ell0", -1, "ell0 must be >= 0, got -1"),
+        ("L", -1, "L must be >= 0, got -1"),
+        ("n", 0, "n must be >= 1, got 0"),
+        ("m", 0, "m must be >= 1, got 0"),
+        ("eta", 0, "eta must be positive, got 0.0"),
+        ("T", 0, "T must be >= 1 or 'auto', got 0"),
+        ("sigma0", -0.5, "sigma0 must be >= 0, got -0.5"),
+        ("epsilon0", 0, "epsilon0 must be positive, got 0.0"),
+        ("num_seeds", 0, "num_seeds must be >= 1, got 0"),
+        ("num_mc_samples", 1, "num_mc_samples must be >= 2, got 1"),
+        ("threads", 0, "threads must be >= 1, got 0"),
+    ])
+    def test_value_past_its_bound_names_key_bound_and_value(self, key, value, message):
+        kw = {"d": 3, "ell0": 0, "n": 20, "m": 30, key: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_sources(kw, {})
+
+    def test_every_numeric_key_states_a_bound(self):
+        # a new int or float key is coerced and bounded only through config._BOUNDS;
+        # n, m and T, which also take grids or 'auto', are checked on their own
+        numeric = {f.name for f in dataclasses.fields(ExperimentConfig)
+                   if re.search(r"\b(int|float)\b", str(f.type))}
+        assert {"d", "eta", "base_seed"} <= numeric, "are the annotations still read?"
+        unbounded = numeric - {"n", "m", "T"} - set(config._BOUNDS)
+        assert not unbounded, f"numeric config keys without a bound: {sorted(unbounded)}"
 
     def test_integral_values_are_normalized(self):
         cfg = ExperimentConfig.from_sources(

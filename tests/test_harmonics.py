@@ -222,6 +222,15 @@ class TestWeightedSum:
         G = np.array([0.3, -0.7])
         np.testing.assert_allclose(gegenbauer_weighted_sum(G, 4, [2.0]), [2.0, 2.0])
 
+    @pytest.mark.parametrize("w", [[1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_non_finite_weights(self, w):
+        # these once returned NaN entries
+        A = sample_sphere(3, 4, 8)
+        with pytest.raises(ValueError, match="sequence of finite numbers"):
+            gegenbauer_weighted_sum(A @ A.T, 4, w)
+        with pytest.raises(ValueError, match="sequence of finite numbers"):
+            gegenbauer_weighted_matrix(A, A, 4, w)
+
 
 class TestGegenbauerBlocks:
     @pytest.mark.parametrize("block_entries", [1, 7 * 40, 1 << 16])

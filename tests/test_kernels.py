@@ -40,6 +40,15 @@ class TestActivation:
         with pytest.raises(ValueError, match="unit"):
             activation(np.array([2.0, 0.0]), np.array([1.0, 0.0]), np.ones(2), 2)
 
+    @pytest.mark.parametrize("tau", [[1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_non_finite_weights(self, tau):
+        # activation once returned nan for these
+        X = sample_sphere(3, 3, 4)
+        with pytest.raises(ValueError, match="sequence of finite numbers"):
+            activation(X[0], X[1], tau, 3)
+        with pytest.raises(ValueError, match="sequence of finite numbers"):
+            activation_matrix(X, X, tau)
+
     def test_rejects_inputs_that_are_not_one_vector_of_length_d(self):
         # a d that disagrees with the vectors would change the polynomial
         # (these two read 0.381 at d = 5 against -0.177 at d = 3), and a
@@ -241,6 +250,12 @@ class TestNormalizedGram:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             normalized_gram(np.eye(2), 0)
+
+    @pytest.mark.parametrize("n", [float("nan"), 2.5, True])
+    def test_count_is_an_integer(self, n):
+        # these once divided the matrix by nan, 2.5 and 1
+        with pytest.raises(ValueError, match=f"^sample count must be an integer >= 1, got {n}$"):
+            normalized_gram(np.eye(2), n)
 
 
 class TestGramSpectrum:

@@ -52,6 +52,12 @@ class TestMakeTarget:
                                                  f"got {ell0}"):
                 make_target(3, ell0, [1.0, 1.0], 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        # a nan once made a target whose every value is nan
+        with pytest.raises(ValueError, match=r"^coefficients must be finite, got \[1.0, "):
+            make_target(3, 1, [1.0, bad], 0)
+
     def test_directions_are_unit(self):
         target = make_target(6, 3, [1, 1, 1, 1], 5)
         np.testing.assert_allclose(np.linalg.norm(target.directions, axis=1), 1.0, atol=1e-12)

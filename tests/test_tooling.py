@@ -81,6 +81,23 @@ def test_harmonic_dims_have_one_vector():
     assert not sites, f"harmonic_dim called in a comprehension: {sorted(sites)}"
 
 
+def test_range_checks_have_one_home():
+    # a scalar's 0 < x < inf check is harmonics._check_range; a comparison
+    # against inf anywhere else is a second copy of it
+    def is_inf(node):
+        return "inf" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    sites = {
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "src" / "sphattn").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare) and any(map(is_inf, [node.left, *node.comparators]))
+    }
+    home = {site for site in sites if site.startswith("harmonics.py:")}
+    assert not sites - home, f"range checks outside harmonics: {sorted(sites - home)}"
+    assert home, "no range check found in harmonics: is the scan still reading the modules?"
+
+
 def _defaulted_public_parameters() -> dict:
     """{(function, parameter): position or None} over the defaulted parameters
     of the module-level functions each module lists in __all__."""

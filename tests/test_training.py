@@ -96,9 +96,9 @@ class TestPredict:
         _, ds, Q, tau = _setup(n=15, m=30)
         assert np.array_equal(predict(np.zeros(30), ds.S, Q, tau), np.zeros(15))
 
-    @pytest.mark.parametrize("tau", [[], np.ones((2, 2))])
+    @pytest.mark.parametrize("tau", [[], np.ones((2, 2)), [1.0, np.nan], [np.inf, 1.0]])
     def test_rejects_channel_weights_that_are_not_a_vector(self, tau):
-        # an empty tau once predicted zeros
+        # an empty tau once predicted zeros, and a non-finite one nan
         _, ds, Q, _ = _setup(n=5, m=10)
         with pytest.raises(ValueError, match="weights must be a non-empty 1-d sequence"):
             predict(np.ones(10), ds.S, Q, tau)
@@ -316,6 +316,18 @@ class TestClosedFormResidual:
         with pytest.raises(ValueError, match="symmetric"):
             closed_form_residual(np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2), 0.1, 3)
 
+    @pytest.mark.parametrize("eta", [np.nan, -1.0, np.inf])
+    def test_rejects_a_learning_rate_outside_zero_to_inf(self, eta):
+        # these once returned numbers: [nan nan] for nan
+        with pytest.raises(ValueError, match=f"^learning rate must be >= 0 and finite, got {eta}$"):
+            closed_form_residual(np.eye(2) / 2, np.ones(2), eta, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_kernel(self, bad):
+        K = np.array([[0.5, 0.1], [0.1, bad]])
+        with pytest.raises(ValueError, match="^kernel matrix has non-finite entries$"):
+            closed_form_residual(K, np.ones(2), 0.1, 3)
+
     @pytest.mark.parametrize("t, ok", [(2.5, False), (True, False), (2.0, True)])
     def test_step_count_is_an_integer(self, t, ok):
         K, y = np.array([[0.5, 0.1], [0.1, 0.3]]), np.array([1.0, -2.0])
@@ -403,11 +415,14 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"step count must be an integer >= 1, got {T}"):
             train(ds, Q, tau, eta=0.1, T=T)
 
-    @pytest.mark.parametrize("tau", [[], np.ones((2, 2))])
-    def test_rejects_channel_weights_that_are_not_a_vector(self, tau):
+    @pytest.mark.parametrize("tau", [[], np.ones((2, 2)), [1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_channel_weights_that_are_not_a_vector(self, tau, monkeypatch):
+        # a non-finite tau once raised a DivergenceError that blamed eta
         _, ds, Q, _ = _setup(n=10, m=10)
-        with pytest.raises(ValueError, match="weights must be a non-empty 1-d sequence"):
-            train(ds, Q, tau, eta=0.1, T=2)
+        for factored in (False, True):
+            force_path(monkeypatch, factored)
+            with pytest.raises(ValueError, match="weights must be a non-empty 1-d sequence"):
+                train(ds, Q, tau, eta=0.1, T=2)
 
     def test_trace_keeps_the_factors_out_of_repr_and_eq(self, monkeypatch):
         _, ds, Q, tau = _setup(n=60, m=200, seed=15)
